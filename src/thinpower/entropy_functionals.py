@@ -10,10 +10,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError, ParameterError
-from .numerics import fsum, log_factorials, poisson_log_terms, poisson_support_top
+from .numerics import log_factorials, poisson_log_terms, poisson_support_top
 from .pmf_core import DEFAULT_TOLERANCES, FinitePmf, ToleranceConfig, mean
 
 LN2 = math.log(2.0)
+EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -30,8 +31,16 @@ class EntropyValue:
 def entropy(p: FinitePmf) -> EntropyValue:
     """Shannon entropy -sum p log p in nats; zero terms are skipped."""
     mass = p.probs[p.probs > 0.0]
-    nats = -fsum(mass * np.log(mass))
+    nats = -math.fsum(mass * np.log(mass))
     return EntropyValue(nats if nats > 0.0 else 0.0)
+
+
+def _poisson_entropy_pair(t: float, cfg: ToleranceConfig) -> tuple[float, float]:
+    """(E(t), E'(t)) for t > 0 from one truncated Poisson(t) log pmf."""
+    z, logp = poisson_log_terms(t, poisson_support_top(t, cfg.tail_eps))
+    pmf = np.exp(logp)
+    return (-math.fsum(pmf * logp),
+            math.fsum(pmf * (np.log(z + 1.0) - math.log(t))))
 
 
 def poisson_entropy(t: float, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
@@ -46,8 +55,7 @@ def poisson_entropy(t: float, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> floa
         raise ParameterError(f"poisson entropy needs t >= 0, got {t!r}")
     if t == 0.0:
         return 0.0
-    _, logp = poisson_log_terms(t, poisson_support_top(t, cfg.tail_eps))
-    return -fsum(np.exp(logp) * logp)
+    return _poisson_entropy_pair(t, cfg)[0]
 
 
 def poisson_entropy_derivative(t: float,
@@ -55,8 +63,7 @@ def poisson_entropy_derivative(t: float,
     """d/dt H(Poisson(t)) = sum_z pmf(z) log((z+1)/t); strictly positive."""
     if t <= 0.0 or not math.isfinite(t):
         raise ParameterError(f"entropy derivative needs t > 0, got {t!r}")
-    z, logp = poisson_log_terms(t, poisson_support_top(t, cfg.tail_eps))
-    return fsum(np.exp(logp) * (np.log(z + 1.0) - math.log(t)))
+    return _poisson_entropy_pair(t, cfg)[1]
 
 
 def entropy_power(p: FinitePmf, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
@@ -64,37 +71,50 @@ def entropy_power(p: FinitePmf, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> fl
 
     The bracket starts at max(mean, 1) and doubles until it encloses the
     target (a pmf need not satisfy V <= mean outside the ultra-log-concave
-    class), then a bisection-safeguarded Newton iteration using the entropy
-    derivative runs the root down to cfg.tol_root.
+    class).  Newton then steps on every iteration, falling back to bisection
+    only when a step leaves the bracket.  E is increasing and concave, so
+    Newton from a point left of the root rises monotonically to it, and a
+    step from the right lands left of it: the iteration starts from the
+    bottom of a grown bracket and otherwise from the top.  It stops once the
+    Newton step or the bracket is below cfg.tol_root * t, a bound relative
+    to t that holds for tiny rates too, and returns the evaluated point
+    nearest the target.  Each iteration takes E and E' from one evaluation
+    of the Poisson log pmf; a call typically needs 5 to 8 of them, and up to
+    about 40 for rates near 1e-12, whose first steps bisect down from the
+    bracket top at 1.
     """
     target = entropy(p).nats
     if target <= 0.0:
         return 0.0
-    lo, hi = 0.0, max(mean(p), 1.0)
-    while poisson_entropy(hi, cfg) < target:
-        lo, hi = hi, 2.0 * hi
+    lo, t = 0.0, max(mean(p), 1.0)
+    e, slope = _poisson_entropy_pair(t, cfg)
+    hi = t
+    while e < target:
+        # t is left of the root: it becomes the start once 2t encloses it
+        lo, hi = t, 2.0 * t
         if hi > 1e15:
             raise NumericError("entropy power bracket expansion diverged",
                                {"target_nats": target})
-    best_t, best_err = hi, math.inf
-    t = 0.5 * (lo + hi)
-    for step in range(200):
-        err = poisson_entropy(t, cfg) - target
+        e_hi, slope_hi = _poisson_entropy_pair(hi, cfg)
+        if e_hi >= target:
+            break
+        t, e, slope = hi, e_hi, slope_hi
+    best_t, best_err = t, math.inf
+    for _ in range(200):
+        err = e - target
         if abs(err) < best_err:
             best_t, best_err = t, abs(err)
         if err >= 0.0:
             hi = t
         else:
             lo = t
-        if hi - lo <= cfg.tol_root * max(1.0, lo):
+        step = err / slope
+        if abs(step) <= cfg.tol_root * t or hi - lo <= cfg.tol_root * t:
             break
-        if step % 2 == 0 and t > 0.0:
-            proposal = t - err / poisson_entropy_derivative(t, cfg)
-        else:
-            proposal = 0.5 * (lo + hi)
-        if not lo < proposal < hi:
-            proposal = 0.5 * (lo + hi)
-        t = proposal
+        t = t - step
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi)
+        e, slope = _poisson_entropy_pair(t, cfg)
     else:
         raise NumericError("entropy power iteration did not converge",
                            {"lo": lo, "hi": hi, "target_nats": target})
@@ -108,11 +128,16 @@ def rel_entropy_poisson(p: FinitePmf,
     if lam == 0.0:
         return 0.0
     k = np.arange(len(p))
-    log_pi = k * math.log(lam) - lam - log_factorials(len(p) - 1)
+    log_lam, log_fact = math.log(lam), log_factorials(len(p) - 1)
+    log_pi = k * log_lam - lam - log_fact
     keep = p.probs > 0.0
-    value = fsum(p.probs[keep] * (np.log(p.probs[keep]) - log_pi[keep]))
-    # nonnegative up to rounding; swallow the rounding
-    return 0.0 if -1e-12 < value < 0.0 else value
+    probs, log_p = p.probs[keep], np.log(p.probs[keep])
+    value = math.fsum(probs * (log_p - log_pi[keep]))
+    # D >= 0, so swallow a negative value within the rounding bound of the
+    # sum; log_pi is formed from parts far larger than itself on wide supports
+    parts = k * abs(log_lam) + lam + log_fact
+    slack = 4.0 * EPS * math.fsum(probs * (parts[keep] + np.abs(log_p)))
+    return 0.0 if -slack < value < 0.0 else value
 
 
 def l_functional(p: FinitePmf, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
@@ -131,7 +156,7 @@ def l_functional(p: FinitePmf, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> flo
     if len(p) == 1:
         return 0.0
     z1 = np.arange(1, len(p))
-    return fsum(z1 * probs[1:] * (np.log(probs[:-1]) - np.log(probs[1:])))
+    return math.fsum(z1 * probs[1:] * (np.log(probs[:-1]) - np.log(probs[1:])))
 
 
 def lambda_functional(p: FinitePmf,
@@ -141,7 +166,7 @@ def lambda_functional(p: FinitePmf,
     if lam == 0.0:
         return 0.0
     log_fact = log_factorials(len(p) - 1)
-    return lam + fsum(p.probs * log_fact) - lam * math.log(lam)
+    return lam + math.fsum(p.probs * log_fact) - lam * math.log(lam)
 
 
 def u_functional(p: FinitePmf, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
@@ -151,6 +176,6 @@ def u_functional(p: FinitePmf, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> flo
         return h - 0.0 - mean(p)
     z1 = np.arange(1, len(p))
     log_fact = log_factorials(len(p) - 1)
-    s_fact = fsum(p.probs[1:] * log_fact[1:])
-    s_lin = fsum(z1 * p.probs[1:] * np.log(z1))
+    s_fact = math.fsum(p.probs[1:] * log_fact[1:])
+    s_lin = math.fsum(z1 * p.probs[1:] * np.log(z1))
     return h - s_fact - mean(p) + s_lin

@@ -29,7 +29,8 @@ def binomial_rows(ns: np.ndarray, alpha: float, width: int) -> np.ndarray:
     k > n are zero.  Each row is renormalised to sum to exactly 1, which keeps
     total mass and means of thinned pmfs stable to ~1e-15 even for n ~ 2000.
     """
-    lf = log_factorials(int(ns.max()))
+    # rows stop at n but columns run to width-1, which can exceed ns.max()
+    lf = log_factorials(max(int(ns.max()), width - 1))
     k = np.arange(width)
     nk = ns[:, None] - k[None, :]
     valid = nk >= 0
@@ -67,8 +68,3 @@ def poisson_support_top(rate: float, tail_eps: float) -> int:
         if bound < tail_eps:
             return n
         n += max(10, int(math.sqrt(rate)))
-
-
-def fsum(values) -> float:
-    """Compensated sum of a 1-D array (exact rounding of the true sum)."""
-    return math.fsum(values)

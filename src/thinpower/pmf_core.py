@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .numerics import fsum, log_factorials, poisson_log_terms, poisson_support_top
+from .numerics import log_factorials, poisson_log_terms, poisson_support_top
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ class FinitePmf:
             raise ParameterError(
                 f"pmf entry {lowest:.6e} is below -tol_norm = {-cfg.tol_norm:.1e}")
         np.clip(arr, 0.0, None, out=arr)
-        total = fsum(arr)
+        total = math.fsum(arr)
         if abs(total - 1.0) > cfg.tol_norm:
             raise ParameterError(
                 f"pmf mass {total!r} differs from 1 by more than tol_norm")
@@ -241,7 +241,7 @@ def construct(spec: FamilySpec, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Fi
             raise ParameterError("raw pmf requires a nonempty vector")
         if not np.all(np.isfinite(arr)):
             raise ParameterError("raw pmf entries must be finite")
-        total = fsum(np.clip(arr, 0.0, None))
+        total = math.fsum(np.clip(arr, 0.0, None))
         if total <= 0.0:
             raise ParameterError("raw pmf has no positive mass")
         if float(arr.min()) < -cfg.tol_norm * total:
@@ -252,7 +252,7 @@ def construct(spec: FamilySpec, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Fi
 
 def mean(p: FinitePmf) -> float:
     """First moment, with compensated summation."""
-    return fsum(np.arange(len(p)) * p.probs)
+    return math.fsum(np.arange(len(p)) * p.probs)
 
 
 def is_ulc(p: FinitePmf, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
@@ -291,4 +291,4 @@ def total_variation(p: FinitePmf, q: FinitePmf) -> float:
     b = np.zeros(width)
     a[:len(p)] = p.probs
     b[:len(q)] = q.probs
-    return 0.5 * fsum(np.abs(a - b))
+    return 0.5 * math.fsum(np.abs(a - b))

@@ -12,6 +12,7 @@ from thinpower import (DomainError, FamilySpec, FinitePmf, ParameterError,
                        l_functional, lambda_functional, mean, poisson_entropy,
                        poisson_entropy_derivative, random_ulc,
                        rel_entropy_poisson, thin, u_functional)
+from thinpower import entropy_functionals
 
 bern = lambda p: construct(FamilySpec.bernoulli(p))
 poi = lambda r: construct(FamilySpec.poisson(r))
@@ -19,14 +20,40 @@ poi = lambda r: construct(FamilySpec.poisson(r))
 mp.mp.dps = 40
 
 
+_MP_LOG_FACT = [mp.mpf(0)]
+
+
 def _poisson_entropy_mp(t):
-    """Extended-precision oracle for H(Poisson(t))."""
+    """Extended-precision oracle for H(Poisson(t)), with cached log k!."""
     t = mp.mpf(t)
+    top = int(t + 12 * mp.sqrt(t) + 60)
+    while len(_MP_LOG_FACT) < top:
+        _MP_LOG_FACT.append(_MP_LOG_FACT[-1] + mp.log(len(_MP_LOG_FACT)))
+    log_t = mp.log(t)
     total = mp.mpf(0)
-    for z in range(int(t + 12 * mp.sqrt(t) + 60)):
-        logp = z * mp.log(t) - t - mp.loggamma(z + 1)
+    for z in range(top):
+        logp = z * log_t - t - _MP_LOG_FACT[z]
         total -= mp.e ** logp * logp
-    return float(total)
+    return total
+
+
+def _entropy_power_mp(x):
+    """Extended-precision root of E(t) = entropy(x).nats.
+
+    The target is the float entropy the solver sees, so this checks the root
+    solve alone.  The bracket is found by doubling and by steps of 2^-8, then
+    refined with a bracketing Anderson-Bjorck iteration.
+    """
+    target = mp.mpf(entropy(x).nats)
+    hi = mp.mpf(max(mean(x), 1.0))
+    while _poisson_entropy_mp(hi) < target:
+        hi *= 2
+    lo = hi
+    while _poisson_entropy_mp(lo) >= target:
+        lo /= 2 ** 8
+    root = mp.findroot(lambda t: _poisson_entropy_mp(t) - target, (lo, hi),
+                       solver="anderson")
+    return float(root)
 
 
 def _poisson_j_mp(t):
@@ -107,6 +134,39 @@ def test_entropy_power_inverts_the_poisson_curve(lam):
     assert abs(entropy_power(poi(lam)) - lam) < 1e-8
 
 
+V_ORACLE_CASES = (
+    [pytest.param(poi(r), id=f"poisson-{r}") for r in (1e-3, 0.5, 40.0, 1590.0)]
+    + [pytest.param(bern(q), id=f"bernoulli-{q}") for q in (1e-12, 1e-6)]
+    # V above the mean: the bracket has to expand
+    + [pytest.param(construct(FamilySpec.geometric(50.0)), id="geometric-50"),
+       pytest.param(FinitePmf(np.full(200, 1.0 / 200)), id="uniform-200")]
+    + [pytest.param(random_ulc(int(s), 3, 2.0), id=f"random-ulc-{i}")
+       for i, s in enumerate(np.random.default_rng(31).integers(0, 2 ** 62, 20))]
+)
+
+
+@pytest.mark.parametrize("x", V_ORACLE_CASES)
+def test_entropy_power_matches_extended_precision_root(x):
+    oracle = _entropy_power_mp(x)
+    assert abs(entropy_power(x) - oracle) <= 1e-9 * oracle
+
+
+def test_entropy_power_takes_few_e_evaluations(monkeypatch):
+    rates = []
+    pair = entropy_functionals._poisson_entropy_pair
+    monkeypatch.setattr(entropy_functionals, "_poisson_entropy_pair",
+                        lambda t, cfg: rates.append(t) or pair(t, cfg))
+    seeds = np.random.default_rng(41).integers(0, 2 ** 62, 50)
+    for s in seeds:
+        entropy_power(random_ulc(int(s), 3, 2.0))
+    assert len(rates) <= 8 * len(seeds)
+    # rounding leaves E(mean) just below H(Poisson(1000)), so the bracket
+    # grows once, and Newton from its bottom is already at the root
+    rates.clear()
+    assert abs(entropy_power(poi(1000.0)) - 1000.0) < 1e-8
+    assert len(rates) <= 3
+
+
 def test_entropy_power_of_point_mass_is_zero():
     assert entropy_power(construct(FamilySpec.delta(2))) == 0.0
 
@@ -143,6 +203,19 @@ def test_entropy_power_can_exceed_mean_outside_ulc():
 
 def test_rel_entropy_vanishes_on_poisson():
     assert rel_entropy_poisson(poi(2.0)) <= 1e-10
+
+
+@pytest.mark.parametrize("lam", [1590.0, 2000.0])
+def test_rel_entropy_nonnegative_on_wide_poisson(lam):
+    # the sum's rounding grows with the support; a fixed 1e-12 clamp let
+    # Poisson(1590) read -1.2e-12
+    assert 0.0 <= rel_entropy_poisson(poi(lam)) <= 1e-10
+
+
+def test_rel_entropy_rounding_clamp_keeps_small_rates():
+    assert rel_entropy_poisson(poi(1.0)) == 0.0
+    assert rel_entropy_poisson(poi(1e-3)) == pytest.approx(3.011069464008991e-17,
+                                                           rel=1e-6)
 
 
 def test_rel_entropy_direct_sum_oracle():

@@ -1,11 +1,14 @@
 """Thinning, convolution, and thinning inversion."""
 
+import math
+
 import numpy as np
 import pytest
 
-from thinpower import (FamilySpec, NotThinnableError, ParameterError,
-                       construct, convolve, inverse_thin, is_ulc, mean,
-                       random_ulc, thin, total_variation)
+from thinpower import numerics
+from thinpower import (FamilySpec, FinitePmf, NotThinnableError,
+                       ParameterError, construct, convolve, inverse_thin,
+                       is_ulc, mean, random_ulc, thin, total_variation)
 
 bern = lambda p: construct(FamilySpec.bernoulli(p))
 poi = lambda r: construct(FamilySpec.poisson(r))
@@ -38,6 +41,26 @@ def test_thin_by_zero_collapses_to_origin():
 def test_thinning_preserves_poisson(lam, alpha):
     tv = total_variation(thin(poi(lam), alpha), poi(alpha * lam))
     assert tv < 1e-10
+
+
+@pytest.fixture
+def cold_log_factorials(monkeypatch):
+    """Shrink the shared log-factorial table back to its import-time size."""
+    monkeypatch.setattr(numerics, "_LOG_FACT", numerics._LOG_FACT[:128].copy())
+
+
+@pytest.mark.parametrize("width", [2829, 4096])
+def test_thin_wide_support_in_blocks(cold_log_factorials, width):
+    # past 2828 points the kernel is built in several row blocks, whose
+    # columns run beyond the block's largest n
+    x = FinitePmf(np.full(width, 1.0 / width))
+    out = thin(x, 0.3)
+    assert abs(math.fsum(out.probs) - 1.0) < 1e-12
+    assert abs(mean(out) - 0.3 * mean(x)) < 1e-9 * mean(x)
+
+
+def test_thin_wide_poisson_stays_poisson(cold_log_factorials):
+    assert total_variation(thin(poi(3000.0), 0.5), poi(1500.0)) <= 1e-10
 
 
 def test_thin_rejects_bad_alpha():
