@@ -25,7 +25,7 @@ from .jsonio import dumps_canonical
 from .pmf_core import (DEFAULT_TOLERANCES, FamilySpec, ToleranceConfig,
                        construct, total_variation)
 from .semigroup import default_t_grid, entropy_preserving_path, pde_residual
-from .transforms import convolve, inverse_thin, thin
+from .transforms import convolve, inverse_thin, thin, thinned_sum
 
 SUITE_SEED = 20260810
 
@@ -59,7 +59,7 @@ def fail2_values(cfg: ToleranceConfig = DEFAULT_TOLERANCES):
     alpha = FAIL2_ALPHA
     v_x = entropy_power(x, cfg)
     v_y = entropy_power(y, cfg)
-    mixed = convolve(thin(x, alpha, cfg), thin(y, 1.0 - alpha, cfg), cfg)
+    mixed = thinned_sum((x, y), (alpha, 1.0 - alpha), cfg)
     return (entropy(x).bits, v_x, alpha * v_x + (1.0 - alpha) * v_y,
             entropy(mixed).bits, entropy_power(mixed, cfg))
 

@@ -26,15 +26,12 @@ from .entropy_functionals import (entropy, entropy_power, l_functional,
 from .errors import (CapacityError, ConsistencyError, DomainError,
                      NotThinnableError, NumericError, ParameterError,
                      PreconditionError)
-from .inequality_suite import (PROVED, check_conjecture_tepi,
-                               check_conjecture_v_superadd, check_dsub,
-                               check_discepilike, check_epilike, check_hmon,
-                               check_rtepi, check_teci, check_tepis, search)
+from .inequality_suite import (STATEMENTS, check_conjecture_tepi,
+                               check_conjecture_v_superadd, search)
 from .jsonio import (dumps_canonical, load_json_argument, load_pmf,
                      pmf_to_json)
 from .pmf_core import FamilySpec, ToleranceConfig, construct
-from .semigroup import (default_t_grid, entropy_preserving_path,
-                        isoperimetric_check)
+from .semigroup import default_t_grid, entropy_preserving_path
 from .transforms import convolve, inverse_thin, thin
 
 INPUT_ERRORS = (ParameterError, DomainError, PreconditionError,
@@ -94,8 +91,12 @@ def _emit(payload, args) -> None:
         sys.stdout.write(text)
 
 
-def _parse_floats(text: str):
-    return [float(v) for v in text.split(",") if v != ""]
+def _parse_floats(text: str, flag: str):
+    try:
+        return [float(v) for v in text.split(",") if v != ""]
+    except ValueError:
+        raise ParameterError(
+            f"{flag} needs comma-separated numbers, got {text!r}") from None
 
 
 def _cmd_construct(args, cfg):
@@ -155,53 +156,20 @@ def _cmd_path(args, cfg):
 def _cmd_check(args, cfg):
     pmfs = [load_pmf(text, cfg) for text in (args.pmf or [])]
     name = args.name
-    allow = args.allow_non_ulc
-
-    def need(count):
-        if len(pmfs) != count:
-            raise ParameterError(f"check {name} needs exactly {count} --pmf inputs")
-
-    def need_alpha():
-        if args.alpha is None:
-            raise ParameterError(f"check {name} needs --alpha")
-
-    if name == "teci":
-        need(2), need_alpha()
-        verdict = check_teci(pmfs[0], pmfs[1], args.alpha, cfg, allow)
-    elif name == "rtepi":
-        need(1), need_alpha()
-        verdict = check_rtepi(pmfs[0], args.alpha, cfg, allow)
-    elif name == "epilike":
-        need(2)
-        verdict = check_epilike(pmfs[0], pmfs[1], cfg, allow)
-    elif name in ("hmon", "dsub", "discepilike"):
-        if args.alphas is None:
-            raise ParameterError(f"check {name} needs --alphas")
-        alphas = _parse_floats(args.alphas)
-        if name == "hmon":
-            verdict = check_hmon(pmfs, alphas, cfg, allow)
-        elif name == "dsub":
-            verdict = check_dsub(pmfs, alphas, cfg)
-        else:
-            verdict = check_discepilike(pmfs, alphas, cfg, allow)
-    elif name == "firstepi":
-        need(2)
-        verdict = check_conjecture_v_superadd(pmfs[0], pmfs[1], cfg)
-    elif name == "tepi":
-        need(2), need_alpha()
-        verdict = check_conjecture_tepi(pmfs[0], pmfs[1], args.alpha, cfg, allow)
-    elif name == "tepis":
-        need(2)
-        if args.beta is None or args.gamma is None:
-            raise ParameterError("check tepis needs --beta and --gamma")
-        verdict = check_tepis(pmfs[0], pmfs[1], args.beta, args.gamma, cfg, allow)
-    elif name == "isop":
-        need(1)
-        verdict = isoperimetric_check(pmfs[0], cfg, allow)
-    else:
+    statement = STATEMENTS.get(name)
+    if statement is None:
         raise ParameterError(f"unknown check name {name!r}")
-    code = 0 if (verdict.holds or name not in PROVED) else 1
-    return verdict.to_json(), code
+    if statement.pmfs is not None and len(pmfs) != statement.pmfs:
+        raise ParameterError(
+            f"check {name} needs exactly {statement.pmfs} --pmf inputs")
+    params = [getattr(args, flag) for flag in statement.params]
+    if any(value is None for value in params):
+        flags = " and ".join(f"--{flag}" for flag in statement.params)
+        raise ParameterError(f"check {name} needs {flags}")
+    if statement.params == ("alphas",):
+        params = [_parse_floats(args.alphas, "--alphas")]
+    verdict = statement.run(pmfs, params, cfg, args.allow_non_ulc)
+    return verdict.to_json(), 0 if (verdict.holds or not statement.proved) else 1
 
 
 def _cmd_reproduce(args, cfg):
@@ -237,7 +205,7 @@ def _cmd_search(args, cfg):
     report = search(args.name, args.trials, args.seed, cfg,
                     max_bernoullis=args.max_bernoullis,
                     max_poisson_rate=args.max_poisson_rate)
-    code = 1 if (args.name in PROVED and report.violations) else 0
+    code = 1 if (STATEMENTS[args.name].proved and report.violations) else 0
     return report.to_json(), code
 
 
@@ -252,7 +220,7 @@ def _cmd_hessian(args, cfg):
         else:
             from .jsonio import pmf_from_json
             pmfs.append(pmf_from_json(doc, cfg))
-    alphas = _parse_floats(args.alphas)
+    alphas = _parse_floats(args.alphas, "--alphas")
     analytic = hes.hessian_analytic(pmfs, alphas, cfg, args.cell_budget)
     payload = {"alphas": alphas, "hessian": analytic.tolist()}
     if args.fd_check:
@@ -263,8 +231,8 @@ def _cmd_hessian(args, cfg):
 
 
 def _cmd_splitting(args, cfg):
-    alphas = np.asarray(_parse_floats(args.alphas))
-    lambdas = _parse_floats(args.lambdas)
+    alphas = np.asarray(_parse_floats(args.alphas, "--alphas"))
+    lambdas = _parse_floats(args.lambdas, "--lambdas")
     beta, mu = hes.interpolation_point(alphas, args.l, args.t)
     witness = hes.positive_splitting(beta, mu, args.t, lambdas, cfg)
     return witness.to_json(), 0

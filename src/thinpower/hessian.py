@@ -16,9 +16,13 @@ from .errors import (CapacityError, ConsistencyError, ParameterError,
 from .entropy_functionals import lambda_functional
 from .inequality_verdict import make_verdict
 from .pmf_core import DEFAULT_TOLERANCES, ToleranceConfig, is_ulc, mean
-from .transforms import convolve, thin
+from .transforms import leave_one_out, thin, thinned_sum
 
 DEFAULT_CELL_BUDGET = 10_000_000
+
+# relative tolerance of the splitting identities re-verified in
+# positive_splitting
+SPLITTING_IDENTITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -85,13 +89,9 @@ def sum_distribution(table: JointTable) -> np.ndarray:
 def phi(xs, alphas, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
     """Cross-entropy functional of the thinned sum, via direct convolution."""
     alphas = np.asarray(alphas, dtype=float)
-    if len(xs) != alphas.size or len(xs) < 1:
-        raise ParameterError("need pmfs with one alpha each")
     if np.any(alphas < 0.0) or np.any(alphas > 1.0):
         raise ParameterError("every alpha_i must lie in [0, 1]")
-    summed = reduce(lambda a, b: convolve(a, b, cfg),
-                    (thin(p, float(a), cfg) for p, a in zip(xs, alphas)))
-    return lambda_functional(summed, cfg)
+    return lambda_functional(thinned_sum(xs, alphas, cfg), cfg)
 
 
 def hessian_analytic(xs, alphas, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
@@ -182,8 +182,8 @@ def interpolation_point(alphas, leave_out: int, t: float):
 
 
 def positive_splitting(beta, mu, t: float, lambdas,
-                       cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-                       identity_tol: float = 1e-10) -> SplittingWitness:
+                       cfg: ToleranceConfig = DEFAULT_TOLERANCES
+                       ) -> SplittingWitness:
     """Construct and verify the explicit splitting along an interpolation path.
 
     beta must be A_l(t) and mu the matching direction e_l - alpha^(l); the
@@ -233,7 +233,8 @@ def positive_splitting(beta, mu, t: float, lambdas,
         diff = mu[i] / beta[i] - mu[j] / beta[j]
         return diff * diff * beta[i] * beta[j] * lambdas[i] * lambdas[j]
 
-    tol = identity_tol * max(1.0, abs(scale), float(np.max(np.abs(u))))
+    tol = SPLITTING_IDENTITY_TOL * max(1.0, abs(scale),
+                                       float(np.max(np.abs(u))))
     for i in range(m):
         for j in range(i):
             gap = abs(u[i, j] + u[j, i] - coupling(i, j))
@@ -258,27 +259,15 @@ def positive_splitting(beta, mu, t: float, lambdas,
                             lambdas=lambdas)
 
 
-def _leave_out_weights(alphas: np.ndarray) -> np.ndarray:
-    return np.array([math.fsum(np.delete(alphas, l)) for l in range(alphas.size)])
-
-
 def lambda_monotonicity_sides(xs, alphas,
                               cfg: ToleranceConfig = DEFAULT_TOLERANCES):
-    """(n * Lambda(full thinned sum), sum_l a^(l) * Lambda(leave-one-out sum))."""
-    alphas = np.asarray(alphas, dtype=float)
-    n = len(xs) - 1
-    full = reduce(lambda a, b: convolve(a, b, cfg),
-                  (thin(p, float(a), cfg) for p, a in zip(xs, alphas)))
-    lhs = n * lambda_functional(full, cfg)
-    comp = _leave_out_weights(alphas)
-    terms = []
-    for l in range(len(xs)):
-        rest = [p for i, p in enumerate(xs) if i != l]
-        scaled = np.delete(alphas, l) / comp[l]
-        loo = reduce(lambda a, b: convolve(a, b, cfg),
-                     (thin(p, float(a), cfg) for p, a in zip(rest, scaled)))
-        terms.append(comp[l] * lambda_functional(loo, cfg))
-    return lhs, math.fsum(terms)
+    """(n * Lambda(full thinned sum), sum_l a^(l) * Lambda(leave-one-out sum)).
+
+    The alphas must be a strictly positive simplex vector, one per pmf.
+    """
+    full, loo, comp = leave_one_out(
+        xs, alphas, lambda p: lambda_functional(p, cfg), cfg)
+    return (len(xs) - 1) * full, math.fsum(c * v for c, v in zip(comp, loo))
 
 
 def check_quadratic_form(xs, alphas, leave_out: int, t_grid,

@@ -1,32 +1,31 @@
 """Verdict-producing checkers for the proved thinning inequalities, the two
-refuted entropy-power conjectures, and a seeded random-ULC search harness."""
+refuted entropy-power conjectures, the STATEMENTS table that `check` and
+`search` dispatch on, and a seeded random-ULC search harness."""
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
 from .errors import (DomainError, NotThinnableError, ParameterError,
                      PreconditionError)
 from .entropy_functionals import entropy, entropy_power, rel_entropy_poisson
-from .inequality_verdict import InequalityVerdict, make_verdict
+from .inequality_verdict import InequalityVerdict, make_verdict, ulc_note
 from .pmf_core import (DEFAULT_TOLERANCES, FamilySpec, FinitePmf,
                        ToleranceConfig, construct, is_ulc, mean,
                        total_variation)
 from .semigroup import isoperimetric_check
-from .transforms import convolve, inverse_thin, thin
-
-NON_ULC_NOTE = "outside theorem hypotheses"
+from .transforms import (convolve, inverse_thin, leave_one_out, thin,
+                         thinned_sum)
 
 # alpha values used by the grid-sweeping searches
 ALPHA_GRID = tuple(np.linspace(0.1, 0.9, 9))
 
-CONJECTURES = ("firstepi", "tepi", "teci", "rtepi", "hmon", "dsub", "isop")
-PROVED = frozenset({"teci", "rtepi", "hmon", "dsub", "isop", "epilike",
-                    "discepilike", "tepis"})
+# step of the feasible-alpha scan in check_epilike
+EPILIKE_GRID_STEP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -49,16 +48,6 @@ class SearchReport:
         }
 
 
-def _ulc_note(cfg, allow_non_ulc, *pmfs) -> str:
-    if all(is_ulc(p, cfg) for p in pmfs):
-        return ""
-    if not allow_non_ulc:
-        raise PreconditionError(
-            "input pmf is not ultra log-concave; pass allow_non_ulc=True "
-            "to evaluate outside the theorem hypotheses")
-    return NON_ULC_NOTE
-
-
 def _check_alpha(alpha: float) -> None:
     if not 0.0 <= alpha <= 1.0:
         raise ParameterError(f"alpha = {alpha!r} outside [0, 1]")
@@ -68,14 +57,18 @@ def _echo(p: FinitePmf) -> list:
     return p.probs.tolist()
 
 
+def _simplex_inputs(alphas, pmfs, key: str = "xs") -> dict:
+    return {"alphas": np.asarray(alphas, dtype=float).tolist(),
+            key: [_echo(p) for p in pmfs]}
+
+
 def check_teci(x: FinitePmf, y: FinitePmf, alpha: float,
                cfg: ToleranceConfig = DEFAULT_TOLERANCES,
                allow_non_ulc: bool = False) -> InequalityVerdict:
     """H(T_a X + T_(1-a) Y) >= a H(X) + (1-a) H(Y) for ULC X, Y."""
     _check_alpha(alpha)
-    note = _ulc_note(cfg, allow_non_ulc, x, y)
-    mixed = convolve(thin(x, alpha, cfg), thin(y, 1.0 - alpha, cfg), cfg)
-    lhs = entropy(mixed).nats
+    note = ulc_note(cfg, allow_non_ulc, x, y)
+    lhs = entropy(thinned_sum((x, y), (alpha, 1.0 - alpha), cfg)).nats
     rhs = alpha * entropy(x).nats + (1.0 - alpha) * entropy(y).nats
     return make_verdict("teci", lhs, rhs, lhs - rhs, cfg,
                         inputs={"alpha": alpha, "x": _echo(x), "y": _echo(y)},
@@ -87,7 +80,7 @@ def check_rtepi(x: FinitePmf, alpha: float,
                 allow_non_ulc: bool = False) -> InequalityVerdict:
     """V(T_a X) >= a V(X) for ULC X."""
     _check_alpha(alpha)
-    note = _ulc_note(cfg, allow_non_ulc, x)
+    note = ulc_note(cfg, allow_non_ulc, x)
     lhs = entropy_power(thin(x, alpha, cfg), cfg)
     rhs = alpha * entropy_power(x, cfg)
     return make_verdict("rtepi", lhs, rhs, lhs - rhs, cfg,
@@ -103,8 +96,7 @@ def _entropy_of_preimages(x, y, alpha, cfg):
 
 def check_epilike(x: FinitePmf, y: FinitePmf,
                   cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-                  allow_non_ulc: bool = False,
-                  grid_step: float = 1e-3) -> InequalityVerdict:
+                  allow_non_ulc: bool = False) -> InequalityVerdict:
     """H(X + Y) >= H(X*) where X = T_a X*, Y = T_(1-a) Y*, H(X*) = H(Y*).
 
     The feasible alpha set (both preimages exist) is scanned on a coarse
@@ -113,11 +105,11 @@ def check_epilike(x: FinitePmf, y: FinitePmf,
     the cell nearest the heuristic alpha = V(X)/(V(X)+V(Y)).  When no
     feasible decomposition exists the check raises DomainError.
     """
-    note = _ulc_note(cfg, allow_non_ulc, x, y)
+    note = ulc_note(cfg, allow_non_ulc, x, y)
     v_x, v_y = entropy_power(x, cfg), entropy_power(y, cfg)
     heuristic = v_x / (v_x + v_y) if v_x + v_y > 0.0 else 0.5
 
-    grid = np.arange(grid_step, 1.0, grid_step)
+    grid = np.arange(EPILIKE_GRID_STEP, 1.0, EPILIKE_GRID_STEP)
     feasible = []
     for a in grid:
         try:
@@ -132,7 +124,7 @@ def check_epilike(x: FinitePmf, y: FinitePmf,
     exact = min(feasible, key=lambda ad: abs(ad[1]))
     brackets = []
     for (a0, d0), (a1, d1) in zip(feasible, feasible[1:]):
-        if a1 - a0 <= 2.5 * grid_step and d0 * d1 < 0.0:
+        if a1 - a0 <= 2.5 * EPILIKE_GRID_STEP and d0 * d1 < 0.0:
             brackets.append((a0, d0, a1, d1))
     if not brackets:
         # no strict sign change; accept a grid point that already matches
@@ -177,63 +169,29 @@ def check_epilike(x: FinitePmf, y: FinitePmf,
         units="nats", note=note)
 
 
-def _leave_out_weights(alphas: np.ndarray) -> np.ndarray:
-    return np.array([math.fsum(np.delete(alphas, l)) for l in range(alphas.size)])
-
-
-def _validate_simplex(xs, alphas) -> np.ndarray:
-    alphas = np.asarray(alphas, dtype=float)
-    if len(xs) != alphas.size or len(xs) < 2:
-        raise PreconditionError("need n+1 >= 2 pmfs with one alpha each")
-    if np.any(alphas <= 0.0):
-        raise PreconditionError("every alpha_i must be strictly positive")
-    if abs(math.fsum(alphas) - 1.0) > 1e-12:
-        raise PreconditionError("alphas must sum to 1 within 1e-12")
-    return alphas
-
-
-def _thinned_sum(xs, alphas, cfg) -> FinitePmf:
-    return reduce(lambda a, b: convolve(a, b, cfg),
-                  (thin(p, float(a), cfg) for p, a in zip(xs, alphas)))
-
-
 def check_hmon(xs, alphas, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
                allow_non_ulc: bool = False) -> InequalityVerdict:
     """n H(sum_i T_(a_i) X_i) >= sum_l a^(l) H(leave-one-out sum), ULC X_i."""
-    alphas = _validate_simplex(xs, alphas)
-    note = _ulc_note(cfg, allow_non_ulc, *xs)
-    n = len(xs) - 1
-    lhs = n * entropy(_thinned_sum(xs, alphas, cfg)).nats
-    comp = _leave_out_weights(alphas)
-    terms = []
-    for l in range(len(xs)):
-        rest = [p for i, p in enumerate(xs) if i != l]
-        scaled = np.delete(alphas, l) / comp[l]
-        terms.append(comp[l] * entropy(_thinned_sum(rest, scaled, cfg)).nats)
-    rhs = math.fsum(terms)
+    full, loo, comp = leave_one_out(
+        xs, alphas, lambda p: entropy(p).nats, cfg)
+    # gated after leave_one_out, whose simplex errors take precedence
+    note = ulc_note(cfg, allow_non_ulc, *xs)
+    lhs = (len(xs) - 1) * full
+    rhs = math.fsum(c * h for c, h in zip(comp, loo))
     return make_verdict("hmon", lhs, rhs, lhs - rhs, cfg,
-                        inputs={"alphas": alphas.tolist(),
-                                "xs": [_echo(p) for p in xs]},
+                        inputs=_simplex_inputs(alphas, xs),
                         units="nats", note=note)
 
 
 def check_dsub(xs, alphas,
                cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> InequalityVerdict:
     """sum_l a^(l) D(leave-one-out sum) >= n D(full sum); no ULC needed."""
-    alphas = _validate_simplex(xs, alphas)
-    n = len(xs) - 1
-    rhs = n * rel_entropy_poisson(_thinned_sum(xs, alphas, cfg), cfg)
-    comp = _leave_out_weights(alphas)
-    terms = []
-    for l in range(len(xs)):
-        rest = [p for i, p in enumerate(xs) if i != l]
-        scaled = np.delete(alphas, l) / comp[l]
-        terms.append(comp[l] * rel_entropy_poisson(_thinned_sum(rest, scaled, cfg), cfg))
-    lhs = math.fsum(terms)
+    full, loo, comp = leave_one_out(
+        xs, alphas, lambda p: rel_entropy_poisson(p, cfg), cfg)
+    rhs = (len(xs) - 1) * full
+    lhs = math.fsum(c * d for c, d in zip(comp, loo))
     return make_verdict("dsub", lhs, rhs, lhs - rhs, cfg,
-                        inputs={"alphas": alphas.tolist(),
-                                "xs": [_echo(p) for p in xs]},
-                        units="nats")
+                        inputs=_simplex_inputs(alphas, xs), units="nats")
 
 
 def check_discepilike(ystars, alphas,
@@ -244,24 +202,18 @@ def check_discepilike(ystars, alphas,
     Precondition: the n+1 leave-one-out entropies agree within tol_ineq;
     their mean is used as H*.
     """
-    alphas = _validate_simplex(ystars, alphas)
-    note = _ulc_note(cfg, allow_non_ulc, *ystars)
-    comp = _leave_out_weights(alphas)
-    h_loo = []
-    for l in range(len(ystars)):
-        rest = [p for i, p in enumerate(ystars) if i != l]
-        scaled = np.delete(alphas, l) / comp[l]
-        h_loo.append(entropy(_thinned_sum(rest, scaled, cfg)).nats)
+    lhs, h_loo, _ = leave_one_out(
+        ystars, alphas, lambda p: entropy(p).nats, cfg)
+    # gated after leave_one_out, whose simplex errors take precedence
+    note = ulc_note(cfg, allow_non_ulc, *ystars)
     spread = max(h_loo) - min(h_loo)
     if spread > cfg.tol_ineq:
         raise PreconditionError(
             f"leave-one-out entropies disagree: spread = {spread:.3e} nats")
     h_star = math.fsum(h_loo) / len(h_loo)
-    lhs = entropy(_thinned_sum(ystars, alphas, cfg)).nats
     return make_verdict("discepilike", lhs, h_star, lhs - h_star, cfg,
-                        inputs={"alphas": alphas.tolist(),
-                                "h_leave_one_out": h_loo,
-                                "ystars": [_echo(p) for p in ystars]},
+                        inputs={**_simplex_inputs(alphas, ystars, "ystars"),
+                                "h_leave_one_out": h_loo},
                         units="nats", note=note)
 
 
@@ -281,9 +233,8 @@ def check_conjecture_tepi(x: FinitePmf, y: FinitePmf, alpha: float,
                           allow_non_ulc: bool = False) -> InequalityVerdict:
     """V(T_a X + T_(1-a) Y) >= a V(X) + (1-a) V(Y); refuted in general."""
     _check_alpha(alpha)
-    note = _ulc_note(cfg, allow_non_ulc, x, y)
-    mixed = convolve(thin(x, alpha, cfg), thin(y, 1.0 - alpha, cfg), cfg)
-    lhs = entropy_power(mixed, cfg)
+    note = ulc_note(cfg, allow_non_ulc, x, y)
+    lhs = entropy_power(thinned_sum((x, y), (alpha, 1.0 - alpha), cfg), cfg)
     rhs = alpha * entropy_power(x, cfg) + (1.0 - alpha) * entropy_power(y, cfg)
     return make_verdict("tepi", lhs, rhs, lhs - rhs, cfg,
                         inputs={"alpha": alpha, "x": _echo(x), "y": _echo(y)},
@@ -309,7 +260,7 @@ def check_tepis(x: FinitePmf, y: FinitePmf, beta: float, gamma: float,
     """
     _check_alpha(beta)
     _check_alpha(gamma)
-    note = _ulc_note(cfg, allow_non_ulc, x, y)
+    note = ulc_note(cfg, allow_non_ulc, x, y)
     v_x, v_y = entropy_power(x, cfg), entropy_power(y, cfg)
     tol = cfg.tol_ineq * max(1.0, v_x, v_y)
     cond_ratio = tepis_ratio_condition(v_x, v_y, beta, gamma, tol)
@@ -324,8 +275,7 @@ def check_tepis(x: FinitePmf, y: FinitePmf, beta: float, gamma: float,
             "Y is not a Poisson leg with rate <= V(X)")
     condition = ("both" if cond_ratio and cond_poisson
                  else "ratio" if cond_ratio else "poisson-leg")
-    mixed = convolve(thin(x, beta, cfg), thin(y, gamma, cfg), cfg)
-    lhs = entropy_power(mixed, cfg)
+    lhs = entropy_power(thinned_sum((x, y), (beta, gamma), cfg), cfg)
     rhs = beta * v_x + gamma * v_y
     return make_verdict("tepis", lhs, rhs, lhs - rhs, cfg,
                         inputs={"beta": beta, "gamma": gamma,
@@ -335,10 +285,57 @@ def check_tepis(x: FinitePmf, y: FinitePmf, beta: float, gamma: float,
                         units="poisson-rate", note=note)
 
 
+@dataclass(frozen=True)
+class Statement:
+    """One statement as `check` and `search` dispatch on it.
+
+    `pmfs` is the number of pmf inputs, or None for a list of n+1 pmfs
+    weighted by a simplex vector.  `params` names the scalar parameters by
+    their CLI flags, in call order.  Every checker takes
+    (pmfs..., params..., cfg), plus allow_non_ulc when `ulc_gated`.
+    """
+
+    name: str
+    checker: Callable[..., InequalityVerdict]
+    proved: bool
+    pmfs: int | None
+    params: tuple = ()
+    ulc_gated: bool = True
+    searchable: bool = False
+
+    def run(self, pmfs, params, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
+            allow_non_ulc: bool = False) -> InequalityVerdict:
+        head = [pmfs] if self.pmfs is None else pmfs
+        gate = (allow_non_ulc,) if self.ulc_gated else ()
+        return self.checker(*head, *params, cfg, *gate)
+
+
+STATEMENTS = {s.name: s for s in (
+    Statement("firstepi", check_conjecture_v_superadd, False, 2,
+              ulc_gated=False, searchable=True),
+    Statement("tepi", check_conjecture_tepi, False, 2, ("alpha",),
+              searchable=True),
+    Statement("teci", check_teci, True, 2, ("alpha",), searchable=True),
+    Statement("rtepi", check_rtepi, True, 1, ("alpha",), searchable=True),
+    Statement("hmon", check_hmon, True, None, ("alphas",), searchable=True),
+    Statement("dsub", check_dsub, True, None, ("alphas",), ulc_gated=False,
+              searchable=True),
+    Statement("isop", isoperimetric_check, True, 1, searchable=True),
+    Statement("epilike", check_epilike, True, 2),
+    Statement("discepilike", check_discepilike, True, None, ("alphas",)),
+    Statement("tepis", check_tepis, True, 2, ("beta", "gamma")),
+)}
+
+# the statements `search` sweeps, in table order
+CONJECTURES = tuple(name for name, s in STATEMENTS.items() if s.searchable)
+
+
 def random_ulc(seed: int, max_bernoullis: int = 3, max_poisson_rate: float = 2.0,
                cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> FinitePmf:
     """Seeded random ULC pmf: a Bernoulli convolution, optionally with a
     Poisson factor.  Deterministic for a given seed."""
+    if seed < 0:
+        raise ParameterError("seed must be >= 0")
     if max_bernoullis < 1 or max_poisson_rate < 0.0:
         raise ParameterError("need max_bernoullis >= 1 and max_poisson_rate >= 0")
     rng = np.random.default_rng(seed)
@@ -377,6 +374,9 @@ def search(conjecture: str, trials: int, seed: int,
             f"unknown conjecture {conjecture!r}; expected one of {CONJECTURES}")
     if trials < 1:
         raise ParameterError("trials must be >= 1")
+    if seed < 0:
+        raise ParameterError("seed must be >= 0")
+    statement = STATEMENTS[conjecture]
     master = np.random.default_rng(seed)
     trial_seeds = master.integers(0, 2 ** 62, size=trials)
     violations = []
@@ -394,25 +394,17 @@ def search(conjecture: str, trials: int, seed: int,
         rng = np.random.default_rng(t_seed)
         draw = lambda: random_ulc(int(rng.integers(0, 2 ** 62)),
                                   max_bernoullis, max_poisson_rate, cfg)
-        if conjecture in ("teci", "tepi"):
-            x, y = draw(), draw()
-            checker = check_teci if conjecture == "teci" else check_conjecture_tepi
-            for a in ALPHA_GRID:
-                record(trial, t_seed, checker(x, y, float(a), cfg))
-        elif conjecture == "rtepi":
-            x = draw()
-            for a in ALPHA_GRID:
-                record(trial, t_seed, check_rtepi(x, float(a), cfg))
-        elif conjecture == "isop":
-            record(trial, t_seed, isoperimetric_check(draw(), cfg))
-        elif conjecture == "firstepi":
-            record(trial, t_seed, check_conjecture_v_superadd(draw(), draw(), cfg))
-        else:  # hmon / dsub
+        if statement.pmfs is None:
             size = int(rng.integers(2, 4))
-            xs = [draw() for _ in range(size)]
-            alphas = _simplex(rng, size)
-            checker = check_hmon if conjecture == "hmon" else check_dsub
-            record(trial, t_seed, checker(xs, alphas, cfg))
+            pmfs = [draw() for _ in range(size)]
+            sweep = [(_simplex(rng, size),)]
+        else:
+            pmfs = [draw() for _ in range(statement.pmfs)]
+            # a searchable statement takes one alpha or no parameter
+            sweep = ([(float(a),) for a in ALPHA_GRID] if statement.params
+                     else [()])
+        for params in sweep:
+            record(trial, t_seed, statement.run(pmfs, params, cfg))
 
     return SearchReport(conjecture=conjecture, trials=trials,
                         violations=violations, tightest_margin=tightest,

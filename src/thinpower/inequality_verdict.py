@@ -1,10 +1,14 @@
-"""The shared verdict record for every inequality checker."""
+"""The shared verdict record for every inequality checker, and the ULC gate
+in front of the statements proved for ultra log-concave inputs."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .pmf_core import ToleranceConfig
+from .errors import PreconditionError
+from .pmf_core import ToleranceConfig, is_ulc
+
+NON_ULC_NOTE = "outside theorem hypotheses"
 
 
 @dataclass(frozen=True)
@@ -46,3 +50,15 @@ def make_verdict(name: str, lhs: float, rhs: float, margin: float,
                              margin=float(margin),
                              holds=bool(margin >= -cfg.tol_ineq),
                              inputs=dict(inputs or {}), units=units, note=note)
+
+
+def ulc_note(cfg: ToleranceConfig, allow_non_ulc: bool, *pmfs) -> str:
+    """The verdict note for a ULC-gated statement: empty for ULC inputs,
+    NON_ULC_NOTE when other inputs are allowed, else PreconditionError."""
+    if all(is_ulc(p, cfg) for p in pmfs):
+        return ""
+    if not allow_non_ulc:
+        raise PreconditionError(
+            "input pmf is not ultra log-concave; pass allow_non_ulc=True "
+            "to evaluate outside the theorem hypotheses")
+    return NON_ULC_NOTE

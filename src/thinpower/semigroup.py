@@ -11,7 +11,7 @@ import numpy as np
 from .errors import DomainError, NumericError, ParameterError, PreconditionError
 from .entropy_functionals import (entropy, entropy_power, l_functional,
                                   poisson_entropy_derivative, u_functional)
-from .inequality_verdict import InequalityVerdict, make_verdict
+from .inequality_verdict import InequalityVerdict, make_verdict, ulc_note
 from .pmf_core import (DEFAULT_TOLERANCES, FamilySpec, FinitePmf,
                        ToleranceConfig, construct, is_ulc, mean)
 from .transforms import convolve, thin
@@ -210,11 +210,7 @@ def isoperimetric_check(x: FinitePmf,
                         cfg: ToleranceConfig = DEFAULT_TOLERANCES,
                         allow_non_ulc: bool = False) -> InequalityVerdict:
     """Verdict for L(X) <= V(X) * J(V(X)); equality at Poisson inputs."""
-    note = ""
-    if not is_ulc(x, cfg):
-        if not allow_non_ulc:
-            raise PreconditionError("isoperimetric check requires a ULC pmf")
-        note = "outside theorem hypotheses"
+    note = ulc_note(cfg, allow_non_ulc, x)
     lhs = l_functional(x, cfg)
     v = entropy_power(x, cfg)
     rhs = v * poisson_entropy_derivative(v, cfg) if v > 0.0 else 0.0

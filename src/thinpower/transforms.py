@@ -1,10 +1,14 @@
-"""The three structural maps: thinning, convolution, and thinning inversion."""
+"""The three structural maps: thinning, convolution, and thinning inversion,
+plus the thinned sums and leave-one-out sums built from them."""
 
 from __future__ import annotations
 
+import math
+from functools import reduce
+
 import numpy as np
 
-from .errors import NotThinnableError, ParameterError
+from .errors import NotThinnableError, ParameterError, PreconditionError
 from .numerics import binomial_rows
 from .pmf_core import DEFAULT_TOLERANCES, FinitePmf, ToleranceConfig
 
@@ -38,6 +42,38 @@ def convolve(x: FinitePmf, y: FinitePmf,
              cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> FinitePmf:
     """Pmf of the sum of independent variables with pmfs x and y."""
     return FinitePmf(np.convolve(x.probs, y.probs), cfg)
+
+
+def thinned_sum(xs, alphas,
+                cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> FinitePmf:
+    """Pmf of the independent sum T_(alphas[0]) xs[0] + ... + T_(alphas[n]) xs[n]."""
+    if not xs or len(xs) != len(alphas):
+        raise ParameterError("need pmfs with one alpha each")
+    return reduce(lambda a, b: convolve(a, b, cfg),
+                  (thin(p, float(a), cfg) for p, a in zip(xs, alphas)))
+
+
+def leave_one_out(xs, alphas, functional,
+                  cfg: ToleranceConfig = DEFAULT_TOLERANCES):
+    """(f(full), [f(loo_l)], [a^(l)]) for a functional f of a thinned sum.
+
+    The full sum is thinned_sum(xs, alphas); loo_l drops term l and
+    renormalises the other weights by a^(l) = sum_(i != l) alphas[i].  The
+    alphas must be a strictly positive simplex vector, one per pmf.
+    """
+    alphas = np.asarray(alphas, dtype=float)
+    if len(xs) != alphas.size or len(xs) < 2:
+        raise PreconditionError("need n+1 >= 2 pmfs with one alpha each")
+    if np.any(alphas <= 0.0):
+        raise PreconditionError("every alpha_i must be strictly positive")
+    if abs(math.fsum(alphas) - 1.0) > 1e-12:
+        raise PreconditionError("alphas must sum to 1 within 1e-12")
+    full = functional(thinned_sum(xs, alphas, cfg))
+    comp = [math.fsum(np.delete(alphas, l)) for l in range(len(xs))]
+    loo = [functional(thinned_sum([p for i, p in enumerate(xs) if i != l],
+                                  np.delete(alphas, l) / comp[l], cfg))
+           for l in range(len(xs))]
+    return full, loo, comp
 
 
 def inverse_thin(x: FinitePmf, alpha: float,

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from thinpower.cli import main
+from thinpower.inequality_suite import STATEMENTS
 
 
 def run(capsys, *argv):
@@ -179,3 +180,102 @@ def test_tolerance_override_flag(capsys):
     code, out = run(capsys, "construct", "--spec",
                     '{"family": "poisson", "rate": 1}')
     assert len(json.loads(out)["probs"]) == short  # support rule dominates here
+
+
+B32 = '{"family": "binomial", "n": 3, "p": 0.2}'
+B27 = '{"family": "binomial", "n": 2, "p": 0.7}'
+BE5 = '{"family": "bernoulli", "p": 0.5}'
+GEO = '{"family": "geometric", "mean": 1.0}'
+P2 = '{"family": "poisson", "rate": 2}'
+P15 = '{"family": "poisson", "rate": 1.5}'
+
+# valid `check` inputs per statement: pmfs and flags
+CHECK_INPUTS = {
+    "teci": ([B32, B27], {"alpha": "0.5"}),
+    "rtepi": ([B32], {"alpha": "0.4"}),
+    "epilike": ([P2, P2], {}),
+    "hmon": ([B32, B27, BE5], {"alphas": "0.2,0.3,0.5"}),
+    "dsub": ([GEO, BE5], {"alphas": "0.3,0.7"}),
+    "discepilike": ([P15, P15, P15], {"alphas": "0.2,0.3,0.5"}),
+    "firstepi": ([B27, B27], {}),
+    "tepi": ([B32, B27], {"alpha": "0.3"}),
+    "tepis": ([P2, P2], {"beta": "0.5", "gamma": "0.5"}),
+    "isop": ([B32], {}),
+}
+MISSING_FLAG_TEXT = {"alpha": "--alpha", "alphas": "--alphas",
+                     "beta": "--beta and --gamma",
+                     "gamma": "--beta and --gamma"}
+
+
+def check_argv(name, pmfs, flags):
+    argv = ["check", "--name", name]
+    for pmf in pmfs:
+        argv += ["--pmf", pmf]
+    for flag, value in flags.items():
+        argv += [f"--{flag}", value]
+    return argv
+
+
+def test_every_statement_has_check_inputs():
+    assert set(CHECK_INPUTS) == set(STATEMENTS)
+
+
+@pytest.mark.parametrize("name", list(STATEMENTS))
+def test_check_dispatch_for_every_statement(capsys, name):
+    statement = STATEMENTS[name]
+    pmfs, flags = CHECK_INPUTS[name]
+    code, out = run(capsys, *check_argv(name, pmfs, flags))
+    assert code == 0
+    assert json.loads(out)["name"] == name
+
+    code, out = run(capsys, *check_argv(name, pmfs + [pmfs[0]], flags))
+    assert code == 2
+    if statement.pmfs is None:
+        expected = "need n+1 >= 2 pmfs with one alpha each"
+    else:
+        expected = f"check {name} needs exactly {len(pmfs)} --pmf inputs"
+    assert json.loads(out)["message"] == expected
+
+    for flag in flags:
+        rest = {k: v for k, v in flags.items() if k != flag}
+        code, out = run(capsys, *check_argv(name, pmfs, rest))
+        assert code == 2
+        assert (json.loads(out)["message"]
+                == f"check {name} needs {MISSING_FLAG_TEXT[flag]}")
+
+
+def test_check_unknown_name(capsys):
+    code, out = run(capsys, "check", "--name", "nope", "--pmf", B32)
+    assert code == 2
+    assert json.loads(out)["message"] == "unknown check name 'nope'"
+
+
+@pytest.mark.parametrize(
+    "name", [name for name, s in STATEMENTS.items() if not s.searchable])
+def test_search_refuses_statements_it_cannot_sweep(capsys, name):
+    code, out = run(capsys, "search", "--name", name, "--trials", "1",
+                    "--seed", "0")
+    assert code == 2
+    assert json.loads(out)["error"] == "ParameterError"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    pytest.param(check_argv("hmon", [B32, B27], {"alphas": "x,y"}),
+                 "--alphas", id="check"),
+    pytest.param(["hessian", "--specs", f"[{BE5}, {BE5}]",
+                  "--alphas", "0.5,z"], "--alphas", id="hessian"),
+    pytest.param(["splitting", "--l", "1", "--t", "0.5", "--lambdas", "1,q",
+                  "--alphas", "0.5,0.5"], "--lambdas", id="splitting"),
+])
+def test_malformed_number_list_is_an_input_error(capsys, argv, flag):
+    code, out = run(capsys, *argv)
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"] == "ParameterError" and doc["message"].startswith(flag)
+
+
+def test_negative_search_seed_is_an_input_error(capsys):
+    code, out = run(capsys, "search", "--name", "teci", "--trials", "2",
+                    "--seed", "-1")
+    assert code == 2
+    assert json.loads(out)["message"] == "seed must be >= 0"

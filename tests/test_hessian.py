@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from thinpower import (CapacityError, FamilySpec, ParameterError, construct,
-                       check_dsub, check_hmon, convolve, lambda_functional,
-                       thin)
+from thinpower import (CapacityError, FamilySpec, ParameterError,
+                       PreconditionError, construct, check_dsub, check_hmon,
+                       convolve, lambda_functional, thin)
 from thinpower import hessian as apb
 from thinpower.numerics import log_factorials
 
@@ -164,6 +164,16 @@ def test_lambda_monotonicity_tight_on_poissons():
     lhs, rhs = apb.lambda_monotonicity_sides([poi(1.0)] * 3,
                                              [1 / 3, 1 / 3, 1 / 3])
     assert abs(lhs - rhs) < 1e-8
+
+
+@pytest.mark.parametrize("xs, alphas", [
+    pytest.param([poi(1.0)], [1.0], id="one-pmf"),
+    pytest.param([poi(1.0)] * 3, [0.5, 0.5], id="one-alpha-short"),
+    pytest.param([poi(1.0)] * 2, [0.9, 0.9], id="not-a-simplex"),
+])
+def test_lambda_monotonicity_sides_rejects_non_simplex_inputs(xs, alphas):
+    with pytest.raises(PreconditionError):
+        apb.lambda_monotonicity_sides(xs, alphas)
 
 
 def test_margin_bookkeeping_between_the_three_statements():

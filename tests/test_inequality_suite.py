@@ -1,5 +1,7 @@
 """Inequality checkers, counterexamples, and the randomized search harness."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -200,6 +202,10 @@ class TestRandomUlc:
         with pytest.raises(ParameterError):
             random_ulc(1, max_bernoullis=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ParameterError, match="seed must be >= 0"):
+            random_ulc(-1)
+
 
 class TestSearch:
     def test_proved_statement_sweeps_clean(self):
@@ -222,6 +228,15 @@ class TestSearch:
     def test_unknown_conjecture_rejected(self):
         with pytest.raises(ParameterError):
             search("nonsense", 10, 1)
+
+    def test_searchable_names_in_error_text(self):
+        names = ("firstepi", "tepi", "teci", "rtepi", "hmon", "dsub", "isop")
+        with pytest.raises(ParameterError, match=re.escape(repr(names))):
+            search("epilike", 1, 1)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ParameterError, match="seed must be >= 0"):
+            search("teci", 1, -1)
 
     def test_violation_entries_serialize_canonically(self):
         import json

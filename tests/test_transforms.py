@@ -7,8 +7,10 @@ import pytest
 
 from thinpower import numerics
 from thinpower import (FamilySpec, FinitePmf, NotThinnableError,
-                       ParameterError, construct, convolve, inverse_thin,
-                       is_ulc, mean, random_ulc, thin, total_variation)
+                       ParameterError, PreconditionError, construct, convolve,
+                       inverse_thin, is_ulc, mean, random_ulc, thin,
+                       total_variation)
+from thinpower.transforms import leave_one_out, thinned_sum
 
 bern = lambda p: construct(FamilySpec.bernoulli(p))
 poi = lambda r: construct(FamilySpec.poisson(r))
@@ -165,3 +167,35 @@ def test_inverse_thin_round_trip_random_ulc():
         except NotThinnableError:
             continue
         assert total_variation(thin(star, alpha), x) < 1e-10
+
+
+def test_thinned_sum_matches_thin_then_convolve():
+    x, y = construct(FamilySpec.binomial(3, 0.4)), poi(1.5)
+    expected = convolve(thin(x, 0.3), thin(y, 0.7))
+    assert np.array_equal(thinned_sum([x, y], [0.3, 0.7]).probs, expected.probs)
+
+
+@pytest.mark.parametrize("xs, alphas", [([], []), ([poi(1.0)], [0.5, 0.5])])
+def test_thinned_sum_needs_one_alpha_per_pmf(xs, alphas):
+    with pytest.raises(ParameterError):
+        thinned_sum(xs, alphas)
+
+
+def test_leave_one_out_means_of_poisson_terms():
+    # the mean of a thinned sum is sum_i alpha_i * mean_i
+    xs, alphas = [poi(1.0), poi(2.0), poi(3.0)], [0.2, 0.3, 0.5]
+    full, loo, comp = leave_one_out(xs, alphas, mean)
+    assert full == pytest.approx(0.2 + 0.6 + 1.5, abs=1e-9)
+    assert comp == pytest.approx([0.8, 0.7, 0.5], abs=1e-15)
+    assert loo == pytest.approx([(0.6 + 1.5) / 0.8, (0.2 + 1.5) / 0.7,
+                                 (0.2 + 0.6) / 0.5], abs=1e-9)
+
+
+@pytest.mark.parametrize("xs, alphas, message", [
+    ([poi(1.0)], [1.0], r"need n\+1 >= 2 pmfs"),
+    ([poi(1.0)] * 2, [0.0, 1.0], "strictly positive"),
+    ([poi(1.0)] * 2, [0.5, 0.6], "sum to 1"),
+])
+def test_leave_one_out_validates_the_simplex(xs, alphas, message):
+    with pytest.raises(PreconditionError, match=message):
+        leave_one_out(xs, alphas, mean)
