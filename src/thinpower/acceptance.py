@@ -2,12 +2,15 @@
 
 Each criterion_N function runs one gate of the release checklist and returns
 a CriterionResult whose details are deterministic (timings are kept out of
-the serialised payload).  `thinpower verify --all` and the test suite both
-call these.
+the serialised payload).  The `_criterion` decorator registers each one in
+CRITERIA with its number, name and time bound.  `thinpower verify`, the test
+suite and `thinpower reproduce` (through fail1, fail2 and
+binomial_corollary_margins) all call these.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -18,6 +21,7 @@ from . import hessian as hes
 from .entropy_functionals import (entropy, entropy_power, l_functional,
                                   lambda_functional, poisson_entropy_derivative,
                                   rel_entropy_poisson)
+from .errors import ParameterError
 from .inequality_suite import (check_conjecture_tepi, check_conjecture_v_superadd,
                                check_dsub, check_epilike, check_hmon, check_teci,
                                random_ulc, search)
@@ -46,58 +50,74 @@ class CriterionResult:
                 "passed": self.passed, "details": self.details}
 
 
-def fail2_inputs(cfg=DEFAULT_TOLERANCES):
+CRITERIA = {}
+
+
+def _criterion(number: int, name: str, within: float = math.inf):
+    """Register a body returning (passed, details) as criterion `number`;
+    the registered function times it and fails it at `within` seconds."""
+    def register(body):
+        @functools.wraps(body)
+        def run(cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> CriterionResult:
+            start = time.perf_counter()
+            passed, details = body(cfg)
+            elapsed = time.perf_counter() - start
+            return CriterionResult(number, name, bool(passed) and elapsed < within,
+                                   details, elapsed)
+        CRITERIA[number] = run
+        return run
+    return register
+
+
+def fail1(cfg: ToleranceConfig = DEFAULT_TOLERANCES):
+    """The three-point pmf that refutes superadditivity of V: returns
+    (verdict, refuted), refuted when V(X+X) < 2 V(X) by more than 1e-6."""
+    p = construct(FamilySpec.raw([1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0]), cfg)
+    verdict = check_conjecture_v_superadd(p, p, cfg)
+    return verdict, verdict.margin < -1e-6 and not verdict.holds
+
+
+def fail2(cfg: ToleranceConfig = DEFAULT_TOLERANCES):
+    """Bernoulli(1/3)+Poisson(1) against Poisson(1000) at alpha = 0.999:
+    returns the five reference quantities (entropies in bits), their
+    distances to FAIL2_REFERENCE, the thinned EPI verdict, and refuted
+    (every quantity reproduces to 1e-4 and the verdict fails)."""
     x = convolve(construct(FamilySpec.bernoulli(1.0 / 3.0), cfg),
                  construct(FamilySpec.poisson(1.0), cfg), cfg)
     y = construct(FamilySpec.poisson(1000.0), cfg)
-    return x, y
-
-
-def fail2_values(cfg: ToleranceConfig = DEFAULT_TOLERANCES):
-    """The five reference quantities of the thinned counterexample, base 2."""
-    x, y = fail2_inputs(cfg)
     alpha = FAIL2_ALPHA
     v_x = entropy_power(x, cfg)
     v_y = entropy_power(y, cfg)
     mixed = thinned_sum((x, y), (alpha, 1.0 - alpha), cfg)
-    return (entropy(x).bits, v_x, alpha * v_x + (1.0 - alpha) * v_y,
-            entropy(mixed).bits, entropy_power(mixed, cfg))
-
-
-def criterion_1(cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> CriterionResult:
-    """Asymmetric Bernoulli+Poisson counterexample reproduces to 1e-4."""
-    start = time.perf_counter()
-    computed = fail2_values(cfg)
+    computed = (entropy(x).bits, v_x, alpha * v_x + (1.0 - alpha) * v_y,
+                entropy(mixed).bits, entropy_power(mixed, cfg))
     deviations = [abs(c - r) for c, r in zip(computed, FAIL2_REFERENCE)]
-    x, y = fail2_inputs(cfg)
-    verdict = check_conjecture_tepi(x, y, FAIL2_ALPHA, cfg)
-    elapsed = time.perf_counter() - start
-    passed = (max(deviations) < 1e-4 and not verdict.holds and elapsed < 5.0)
-    return CriterionResult(
-        1, "thinned entropy-power counterexample", passed,
-        {"computed": list(computed), "reference": list(FAIL2_REFERENCE),
-         "deviations": deviations, "tepi_holds": verdict.holds,
-         "tepi_margin": verdict.margin},
-        elapsed)
+    verdict = check_conjecture_tepi(x, y, alpha, cfg)
+    return (computed, deviations, verdict,
+            max(deviations) < 1e-4 and not verdict.holds)
 
 
-def criterion_2(cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> CriterionResult:
+@_criterion(1, "thinned entropy-power counterexample", within=5.0)
+def criterion_1(cfg):
+    """Asymmetric Bernoulli+Poisson counterexample reproduces to 1e-4."""
+    computed, deviations, verdict, refuted = fail2(cfg)
+    return refuted, {"computed": list(computed),
+                     "reference": list(FAIL2_REFERENCE),
+                     "deviations": deviations, "tepi_holds": verdict.holds,
+                     "tepi_margin": verdict.margin}
+
+
+@_criterion(2, "entropy-power superadditivity counterexample", within=1.0)
+def criterion_2(cfg):
     """Three-point superadditivity counterexample: strict violation."""
-    start = time.perf_counter()
-    p = construct(FamilySpec.raw([1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0]), cfg)
-    verdict = check_conjecture_v_superadd(p, p, cfg)
-    elapsed = time.perf_counter() - start
-    passed = (verdict.margin < -1e-6 and not verdict.holds and elapsed < 1.0)
-    return CriterionResult(
-        2, "entropy-power superadditivity counterexample", passed,
-        {"v_sum": verdict.lhs, "v_x_plus_v_y": verdict.rhs,
-         "margin": verdict.margin, "holds": verdict.holds},
-        elapsed)
+    verdict, refuted = fail1(cfg)
+    return refuted, {"v_sum": verdict.lhs, "v_x_plus_v_y": verdict.rhs,
+                     "margin": verdict.margin, "holds": verdict.holds}
 
 
-def criterion_3(cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> CriterionResult:
+@_criterion(3, "random-ULC theorem sweeps", within=60.0)
+def criterion_3(cfg):
     """Seeded random-ULC sweeps of the proved statements: zero violations."""
-    start = time.perf_counter()
     plan = (("teci", 500), ("rtepi", 500), ("isop", 500),
             ("hmon", 100), ("dsub", 100))
     details = {}
@@ -108,15 +128,12 @@ def criterion_3(cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> CriterionResult:
                          "violations": len(report.violations),
                          "tightest_margin": report.tightest_margin}
         clean = clean and not report.violations
-    elapsed = time.perf_counter() - start
-    return CriterionResult(
-        3, "random-ULC theorem sweeps", clean and elapsed < 60.0, details,
-        elapsed)
+    return clean, details
 
 
-def criterion_4(cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> CriterionResult:
+@_criterion(4, "Poisson equality margins")
+def criterion_4(cfg):
     """Matched-rate Poisson inputs sit at equality within 1e-7."""
-    start = time.perf_counter()
     pi1 = construct(FamilySpec.poisson(1.0), cfg)
     pi2 = construct(FamilySpec.poisson(2.0), cfg)
     margins = {
@@ -126,10 +143,7 @@ def criterion_4(cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> CriterionResult:
         "epilike": check_epilike(pi2, pi2, cfg).margin,
         "tepi": check_conjecture_tepi(pi2, pi2, 0.3, cfg).margin,
     }
-    elapsed = time.perf_counter() - start
-    passed = all(abs(m) < 1e-7 for m in margins.values())
-    return CriterionResult(4, "Poisson equality margins", passed,
-                           {"margins": margins}, elapsed)
+    return all(abs(m) < 1e-7 for m in margins.values()), {"margins": margins}
 
 
 def binomial_corollary_margins(cfg: ToleranceConfig = DEFAULT_TOLERANCES):
@@ -152,20 +166,17 @@ def binomial_corollary_margins(cfg: ToleranceConfig = DEFAULT_TOLERANCES):
     return worst, count, violations
 
 
-def criterion_5(cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> CriterionResult:
+@_criterion(5, "binomial entropy corollary")
+def criterion_5(cfg):
     """Binomial corollary holds on the whole (n, p, q) grid."""
-    start = time.perf_counter()
     worst, count, violations = binomial_corollary_margins(cfg)
-    elapsed = time.perf_counter() - start
-    return CriterionResult(
-        5, "binomial entropy corollary", violations == 0,
-        {"cases": count, "violations": violations, "worst_margin": worst},
-        elapsed)
+    return violations == 0, {"cases": count, "violations": violations,
+                             "worst_margin": worst}
 
 
-def criterion_6(cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> CriterionResult:
+@_criterion(6, "entropy-preserving interpolation")
+def criterion_6(cfg):
     """Interpolation machinery: evolution equation, paths, L at Poisson."""
-    start = time.perf_counter()
     rng = np.random.default_rng(SUITE_SEED)
 
     worst_residual = 0.0
@@ -193,17 +204,13 @@ def criterion_6(cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> CriterionResult:
         pi = construct(FamilySpec.poisson(lam), cfg)
         l_gaps[str(lam)] = abs(l_functional(pi, cfg)
                                - lam * poisson_entropy_derivative(lam, cfg))
-    elapsed = time.perf_counter() - start
     passed = (worst_residual < 1e-6 and worst_f0 < 1e-3
               and worst_u_step <= 1e-8
               and all(g < 1e-9 for g in l_gaps.values()))
-    return CriterionResult(
-        6, "entropy-preserving interpolation", passed,
-        {"worst_pde_residual": worst_residual,
-         "worst_f0_gap": worst_f0,
-         "worst_u_increase": worst_u_step,
-         "poisson_l_gaps": l_gaps},
-        elapsed)
+    return passed, {"worst_pde_residual": worst_residual,
+                    "worst_f0_gap": worst_f0,
+                    "worst_u_increase": worst_u_step,
+                    "poisson_l_gaps": l_gaps}
 
 
 def _random_small_ulc(rng, cfg):
@@ -216,10 +223,10 @@ def _random_small_ulc(rng, cfg):
     return construct(FamilySpec.binomial(3, p), cfg)
 
 
-def criterion_7(cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> CriterionResult:
+@_criterion(7, "Hessian and splitting machinery")
+def criterion_7(cfg):
     """Hessian machinery: FD agreement, splitting identities, negativity,
     and the margin bookkeeping between the three monotonicity statements."""
-    start = time.perf_counter()
     rng = np.random.default_rng(SUITE_SEED + 1)
 
     worst_fd = 0.0
@@ -276,20 +283,17 @@ def criterion_7(cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> CriterionResult:
         worst_identity = max(worst_identity,
                              abs(margin_h - (margin_lambda - margin_d_sub)))
 
-    elapsed = time.perf_counter() - start
     passed = (worst_fd <= 0.0 and witnesses == 20
               and worst_quad <= 1e-10 and worst_identity < 1e-10)
-    return CriterionResult(
-        7, "Hessian and splitting machinery", passed,
-        {"worst_fd_excess": worst_fd, "splitting_witnesses": witnesses,
-         "worst_quadratic_form": worst_quad,
-         "worst_margin_identity_residual": worst_identity},
-        elapsed)
+    return passed, {"worst_fd_excess": worst_fd,
+                    "splitting_witnesses": witnesses,
+                    "worst_quadratic_form": worst_quad,
+                    "worst_margin_identity_residual": worst_identity}
 
 
-def criterion_8(cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> CriterionResult:
+@_criterion(8, "algebraic invariants")
+def criterion_8(cfg):
     """Algebraic invariants of the maps and functionals."""
-    start = time.perf_counter()
     battery = [
         construct(FamilySpec.bernoulli(0.3), cfg),
         construct(FamilySpec.bernoulli_sum(0.2, 0.5, 0.7), cfg),
@@ -341,49 +345,35 @@ def criterion_8(cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> CriterionResult:
         fd = (entropy(x).nats - entropy(thin(x, 1.0 - step, cfg)).nats) / step
         worst_l_fd = max(worst_l_fd, abs(fd - l_functional(x, cfg)))
 
-    elapsed = time.perf_counter() - start
     passed = (worst_semigroup < 1e-12 and worst_closure < 1e-10
               and worst_roundtrip < 1e-10 and worst_lam_identity < 1e-10
               and worst_vpi < 1e-8 and worst_l_fd < 1e-5)
-    return CriterionResult(
-        8, "algebraic invariants", passed,
-        {"worst_semigroup_tv": worst_semigroup,
-         "worst_poisson_closure_tv": worst_closure,
-         "worst_roundtrip_tv": worst_roundtrip,
-         "worst_cross_entropy_identity": worst_lam_identity,
-         "worst_v_of_poisson": worst_vpi,
-         "worst_l_vs_fd": worst_l_fd},
-        elapsed)
+    return passed, {"worst_semigroup_tv": worst_semigroup,
+                    "worst_poisson_closure_tv": worst_closure,
+                    "worst_roundtrip_tv": worst_roundtrip,
+                    "worst_cross_entropy_identity": worst_lam_identity,
+                    "worst_v_of_poisson": worst_vpi,
+                    "worst_l_vs_fd": worst_l_fd}
 
 
-def criterion_9(cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> CriterionResult:
+@_criterion(9, "byte-identical reports")
+def criterion_9(cfg):
     """Reports are byte-identical across repeated runs with one seed."""
-    start = time.perf_counter()
     first = dumps_canonical(search("teci", 25, 7, cfg))
     second = dumps_canonical(search("teci", 25, 7, cfg))
     search_ok = first == second
     gate_a = dumps_canonical(criterion_5(cfg).to_json())
     gate_b = dumps_canonical(criterion_5(cfg).to_json())
     verify_ok = gate_a == gate_b
-    elapsed = time.perf_counter() - start
-    return CriterionResult(
-        9, "byte-identical reports", search_ok and verify_ok,
-        {"search_identical": search_ok, "verify_identical": verify_ok,
-         "search_bytes": len(first)},
-        elapsed)
-
-
-ALL_CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4,
-                criterion_5, criterion_6, criterion_7, criterion_8,
-                criterion_9)
+    return search_ok and verify_ok, {"search_identical": search_ok,
+                                     "verify_identical": verify_ok,
+                                     "search_bytes": len(first)}
 
 
 def run_criteria(numbers=None, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
-    """Run the selected criteria (all by default) in order."""
-    selected = sorted(set(numbers)) if numbers else range(1, len(ALL_CRITERIA) + 1)
-    results = []
+    """Run the selected criteria (all when numbers is None) in order."""
+    selected = sorted(CRITERIA if numbers is None else set(numbers))
     for number in selected:
-        if not 1 <= number <= len(ALL_CRITERIA):
-            raise ValueError(f"no acceptance criterion number {number}")
-        results.append(ALL_CRITERIA[number - 1](cfg))
-    return results
+        if number not in CRITERIA:
+            raise ParameterError(f"no acceptance criterion number {number}")
+    return [CRITERIA[number](cfg) for number in selected]

@@ -17,8 +17,9 @@ import sys
 import numpy as np
 
 from . import hessian as hes
-from .acceptance import binomial_corollary_margins, fail2_values, run_criteria
-from .acceptance import FAIL2_ALPHA, FAIL2_REFERENCE, fail2_inputs
+from .acceptance import (FAIL2_ALPHA, FAIL2_REFERENCE,
+                         binomial_corollary_margins, fail1, fail2,
+                         run_criteria)
 from .entropy_functionals import (entropy, entropy_power, l_functional,
                                   lambda_functional, poisson_entropy,
                                   poisson_entropy_derivative,
@@ -26,10 +27,9 @@ from .entropy_functionals import (entropy, entropy_power, l_functional,
 from .errors import (CapacityError, ConsistencyError, DomainError,
                      NotThinnableError, NumericError, ParameterError,
                      PreconditionError)
-from .inequality_suite import (STATEMENTS, check_conjecture_tepi,
-                               check_conjecture_v_superadd, search)
+from .inequality_suite import STATEMENTS, search
 from .jsonio import (dumps_canonical, load_json_argument, load_pmf,
-                     pmf_to_json)
+                     pmf_from_doc, pmf_to_json)
 from .pmf_core import FamilySpec, ToleranceConfig, construct
 from .semigroup import default_t_grid, entropy_preserving_path
 from .transforms import convolve, inverse_thin, thin
@@ -39,20 +39,28 @@ INPUT_ERRORS = (ParameterError, DomainError, PreconditionError,
 
 TOLERANCE_ENV = "THINPOWER_TOLERANCES"
 
+# one --flag per ToleranceConfig field, spelt with "-" for "_"
+TOLERANCE_FLAGS = (("tol_norm", "normalisation slack"),
+                   ("tol_ineq", "inequality margin tolerance"),
+                   ("tol_root", "root-solve convergence width"),
+                   ("tail_eps", "Poisson truncation tail mass"),
+                   ("fd_step", "finite-difference step"))
+
 
 def _build_config(args) -> ToleranceConfig:
-    values = {}
+    overrides = {}
     env = os.environ.get(TOLERANCE_ENV)
     if env:
         try:
-            values.update(json.loads(env))
+            overrides = json.loads(env)
         except json.JSONDecodeError as exc:
             raise ParameterError(f"invalid {TOLERANCE_ENV}: {exc}") from None
-    for name in ("tol_norm", "tol_ineq", "tol_root", "tail_eps", "fd_step"):
-        override = getattr(args, name, None)
-        if override is not None:
-            values[name] = override
-    return ToleranceConfig(**values)
+        if not isinstance(overrides, dict):
+            raise ParameterError(f"{TOLERANCE_ENV} needs a JSON object")
+    for name, _ in TOLERANCE_FLAGS:
+        if getattr(args, name) is not None:
+            overrides[name] = getattr(args, name)
+    return ToleranceConfig.from_overrides(overrides)
 
 
 def _render_table(obj, indent=""):
@@ -91,12 +99,19 @@ def _emit(payload, args) -> None:
         sys.stdout.write(text)
 
 
-def _parse_floats(text: str, flag: str):
+def _parse_numbers(text: str, flag: str, kind=float):
     try:
-        return [float(v) for v in text.split(",") if v != ""]
+        return [kind(v) for v in text.split(",") if v != ""]
     except ValueError:
+        what = "integers" if kind is int else "numbers"
         raise ParameterError(
-            f"{flag} needs comma-separated numbers, got {text!r}") from None
+            f"{flag} needs comma-separated {what}, got {text!r}") from None
+
+
+def _single_pmf(args, cfg):
+    if len(args.pmf) != 1:
+        raise ParameterError(f"{args.command} needs exactly 1 --pmf input")
+    return load_pmf(args.pmf[0], cfg)
 
 
 def _cmd_construct(args, cfg):
@@ -105,8 +120,7 @@ def _cmd_construct(args, cfg):
 
 
 def _cmd_thin(args, cfg):
-    pmf = load_pmf(args.pmf[0], cfg)
-    return pmf_to_json(thin(pmf, args.alpha, cfg)), 0
+    return pmf_to_json(thin(_single_pmf(args, cfg), args.alpha, cfg)), 0
 
 
 def _cmd_conv(args, cfg):
@@ -119,17 +133,16 @@ def _cmd_conv(args, cfg):
 
 
 def _cmd_unthin(args, cfg):
-    pmf = load_pmf(args.pmf[0], cfg)
-    return pmf_to_json(inverse_thin(pmf, args.alpha, cfg)), 0
+    return pmf_to_json(inverse_thin(_single_pmf(args, cfg), args.alpha, cfg)), 0
 
 
 def _cmd_entropy(args, cfg):
-    value = entropy(load_pmf(args.pmf[0], cfg))
+    value = entropy(_single_pmf(args, cfg))
     return (value.bits if args.bits else value.nats), 0
 
 
 def _cmd_vpower(args, cfg):
-    return entropy_power(load_pmf(args.pmf[0], cfg), cfg), 0
+    return entropy_power(_single_pmf(args, cfg), cfg), 0
 
 
 def _cmd_functional(args, cfg):
@@ -141,15 +154,14 @@ def _cmd_functional(args, cfg):
         return fn(args.t, cfg), 0
     if not args.pmf:
         raise ParameterError(f"functional {name} needs --pmf")
-    pmf = load_pmf(args.pmf[0], cfg)
     table = {"L": l_functional, "Lambda": lambda_functional,
              "D": rel_entropy_poisson, "U": u_functional}
-    return table[name](pmf, cfg), 0
+    return table[name](_single_pmf(args, cfg), cfg), 0
 
 
 def _cmd_path(args, cfg):
-    pmf = load_pmf(args.pmf[0], cfg)
-    report = entropy_preserving_path(pmf, default_t_grid(args.grid), cfg)
+    report = entropy_preserving_path(_single_pmf(args, cfg),
+                                     default_t_grid(args.grid), cfg)
     return report.to_json(), 0
 
 
@@ -167,34 +179,28 @@ def _cmd_check(args, cfg):
         flags = " and ".join(f"--{flag}" for flag in statement.params)
         raise ParameterError(f"check {name} needs {flags}")
     if statement.params == ("alphas",):
-        params = [_parse_floats(args.alphas, "--alphas")]
+        params = [_parse_numbers(args.alphas, "--alphas")]
     verdict = statement.run(pmfs, params, cfg, args.allow_non_ulc)
     return verdict.to_json(), 0 if (verdict.holds or not statement.proved) else 1
 
 
 def _cmd_reproduce(args, cfg):
     if args.example == "fail1":
-        p = construct(FamilySpec.raw([1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0]), cfg)
-        verdict = check_conjecture_v_superadd(p, p, cfg)
-        expected = not verdict.holds and verdict.margin < -1e-6
+        verdict, refuted = fail1(cfg)
         payload = {"example": "fail1", "verdict": verdict.to_json(),
-                   "expected_refutation": expected}
-        return payload, 0 if expected else 1
+                   "expected_refutation": refuted}
+        return payload, 0 if refuted else 1
     if args.example == "fail2":
-        computed = fail2_values(cfg)
+        computed, deviations, verdict, refuted = fail2(cfg)
         labels = ("H(X) bits", "V(X)", "alpha V(X) + (1-alpha) V(Y)",
                   "H(thinned sum) bits", "V(thinned sum)")
-        rows = [{"quantity": label, "computed": c, "reference": r,
-                 "deviation": abs(c - r)}
-                for label, c, r in zip(labels, computed, FAIL2_REFERENCE)]
-        x, y = fail2_inputs(cfg)
-        verdict = check_conjecture_tepi(x, y, FAIL2_ALPHA, cfg)
-        expected = (max(row["deviation"] for row in rows) < 1e-4
-                    and not verdict.holds)
+        rows = [{"quantity": label, "computed": c, "reference": r, "deviation": d}
+                for label, c, r, d in zip(labels, computed, FAIL2_REFERENCE,
+                                          deviations)]
         payload = {"example": "fail2", "alpha": FAIL2_ALPHA, "values": rows,
                    "tepi_verdict": verdict.to_json(),
-                   "expected_refutation": expected}
-        return payload, 0 if expected else 1
+                   "expected_refutation": refuted}
+        return payload, 0 if refuted else 1
     worst, count, violations = binomial_corollary_margins(cfg)
     payload = {"example": "binoineq", "cases": count,
                "violations": violations, "worst_margin": worst}
@@ -213,14 +219,8 @@ def _cmd_hessian(args, cfg):
     docs = load_json_argument(args.specs)
     if not isinstance(docs, list):
         raise ParameterError("hessian --specs needs a JSON array")
-    pmfs = []
-    for doc in docs:
-        if isinstance(doc, dict) and "family" in doc:
-            pmfs.append(construct(FamilySpec.from_json(doc), cfg))
-        else:
-            from .jsonio import pmf_from_json
-            pmfs.append(pmf_from_json(doc, cfg))
-    alphas = _parse_floats(args.alphas, "--alphas")
+    pmfs = [pmf_from_doc(doc, cfg) for doc in docs]
+    alphas = _parse_numbers(args.alphas, "--alphas")
     analytic = hes.hessian_analytic(pmfs, alphas, cfg, args.cell_budget)
     payload = {"alphas": alphas, "hessian": analytic.tolist()}
     if args.fd_check:
@@ -231,19 +231,17 @@ def _cmd_hessian(args, cfg):
 
 
 def _cmd_splitting(args, cfg):
-    alphas = np.asarray(_parse_floats(args.alphas, "--alphas"))
-    lambdas = _parse_floats(args.lambdas, "--lambdas")
+    alphas = np.asarray(_parse_numbers(args.alphas, "--alphas"))
+    lambdas = _parse_numbers(args.lambdas, "--lambdas")
     beta, mu = hes.interpolation_point(alphas, args.l, args.t)
     witness = hes.positive_splitting(beta, mu, args.t, lambdas, cfg)
     return witness.to_json(), 0
 
 
 def _cmd_verify(args, cfg):
-    if args.all:
-        numbers = None
-    elif args.criteria:
-        numbers = [int(v) for v in args.criteria.split(",")]
-    else:
+    numbers = (None if args.all
+               else _parse_numbers(args.criteria or "", "--criteria", int))
+    if numbers == []:
         raise ParameterError("verify needs --all or --criteria")
     results = run_criteria(numbers, cfg)
     for res in results:
@@ -254,36 +252,14 @@ def _cmd_verify(args, cfg):
     return payload, 0 if all(res.passed for res in results) else 1
 
 
-_COMMANDS = {
-    "construct": _cmd_construct,
-    "thin": _cmd_thin,
-    "conv": _cmd_conv,
-    "unthin": _cmd_unthin,
-    "entropy": _cmd_entropy,
-    "vpower": _cmd_vpower,
-    "functional": _cmd_functional,
-    "path": _cmd_path,
-    "check": _cmd_check,
-    "reproduce": _cmd_reproduce,
-    "search": _cmd_search,
-    "hessian": _cmd_hessian,
-    "splitting": _cmd_splitting,
-    "verify": _cmd_verify,
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     # shared flags are accepted both before and after the subcommand
     common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     common.add_argument("--format", choices=("json", "table"), default="json",
                         help="output format (default json, canonical)")
     common.add_argument("--out", help="write output to this file instead of stdout")
-    for name, hint in (("tol-norm", "normalisation slack"),
-                       ("tol-ineq", "inequality margin tolerance"),
-                       ("tol-root", "root-solve convergence width"),
-                       ("tail-eps", "Poisson truncation tail mass"),
-                       ("fd-step", "finite-difference step")):
-        common.add_argument(f"--{name}", dest=name.replace("-", "_"),
+    for name, hint in TOLERANCE_FLAGS:
+        common.add_argument(f"--{name.replace('_', '-')}", dest=name,
                             type=float, default=None, help=hint)
 
     parser = argparse.ArgumentParser(
@@ -294,41 +270,44 @@ def build_parser() -> argparse.ArgumentParser:
                     "for finite discrete distributions.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, **kwargs):
-        return sub.add_parser(name, parents=[common],
-                              allow_abbrev=False, **kwargs)
+    def add_parser(name, handler, **kwargs):
+        p = sub.add_parser(name, parents=[common], allow_abbrev=False, **kwargs)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = add_parser("construct", help="build a pmf from a family spec")
+    p = add_parser("construct", _cmd_construct, help="build a pmf from a family spec")
     p.add_argument("--spec", required=True,
                    help="family spec JSON (inline or a file path)")
 
-    for cmd, blurb in (("thin", "binomially thin a pmf"),
-                       ("unthin", "invert thinning; exit 2 if impossible")):
-        p = add_parser(cmd, help=blurb)
+    for cmd, handler, blurb in (
+            ("thin", _cmd_thin, "binomially thin a pmf"),
+            ("unthin", _cmd_unthin, "invert thinning; exit 2 if impossible")):
+        p = add_parser(cmd, handler, help=blurb)
         p.add_argument("--pmf", action="append", required=True)
         p.add_argument("--alpha", type=float, required=True)
 
-    p = add_parser("conv", help="convolve two or more pmfs")
+    p = add_parser("conv", _cmd_conv, help="convolve two or more pmfs")
     p.add_argument("--pmf", action="append", required=True)
 
-    p = add_parser("entropy", help="Shannon entropy of a pmf")
+    p = add_parser("entropy", _cmd_entropy, help="Shannon entropy of a pmf")
     p.add_argument("--pmf", action="append", required=True)
     p.add_argument("--bits", action="store_true", help="report base-2 entropy")
 
-    p = add_parser("vpower", help="Poisson-rate entropy power of a pmf")
+    p = add_parser("vpower", _cmd_vpower, help="Poisson-rate entropy power of a pmf")
     p.add_argument("--pmf", action="append", required=True)
 
-    p = add_parser("functional", help="evaluate a named scalar functional")
+    p = add_parser("functional", _cmd_functional,
+                   help="evaluate a named scalar functional")
     p.add_argument("--name", required=True,
                    choices=("L", "Lambda", "D", "U", "J", "E"))
     p.add_argument("--pmf", action="append")
     p.add_argument("--t", type=float, help="rate argument for E and J")
 
-    p = add_parser("path", help="entropy-preserving interpolation report")
+    p = add_parser("path", _cmd_path, help="entropy-preserving interpolation report")
     p.add_argument("--pmf", action="append", required=True)
     p.add_argument("--grid", type=int, default=40)
 
-    p = add_parser("check", help="evaluate one inequality verdict")
+    p = add_parser("check", _cmd_check, help="evaluate one inequality verdict")
     p.add_argument("--name", required=True)
     p.add_argument("--pmf", action="append")
     p.add_argument("--alpha", type=float)
@@ -338,32 +317,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-non-ulc", action="store_true",
                    help="evaluate outside the theorem hypotheses")
 
-    p = add_parser("reproduce", help="re-run a bundled reference example")
+    p = add_parser("reproduce", _cmd_reproduce,
+                   help="re-run a bundled reference example")
     p.add_argument("--example", required=True,
                    choices=("fail1", "fail2", "binoineq"))
 
-    p = add_parser("search", help="seeded randomized inequality sweep")
+    p = add_parser("search", _cmd_search, help="seeded randomized inequality sweep")
     p.add_argument("--name", required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--max-bernoullis", type=int, default=3)
     p.add_argument("--max-poisson-rate", type=float, default=2.0)
 
-    p = add_parser("hessian", help="analytic Hessian of the thinned sum")
+    p = add_parser("hessian", _cmd_hessian, help="analytic Hessian of the thinned sum")
     p.add_argument("--specs", required=True,
                    help="JSON array of family specs or pmf documents")
     p.add_argument("--alphas", required=True)
     p.add_argument("--fd-check", action="store_true")
     p.add_argument("--cell-budget", type=int, default=hes.DEFAULT_CELL_BUDGET)
 
-    p = add_parser("splitting", help="positive splitting witness")
+    p = add_parser("splitting", _cmd_splitting, help="positive splitting witness")
     p.add_argument("--l", type=int, required=True,
                    help="leave-out index (0-based)")
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--lambdas", required=True)
     p.add_argument("--alphas", required=True)
 
-    p = add_parser("verify", help="run the acceptance criteria")
+    p = add_parser("verify", _cmd_verify, help="run the acceptance criteria")
     p.add_argument("--all", action="store_true")
     p.add_argument("--criteria", help="comma-separated criterion numbers")
 
@@ -374,7 +354,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _build_config(args)
-        payload, code = _COMMANDS[args.command](args, cfg)
+        payload, code = args.handler(args, cfg)
     except INPUT_ERRORS as exc:
         _emit({"error": type(exc).__name__, "message": str(exc)}, args)
         return 2

@@ -12,7 +12,8 @@ import math
 import numpy as np
 
 from .errors import ParameterError
-from .pmf_core import DEFAULT_TOLERANCES, FamilySpec, FinitePmf, ToleranceConfig
+from .pmf_core import (DEFAULT_TOLERANCES, FamilySpec, FinitePmf,
+                       ToleranceConfig, construct)
 
 
 def _format_float(value: float) -> str:
@@ -59,6 +60,13 @@ def pmf_from_json(doc, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> FinitePmf:
     return FinitePmf(doc["probs"], cfg)
 
 
+def pmf_from_doc(doc, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> FinitePmf:
+    """Build a pmf from a family spec document or a {"probs": [...]} one."""
+    if isinstance(doc, dict) and "family" in doc:
+        return construct(FamilySpec.from_json(doc), cfg)
+    return pmf_from_json(doc, cfg)
+
+
 def load_json_argument(text: str):
     """Parse a CLI argument that is either inline JSON or a path to a file."""
     stripped = text.strip()
@@ -78,8 +86,4 @@ def load_json_argument(text: str):
 
 def load_pmf(text: str, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> FinitePmf:
     """Load a pmf from a JSON pmf document or a family spec document."""
-    doc = load_json_argument(text)
-    if isinstance(doc, dict) and "family" in doc:
-        from .pmf_core import construct
-        return construct(FamilySpec.from_json(doc), cfg)
-    return pmf_from_json(doc, cfg)
+    return pmf_from_doc(load_json_argument(text), cfg)

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -29,9 +30,21 @@ class ToleranceConfig:
     fd_step: float = 1e-5
 
     def __post_init__(self):
-        for name in ("tol_norm", "tol_ineq", "tol_root", "tail_eps", "fd_step"):
-            if not getattr(self, name) > 0.0:
-                raise ParameterError(f"{name} must be strictly positive")
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ParameterError(f"{field.name} must be a number, got {value!r}")
+            if not value > 0.0:
+                raise ParameterError(f"{field.name} must be strictly positive")
+
+    @classmethod
+    def from_overrides(cls, overrides: dict) -> "ToleranceConfig":
+        """The defaults with the named entries of `overrides` replaced."""
+        names = [field.name for field in fields(cls)]
+        for name in overrides:
+            if name not in names:
+                raise ParameterError(f"unknown tolerance {name!r}, not one of {names}")
+        return cls(**overrides)
 
 
 DEFAULT_TOLERANCES = ToleranceConfig()
@@ -76,6 +89,24 @@ class FinitePmf:
         return f"FinitePmf({body})"
 
 
+def _float_tuple(values) -> tuple:
+    if not isinstance(values, (list, tuple)):  # a string is iterable too
+        raise TypeError("expected a list")
+    return tuple(float(v) for v in values)
+
+
+# each family's parameters as (name, coercion) pairs, in document order
+FAMILY_PARAMS = {
+    "delta": (("k", int),),
+    "bernoulli": (("p", float),),
+    "binomial": (("n", int), ("p", float)),
+    "bernoulli_sum": (("ps", _float_tuple),),
+    "poisson": (("rate", float),),
+    "geometric": (("mean", float),),
+    "raw": (("probs", _float_tuple),),
+}
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """Tagged parametric family used by construct().
@@ -93,9 +124,6 @@ class FamilySpec:
     rate: float = 0.0
     mean: float = 0.0
     probs: tuple = ()
-
-    FAMILIES = ("delta", "bernoulli", "binomial", "bernoulli_sum",
-                "poisson", "geometric", "raw")
 
     @classmethod
     def delta(cls, k: int) -> "FamilySpec":
@@ -132,41 +160,26 @@ class FamilySpec:
         fam = doc["family"]
         if fam == "mixture":
             fam = "raw"
-        if fam not in cls.FAMILIES:
+        if not isinstance(fam, str) or fam not in FAMILY_PARAMS:
             raise ParameterError(f"unknown family {fam!r}")
-        try:
-            if fam == "delta":
-                return cls.delta(int(doc["k"]))
-            if fam == "bernoulli":
-                return cls.bernoulli(float(doc["p"]))
-            if fam == "binomial":
-                return cls.binomial(int(doc["n"]), float(doc["p"]))
-            if fam == "bernoulli_sum":
-                return cls.bernoulli_sum(*[float(v) for v in doc["ps"]])
-            if fam == "poisson":
-                return cls.poisson(float(doc.get("rate", doc.get("lam", 0.0))))
-            if fam == "geometric":
-                return cls.geometric(float(doc["mean"]))
-            return cls.raw(doc["probs"])
-        except KeyError as exc:
-            raise ParameterError(f"family {fam!r} misses parameter {exc}") from None
+        values = {}
+        for name, coerce in FAMILY_PARAMS[fam]:
+            # "lam" is accepted as an older spelling of the Poisson rate
+            key = "lam" if name == "rate" and name not in doc else name
+            if key not in doc:
+                raise ParameterError(f"family {fam!r} misses parameter {name!r}")
+            try:
+                values[name] = coerce(doc[key])
+            except (TypeError, ValueError, OverflowError):
+                raise ParameterError(f"family {fam!r} parameter {name!r} "
+                                     f"has invalid value {doc[key]!r}") from None
+        return cls(fam, **values)
 
     def to_json(self) -> dict:
         doc = {"family": self.family}
-        if self.family == "delta":
-            doc["k"] = self.k
-        elif self.family == "bernoulli":
-            doc["p"] = self.p
-        elif self.family == "binomial":
-            doc.update(n=self.n, p=self.p)
-        elif self.family == "bernoulli_sum":
-            doc["ps"] = list(self.ps)
-        elif self.family == "poisson":
-            doc["rate"] = self.rate
-        elif self.family == "geometric":
-            doc["mean"] = self.mean
-        else:
-            doc["probs"] = list(self.probs)
+        for name, _ in FAMILY_PARAMS[self.family]:
+            value = getattr(self, name)
+            doc[name] = list(value) if isinstance(value, tuple) else value
         return doc
 
 

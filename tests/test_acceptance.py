@@ -1,7 +1,9 @@
 """The acceptance gate: one test per criterion, each printing a PASS/FAIL
 line with its headline numbers."""
 
-from thinpower import acceptance
+import pytest
+
+from thinpower import ParameterError, acceptance
 
 
 def _report(result):
@@ -83,3 +85,42 @@ def test_criterion_9_determinism():
     assert result.details["search_identical"] is True
     assert result.details["verify_identical"] is True
     _report(result)
+
+
+def test_registry_holds_every_criterion():
+    assert sorted(acceptance.CRITERIA) == list(range(1, 10))
+    assert acceptance.CRITERIA[1] is acceptance.criterion_1
+    assert acceptance.CRITERIA[9] is acceptance.criterion_9
+
+
+def test_criterion_wrapper_applies_the_time_bound(monkeypatch):
+    monkeypatch.setattr(acceptance, "CRITERIA", {})
+
+    @acceptance._criterion(41, "too slow", within=0.0)
+    def slow(cfg):
+        return True, {"ran": True}
+
+    @acceptance._criterion(42, "unbounded")
+    def fast(cfg):
+        return True, {"ran": True}
+
+    result = slow()
+    assert (result.number, result.name, result.passed) == (41, "too slow", False)
+    assert result.details == {"ran": True} and result.seconds >= 0.0
+    assert fast().passed is True
+    assert set(acceptance.CRITERIA) == {41, 42}
+
+
+@pytest.mark.parametrize("numbers", [[0], [10], [2, 10]])
+def test_run_criteria_rejects_unknown_numbers(numbers):
+    with pytest.raises(ParameterError, match="no acceptance criterion number"):
+        acceptance.run_criteria(numbers)
+
+
+def test_reference_examples_are_refuted():
+    verdict, refuted = acceptance.fail1()
+    assert refuted and not verdict.holds
+    computed, deviations, verdict, refuted = acceptance.fail2()
+    assert refuted and not verdict.holds
+    assert len(computed) == len(deviations) == 5
+    assert max(deviations) < 1e-4

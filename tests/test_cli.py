@@ -279,3 +279,83 @@ def test_negative_search_seed_is_an_input_error(capsys):
                     "--seed", "-1")
     assert code == 2
     assert json.loads(out)["message"] == "seed must be >= 0"
+
+
+@pytest.mark.parametrize("criteria, message", [
+    ("1,a", "--criteria needs comma-separated integers, got '1,a'"),
+    ("0", "no acceptance criterion number 0"),
+    ("10", "no acceptance criterion number 10"),
+])
+def test_verify_criteria_input_errors(capsys, criteria, message):
+    code, out = run(capsys, "verify", "--criteria", criteria)
+    assert code == 2
+    assert json.loads(out) == {"error": "ParameterError", "message": message}
+
+
+P1 = '{"family": "poisson", "rate": 1}'
+
+
+def test_tolerance_env_is_applied_and_flags_override_it(capsys, monkeypatch):
+    # the geometric support is cut where the tail drops below tail_eps
+    code, out = run(capsys, "construct", "--spec", GEO)
+    default_len = len(json.loads(out)["probs"])
+    monkeypatch.setenv("THINPOWER_TOLERANCES", '{"tail_eps": 1e-10}')
+    code, out = run(capsys, "construct", "--spec", GEO)
+    assert code == 0
+    assert len(json.loads(out)["probs"]) < default_len
+    code, out = run(capsys, "construct", "--spec", GEO, "--tail-eps", "1e-14")
+    assert code == 0
+    assert len(json.loads(out)["probs"]) == default_len
+
+
+@pytest.mark.parametrize("env, message", [
+    ("[1]", "THINPOWER_TOLERANCES needs a JSON object"),
+    ('{"tol_foo": 1}', "unknown tolerance 'tol_foo'"),
+    ('{"tol_norm": "x"}', "tol_norm must be a number, got 'x'"),
+    ("{bad", "invalid THINPOWER_TOLERANCES"),
+])
+def test_tolerance_env_input_errors(capsys, monkeypatch, env, message):
+    monkeypatch.setenv("THINPOWER_TOLERANCES", env)
+    code, out = run(capsys, "construct", "--spec", P1)
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"] == "ParameterError"
+    assert doc["message"].startswith(message)
+
+
+@pytest.mark.parametrize("spec, message", [
+    ('{"family": "poisson"}', "family 'poisson' misses parameter 'rate'"),
+    ('{"family": "binomial", "n": "x", "p": 0.5}',
+     "family 'binomial' parameter 'n' has invalid value 'x'"),
+    ('{"family": "bernoulli", "p": "a"}',
+     "family 'bernoulli' parameter 'p' has invalid value 'a'"),
+    ('{"family": "bernoulli_sum", "ps": 3}',
+     "family 'bernoulli_sum' parameter 'ps' has invalid value 3"),
+])
+@pytest.mark.parametrize("command", ["construct", "entropy", "hessian"])
+def test_family_spec_input_errors(capsys, command, spec, message):
+    argv = {"construct": ["construct", "--spec", spec],
+            "entropy": ["entropy", "--pmf", spec],
+            "hessian": ["hessian", "--specs", f"[{spec}, {BE5}]",
+                        "--alphas", "0.5,0.5"]}[command]
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert json.loads(out) == {"error": "ParameterError", "message": message}
+
+
+@pytest.mark.parametrize("argv", [
+    ["thin", "--alpha", "0.5"],
+    ["unthin", "--alpha", "0.5"],
+    ["entropy"],
+    ["vpower"],
+    ["path", "--grid", "5"],
+] + [["functional", "--name", name] for name in ("L", "Lambda", "D", "U")],
+    ids=lambda argv: "-".join(argv[::2]))
+def test_single_pmf_commands_reject_extra_pmf(capsys, argv):
+    code, out = run(capsys, *argv, "--pmf", P1)
+    assert code == 0
+    code, out = run(capsys, *argv, "--pmf", P1, "--pmf", P1)
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "ParameterError",
+        "message": f"{argv[0]} needs exactly 1 --pmf input"}

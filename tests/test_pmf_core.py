@@ -166,9 +166,49 @@ def test_family_spec_json_round_trip():
         assert again == spec
 
 
+def test_family_spec_json_aliases():
+    assert FamilySpec.from_json({"family": "poisson", "lam": 2.5}) \
+        == FamilySpec.poisson(2.5)
+    assert FamilySpec.from_json({"family": "poisson", "rate": 1.0,
+                                 "lam": 5.0}) == FamilySpec.poisson(1.0)
+    assert FamilySpec.from_json({"family": "mixture", "probs": [1, 1]}) \
+        == FamilySpec.raw([1.0, 1.0])
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"family": "poisson"}, "family 'poisson' misses parameter 'rate'"),
+    ({"family": "binomial", "p": 0.5}, "family 'binomial' misses parameter 'n'"),
+    ({"family": "binomial", "n": "x", "p": 0.5},
+     "family 'binomial' parameter 'n' has invalid value 'x'"),
+    ({"family": "bernoulli", "p": "a"},
+     "family 'bernoulli' parameter 'p' has invalid value 'a'"),
+    ({"family": "bernoulli_sum", "ps": 3},
+     "family 'bernoulli_sum' parameter 'ps' has invalid value 3"),
+    ({"family": "raw", "probs": "11"},
+     "family 'raw' parameter 'probs' has invalid value '11'"),
+    ({"family": "delta", "k": None},
+     "family 'delta' parameter 'k' has invalid value None"),
+    ({"family": ["poisson"]}, "unknown family ['poisson']"),
+])
+def test_family_spec_json_errors(doc, message):
+    with pytest.raises(ParameterError) as info:
+        FamilySpec.from_json(doc)
+    assert str(info.value) == message
+
+
 def test_tolerance_config_requires_positive_entries():
     with pytest.raises(ParameterError):
         ToleranceConfig(tol_norm=0.0)
+    with pytest.raises(ParameterError, match="tol_root must be a number"):
+        ToleranceConfig(tol_root="x")
+
+
+def test_tolerance_config_from_overrides():
+    cfg = ToleranceConfig.from_overrides({"tail_eps": 1e-12, "fd_step": 1e-3})
+    assert cfg == ToleranceConfig(tail_eps=1e-12, fd_step=1e-3)
+    assert ToleranceConfig.from_overrides({}) == ToleranceConfig()
+    with pytest.raises(ParameterError, match="unknown tolerance 'tol_foo'"):
+        ToleranceConfig.from_overrides({"tol_foo": 1.0})
 
 
 def test_pmf_is_immutable():
