@@ -5,9 +5,8 @@ from .entropy_functionals import (EntropyValue, entropy, entropy_power,
                                   l_functional, lambda_functional,
                                   poisson_entropy, poisson_entropy_derivative,
                                   rel_entropy_poisson, u_functional)
-from .errors import (CapacityError, ConsistencyError, DomainError,
-                     NotThinnableError, NumericError, ParameterError,
-                     PreconditionError)
+from .errors import (ConsistencyError, DomainError, NotThinnableError,
+                     NumericError, ParameterError, PreconditionError)
 from .inequality_suite import (InequalityVerdict, SearchReport,
                                check_conjecture_tepi,
                                check_conjecture_v_superadd, check_dsub,
@@ -22,7 +21,7 @@ from .semigroup import (PathReport, default_t_grid, entropy_preserving_path,
 from .transforms import convolve, inverse_thin, thin
 
 __all__ = [
-    "CapacityError", "ConsistencyError", "DEFAULT_TOLERANCES", "DomainError",
+    "ConsistencyError", "DEFAULT_TOLERANCES", "DomainError",
     "EntropyValue", "FamilySpec", "FinitePmf", "InequalityVerdict",
     "NotThinnableError", "NumericError", "ParameterError", "PathReport",
     "PreconditionError", "SearchReport", "ToleranceConfig",

@@ -24,9 +24,8 @@ from .entropy_functionals import (entropy, entropy_power, l_functional,
                                   lambda_functional, poisson_entropy,
                                   poisson_entropy_derivative,
                                   rel_entropy_poisson, u_functional)
-from .errors import (CapacityError, ConsistencyError, DomainError,
-                     NotThinnableError, NumericError, ParameterError,
-                     PreconditionError)
+from .errors import (ConsistencyError, DomainError, NotThinnableError,
+                     NumericError, ParameterError, PreconditionError)
 from .inequality_suite import STATEMENTS, search
 from .jsonio import (dumps_canonical, load_json_argument, load_pmf,
                      pmf_from_doc, pmf_to_json)
@@ -35,7 +34,7 @@ from .semigroup import default_t_grid, entropy_preserving_path
 from .transforms import convolve, inverse_thin, thin
 
 INPUT_ERRORS = (ParameterError, DomainError, PreconditionError,
-                NotThinnableError, CapacityError)
+                NotThinnableError)
 
 TOLERANCE_ENV = "THINPOWER_TOLERANCES"
 
@@ -86,14 +85,13 @@ def _render_table(obj, indent=""):
 
 
 def _emit(payload, args) -> None:
-    if getattr(args, "format", "json") == "table":
+    if args.format == "table":
         text = "\n".join(_render_table(
             json.loads(dumps_canonical(payload)))) + "\n"
     else:
         text = dumps_canonical(payload) + "\n"
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
@@ -221,7 +219,7 @@ def _cmd_hessian(args, cfg):
         raise ParameterError("hessian --specs needs a JSON array")
     pmfs = [pmf_from_doc(doc, cfg) for doc in docs]
     alphas = _parse_numbers(args.alphas, "--alphas")
-    analytic = hes.hessian_analytic(pmfs, alphas, cfg, args.cell_budget)
+    analytic = hes.hessian_analytic(pmfs, alphas, cfg)
     payload = {"alphas": alphas, "hessian": analytic.tolist()}
     if args.fd_check:
         numeric = hes.hessian_fd(pmfs, alphas, cfg, step=args.fd_step or 1e-4)
@@ -252,20 +250,27 @@ def _cmd_verify(args, cfg):
     return payload, 0 if all(res.passed for res in results) else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # shared flags are accepted both before and after the subcommand
-    common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
-    common.add_argument("--format", choices=("json", "table"), default="json",
-                        help="output format (default json, canonical)")
-    common.add_argument("--out", help="write output to this file instead of stdout")
+def _shared_flags(default=None) -> argparse.ArgumentParser:
+    flags = argparse.ArgumentParser(add_help=False, allow_abbrev=False,
+                                    argument_default=default)
+    flags.add_argument("--format", choices=("json", "table"),
+                       help="output format (default json, canonical)")
+    flags.add_argument("--out", help="write output to this file instead of stdout")
     for name, hint in TOLERANCE_FLAGS:
-        common.add_argument(f"--{name.replace('_', '-')}", dest=name,
-                            type=float, default=None, help=hint)
+        flags.add_argument(f"--{name.replace('_', '-')}", dest=name,
+                           type=float, help=hint)
+    return flags
 
+
+def build_parser() -> argparse.ArgumentParser:
+    # shared flags are accepted both before and after the subcommand; the
+    # subcommand's copies default to SUPPRESS so an absent flag leaves the
+    # value given before the subcommand in place
+    common = _shared_flags(argparse.SUPPRESS)
     parser = argparse.ArgumentParser(
         prog="thinpower",
         allow_abbrev=False,
-        parents=[common],
+        parents=[_shared_flags()],
         description="Thinning, Poisson entropy power, and inequality checks "
                     "for finite discrete distributions.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -334,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON array of family specs or pmf documents")
     p.add_argument("--alphas", required=True)
     p.add_argument("--fd-check", action="store_true")
-    p.add_argument("--cell-budget", type=int, default=hes.DEFAULT_CELL_BUDGET)
 
     p = add_parser("splitting", _cmd_splitting, help="positive splitting witness")
     p.add_argument("--l", type=int, required=True,

@@ -26,10 +26,6 @@ class NotThinnableError(ValueError):
         super().__init__(message)
 
 
-class CapacityError(RuntimeError):
-    """A dense computation would exceed the configured cell budget."""
-
-
 class NumericError(RuntimeError):
     """A numeric routine failed to converge; carries diagnostics."""
 

@@ -1,7 +1,7 @@
 """Hessian machinery behind entropy monotonicity: the cross-entropy
-surface Phi over thinning parameters, its analytic Hessian on a dense joint
-table, the positive splitting certificate, and the negativity of the
-interpolation quadratic form."""
+surface Phi over thinning parameters, its analytic Hessian over the
+distribution of the thinned total, the positive splitting certificate, and
+the negativity of the interpolation quadratic form."""
 
 from __future__ import annotations
 
@@ -11,32 +11,15 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import (CapacityError, ConsistencyError, ParameterError,
-                     PreconditionError)
+from .errors import ConsistencyError, ParameterError, PreconditionError
 from .entropy_functionals import lambda_functional
 from .inequality_verdict import make_verdict
 from .pmf_core import DEFAULT_TOLERANCES, ToleranceConfig, is_ulc, mean
 from .transforms import leave_one_out, thin, thinned_sum
 
-DEFAULT_CELL_BUDGET = 10_000_000
-
 # relative tolerance of the splitting identities re-verified in
 # positive_splitting
 SPLITTING_IDENTITY_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class JointTable:
-    """Dense joint pmf of independently thinned variables.
-
-    values[x_1, ..., x_m] = prod_i P(T_(alpha_i) X_i = x_i);  `means` holds
-    the means of the unthinned inputs (the thinned means are alpha_i*means_i).
-    """
-
-    values: np.ndarray
-    dims: tuple
-    alphas: tuple
-    means: tuple
 
 
 @dataclass(frozen=True)
@@ -60,32 +43,6 @@ class SplittingWitness:
                 "lambdas": self.lambdas.tolist()}
 
 
-def build_joint(xs, alphas, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-                cell_budget: int = DEFAULT_CELL_BUDGET) -> JointTable:
-    """Product table of the thinned inputs, within a dense cell budget."""
-    alphas = np.asarray(alphas, dtype=float)
-    if len(xs) != alphas.size or len(xs) < 2:
-        raise ParameterError("need n+1 >= 2 pmfs with one alpha each")
-    if np.any(alphas <= 0.0) or np.any(alphas > 1.0):
-        raise ParameterError("every alpha_i must lie in (0, 1]")
-    thinned = [thin(p, float(a), cfg) for p, a in zip(xs, alphas)]
-    dims = tuple(len(t) for t in thinned)
-    cells = math.prod(dims)
-    if cells > cell_budget:
-        raise CapacityError(
-            f"joint table needs {cells} cells, over the budget {cell_budget}")
-    values = reduce(np.multiply.outer, (t.probs for t in thinned))
-    return JointTable(values=values, dims=dims,
-                      alphas=tuple(float(a) for a in alphas),
-                      means=tuple(mean(p) for p in xs))
-
-
-def sum_distribution(table: JointTable) -> np.ndarray:
-    """Pmf of x_1 + ... + x_m read off the joint table."""
-    total = np.sum(np.indices(table.dims), axis=0)
-    return np.bincount(total.ravel(), weights=table.values.ravel())
-
-
 def phi(xs, alphas, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
     """Cross-entropy functional of the thinned sum, via direct convolution."""
     alphas = np.asarray(alphas, dtype=float)
@@ -94,37 +51,48 @@ def phi(xs, alphas, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
     return lambda_functional(thinned_sum(xs, alphas, cfg), cfg)
 
 
-def hessian_analytic(xs, alphas, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-                     cell_budget: int = DEFAULT_CELL_BUDGET) -> np.ndarray:
+def hessian_analytic(xs, alphas,
+                     cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
     """Analytic Hessian of phi in the thinning parameters.
 
-    The log-factorial part sums Pr(x) * c_ij(x) * log(s/(s-1)) over the
-    joint table, with s the tuple total, c_ii = x_i(x_i - 1)/alpha_i^2 and
-    c_ij = x_i x_j/(alpha_i alpha_j) off the diagonal.  Every tuple with a
-    zero coefficient is skipped, so the log factor is only taken at s >= 2.
+    The log-factorial part sums Pr(x) * c_ij(x) * g(s) over the independent
+    thinned inputs x = (x_1, ..., x_m), with s = x_1 + ... + x_m,
+    g(s) = log(s/(s-1)), c_ii = x_i(x_i - 1)/alpha_i^2 and
+    c_ij = x_i x_j/(alpha_i alpha_j) off the diagonal.  The coefficient
+    factorises over the inputs, so each entry is g against one convolution:
+    x_i P_i and x_j P_j (or x_i(x_i - 1) P_i) with every other thinned pmf.
+    Those weights vanish wherever c_ij does, so g is only needed at s >= 2.
     The remaining part is the exact rank-one term -lambda_i lambda_j / sum_k
     alpha_k lambda_k from the mean functional.
     """
     alphas = np.asarray(alphas, dtype=float)
     if np.any(alphas >= 1.0):
         raise ParameterError("hessian needs every alpha_i in (0, 1)")
-    table = build_joint(xs, alphas, cfg, cell_budget)
-    m = len(table.dims)
-    grids = np.indices(table.dims)
-    total = grids.sum(axis=0)
-    ratio = np.zeros(table.dims)
-    big = total >= 2
-    ratio[big] = np.log(total[big] / (total[big] - 1.0))
-    base = table.values * ratio
+    if len(xs) != alphas.size or len(xs) < 2:
+        raise ParameterError("need n+1 >= 2 pmfs with one alpha each")
+    if np.any(alphas <= 0.0):
+        raise ParameterError("every alpha_i must lie in (0, 1]")
+    probs = [thin(p, float(a), cfg).probs for p, a in zip(xs, alphas)]
+    m = len(probs)
+    total = np.arange(sum(q.size - 1 for q in probs) + 1)
+    ratio = np.zeros(total.size)
+    ratio[2:] = np.log(total[2:] / (total[2:] - 1.0))
+
+    def entry(i, j):
+        xi = np.arange(probs[i].size)
+        if i == j:
+            weighted = [xi * (xi - 1) * probs[i]]
+        else:
+            weighted = [xi * probs[i], np.arange(probs[j].size) * probs[j]]
+        rest = [q for k, q in enumerate(probs) if k not in (i, j)]
+        return (float(reduce(np.convolve, weighted + rest) @ ratio)
+                / (alphas[i] * alphas[j]))
 
     hess = np.empty((m, m))
     for i in range(m):
-        gi = grids[i]
-        hess[i, i] = float(np.sum(base * gi * (gi - 1))) / alphas[i] ** 2
-        for j in range(i):
-            cross = float(np.sum(base * gi * grids[j])) / (alphas[i] * alphas[j])
-            hess[i, j] = hess[j, i] = cross
-    lam = np.asarray(table.means)
+        for j in range(i + 1):
+            hess[i, j] = hess[j, i] = entry(i, j)
+    lam = np.array([mean(p) for p in xs])
     hess -= np.outer(lam, lam) / float(np.dot(alphas, lam))
     return hess
 
@@ -271,8 +239,7 @@ def lambda_monotonicity_sides(xs, alphas,
 
 
 def check_quadratic_form(xs, alphas, leave_out: int, t_grid,
-                         cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-                         cell_budget: int = DEFAULT_CELL_BUDGET):
+                         cfg: ToleranceConfig = DEFAULT_TOLERANCES):
     """Verdicts for mu_l' Phi''(A_l(t)) mu_l <= 0 over a grid of t.
 
     Appends one extra verdict evaluating the Lambda monotonicity inequality
@@ -292,7 +259,7 @@ def check_quadratic_form(xs, alphas, leave_out: int, t_grid,
     verdicts = []
     for t in t_grid:
         beta, mu = interpolation_point(alphas, leave_out, float(t))
-        hess = hessian_analytic(xs, beta, cfg, cell_budget)
+        hess = hessian_analytic(xs, beta, cfg)
         quad = float(mu @ hess @ mu)
         verdicts.append(make_verdict(
             "suff-quadratic-form", lhs=quad, rhs=0.0, margin=-quad, cfg=cfg,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -61,7 +62,12 @@ class FinitePmf:
     __slots__ = ("probs",)
 
     def __init__(self, probs, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
-        arr = np.array(probs, dtype=float)
+        try:
+            arr = np.array(probs, dtype=float)
+        except (TypeError, ValueError):
+            raise ParameterError(
+                f"pmf entries must be numbers, got {_first_non_number(probs)}"
+            ) from None
         if arr.ndim != 1 or arr.size == 0:
             raise ParameterError("pmf requires a 1-D vector of length >= 1")
         if not np.all(np.isfinite(arr)):
@@ -87,6 +93,17 @@ class FinitePmf:
     def __repr__(self) -> str:
         body = np.array2string(self.probs, max_line_width=72, threshold=8)
         return f"FinitePmf({body})"
+
+
+def _first_non_number(probs) -> str:
+    """Name the first entry of ``probs`` that is not a number, briefly."""
+    if isinstance(probs, (list, tuple)):
+        for i, v in enumerate(probs):
+            try:
+                float(v)
+            except (TypeError, ValueError):
+                return f"entry {i} = {reprlib.repr(v)}"
+    return reprlib.repr(probs)
 
 
 def _float_tuple(values) -> tuple:
@@ -247,7 +264,8 @@ def construct(spec: FamilySpec, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Fi
         # tail beyond k is (1-succ)^(k+1); cut it below tail_eps
         top = max(1, int(math.ceil(math.log(cfg.tail_eps) / math.log1p(-succ))))
         k = np.arange(top + 1)
-        return FinitePmf(np.exp(math.log(succ) + k * math.log1p(-succ)), cfg)
+        block = np.exp(math.log(succ) + k * math.log1p(-succ))
+        return FinitePmf(block / math.fsum(block), cfg)
     if fam == "raw":
         arr = np.asarray(spec.probs, dtype=float)
         if arr.ndim != 1 or arr.size == 0:

@@ -182,6 +182,24 @@ def test_tolerance_override_flag(capsys):
     assert len(json.loads(out)["probs"]) == short  # support rule dominates here
 
 
+@pytest.mark.parametrize("flags, argv, expected", [
+    (["--format", "table"], ["entropy", "--pmf", '{"probs": [0.5, 0.5]}'],
+     "0.6931471805599453\n"),
+    (["--tail-eps", "1e-10"],
+     ["construct", "--spec", '{"family": "geometric", "mean": 1}'], None),
+])
+def test_shared_flags_work_before_and_after_the_subcommand(
+        capsys, flags, argv, expected):
+    before = run(capsys, *flags, *argv)
+    after = run(capsys, argv[0], *flags, *argv[1:])
+    assert before == after
+    if expected is None:
+        assert len(json.loads(after[1])["probs"]) == 35
+        assert len(json.loads(run(capsys, *argv)[1])["probs"]) == 48
+    else:
+        assert after[1] == expected
+
+
 B32 = '{"family": "binomial", "n": 3, "p": 0.2}'
 B27 = '{"family": "binomial", "n": 2, "p": 0.7}'
 BE5 = '{"family": "bernoulli", "p": 0.5}'
@@ -341,6 +359,19 @@ def test_family_spec_input_errors(capsys, command, spec, message):
     code, out = run(capsys, *argv)
     assert code == 2
     assert json.loads(out) == {"error": "ParameterError", "message": message}
+
+
+@pytest.mark.parametrize("doc", ['{"probs": ["a"]}', '{"probs": [[0.5], [0.5, 0]]}'])
+@pytest.mark.parametrize("command", ["entropy", "hessian"])
+def test_pmf_document_input_errors(capsys, command, doc):
+    argv = {"entropy": ["entropy", "--pmf", doc],
+            "hessian": ["hessian", "--specs", f"[{doc}, {BE5}]",
+                        "--alphas", "0.5,0.5"]}[command]
+    code, out = run(capsys, *argv)
+    assert code == 2
+    error = json.loads(out)
+    assert error["error"] == "ParameterError"
+    assert error["message"].startswith("pmf entries must be numbers")
 
 
 @pytest.mark.parametrize("argv", [

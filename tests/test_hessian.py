@@ -1,56 +1,49 @@
-"""Joint tables, the analytic Hessian against finite differences, positive
-splitting witnesses, and the interpolation quadratic form."""
+"""The analytic Hessian against a dense joint-table sum and finite
+differences, positive splitting witnesses, and the interpolation quadratic
+form."""
 
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from thinpower import (CapacityError, FamilySpec, ParameterError,
-                       PreconditionError, construct, check_dsub, check_hmon,
-                       convolve, lambda_functional, thin)
+from thinpower import (FamilySpec, ParameterError, PreconditionError,
+                       construct, check_dsub, check_hmon, lambda_functional,
+                       mean, thin)
 from thinpower import hessian as apb
 from thinpower.numerics import log_factorials
+from thinpower.transforms import thinned_sum
 
 bern = lambda p: construct(FamilySpec.bernoulli(p))
 poi = lambda r: construct(FamilySpec.poisson(r))
 binom = lambda n, p: construct(FamilySpec.binomial(n, p))
 
-
-def test_joint_table_of_two_certain_trials():
-    table = apb.build_joint([bern(1.0), bern(1.0)], [0.5, 0.5])
-    assert table.dims == (2, 2)
-    assert np.allclose(table.values, 0.25, atol=1e-15)
-    assert table.means == (1.0, 1.0)
+ulc_inputs = st.lists(st.floats(0.05, 0.95), min_size=1, max_size=3).map(
+    lambda ps: construct(FamilySpec.bernoulli_sum(*ps)))
 
 
-def test_joint_marginals_match_thinning():
-    xs = [binom(3, 0.4), construct(FamilySpec.bernoulli_sum(0.3, 0.8))]
-    alphas = [0.6, 0.45]
-    table = apb.build_joint(xs, alphas)
-    for axis, (x, a) in enumerate(zip(xs, alphas)):
-        marginal = table.values.sum(axis=1 - axis)
-        expected = thin(x, a).probs
-        assert np.max(np.abs(marginal[:len(expected)] - expected)) < 1e-13
-
-
-def test_joint_sum_distribution_matches_convolution():
-    xs = [binom(2, 0.5), bern(0.3), bern(0.8)]
-    alphas = [0.5, 0.7, 0.9]
-    table = apb.build_joint(xs, alphas)
-    direct = apb.sum_distribution(table)
-    folded = thin(xs[0], alphas[0])
-    for x, a in zip(xs[1:], alphas[1:]):
-        folded = convolve(folded, thin(x, a))
-    width = max(len(direct), len(folded))
-    a_pad = np.zeros(width); a_pad[:len(direct)] = direct
-    b_pad = np.zeros(width); b_pad[:len(folded)] = folded.probs
-    assert 0.5 * np.abs(a_pad - b_pad).sum() < 1e-13
-
-
-def test_joint_table_budget():
-    with pytest.raises(CapacityError):
-        apb.build_joint([poi(5.0)] * 4, [0.5] * 4, cell_budget=1000)
+def dense_hessian(xs, alphas):
+    """The Hessian formula summed over the dense product table of the
+    thinned inputs: an independent reference for hessian_analytic."""
+    alphas = np.asarray(alphas, dtype=float)
+    values = reduce(np.multiply.outer,
+                    [thin(p, float(a)).probs for p, a in zip(xs, alphas)])
+    grids = np.indices(values.shape)
+    total = grids.sum(axis=0)
+    ratio = np.zeros(values.shape)
+    big = total >= 2
+    ratio[big] = np.log(total[big] / (total[big] - 1.0))
+    base = values * ratio
+    m = len(xs)
+    hess = np.empty((m, m))
+    for i in range(m):
+        for j in range(m):
+            coeff = grids[i] * (grids[j] - (i == j))
+            hess[i, j] = np.sum(base * coeff) / (alphas[i] * alphas[j])
+    lam = np.array([mean(p) for p in xs])
+    return hess - np.outer(lam, lam) / float(np.dot(alphas, lam))
 
 
 def test_phi_on_poisson_inputs_is_poisson_entropy():
@@ -61,10 +54,8 @@ def test_phi_on_poisson_inputs_is_poisson_entropy():
 def test_phi_decomposition_identity():
     xs = [binom(2, 0.6), bern(0.4)]
     alphas = [0.45, 0.8]
-    table = apb.build_joint(xs, alphas)
-    q = apb.sum_distribution(table)
-    s = np.arange(q.size)
-    rate = math.fsum(a * m for a, m in zip(alphas, table.means))
+    q = thinned_sum(xs, alphas).probs
+    rate = math.fsum(a * mean(x) for a, x in zip(alphas, xs))
     theta = rate - rate * math.log(rate)
     split = math.fsum(q * log_factorials(q.size - 1)) + theta
     assert split == pytest.approx(apb.phi(xs, alphas), abs=1e-12)
@@ -96,6 +87,29 @@ def test_hessian_matches_finite_differences_three_variables():
     alphas = [0.25, 0.35, 0.4]
     analytic = apb.hessian_analytic(xs, alphas)
     numeric = apb.hessian_fd(xs, alphas, step=1e-4)
+    assert np.all(np.abs(analytic - numeric) <= 1e-5 * np.abs(analytic) + 1e-8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda m: st.tuples(
+    st.lists(ulc_inputs, min_size=m, max_size=m),
+    st.lists(st.floats(0.05, 0.95), min_size=m, max_size=m))))
+def test_hessian_matches_the_dense_joint_table(case):
+    xs, alphas = case
+    hess = apb.hessian_analytic(xs, alphas)
+    reference = dense_hessian(xs, alphas)
+    scale = np.max(np.abs(reference))
+    assert np.max(np.abs(hess - hess.T)) <= 1e-13 * scale
+    assert np.max(np.abs(hess - reference)) <= 1e-13 * scale
+
+
+def test_hessian_of_four_wide_poissons_matches_finite_differences():
+    # the product table of these inputs would hold over 1.2e7 cells
+    xs = [poi(5.0)] * 4
+    alphas = [0.25] * 4
+    analytic = apb.hessian_analytic(xs, alphas)
+    numeric = apb.hessian_fd(xs, alphas, step=1e-4)
+    assert np.all(np.isfinite(analytic))
     assert np.all(np.abs(analytic - numeric) <= 1e-5 * np.abs(analytic) + 1e-8)
 
 

@@ -126,6 +126,22 @@ def test_geometric_family_mean_and_shape():
     assert g.probs[1] / g.probs[0] == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("tail_eps", [1e-4, 1e-2])
+def test_truncated_geometric_is_renormalised(tail_eps):
+    # the omitted tail (about tail_eps) is above tol_norm, so only the
+    # renormalisation of the retained block keeps it a pmf
+    g = construct(FamilySpec.geometric(1.0), ToleranceConfig(tail_eps=tail_eps))
+    assert math.fsum(g.probs) == pytest.approx(1.0, abs=1e-15)
+    assert g.probs[1] / g.probs[0] == pytest.approx(0.5, abs=1e-12)
+
+
+def test_non_numeric_entry_is_named_not_echoed():
+    probs = [1e-3] * 5000 + ["x"]
+    with pytest.raises(ParameterError) as err:
+        FinitePmf(probs)
+    assert str(err.value) == "pmf entries must be numbers, got entry 5000 = 'x'"
+
+
 def test_constructor_clamps_subtolerance_noise():
     p = FinitePmf([0.5, 0.5 + 1e-12, -1e-12])
     assert p.probs.min() >= 0.0

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -63,6 +64,25 @@ def test_thin_wide_support_in_blocks(cold_log_factorials, width):
 
 def test_thin_wide_poisson_stays_poisson(cold_log_factorials):
     assert total_variation(thin(poi(3000.0), 0.5), poi(1500.0)) <= 1e-10
+
+
+def test_thin_uniform_5000_against_mpmath():
+    # P(k) = sum_(n >= k) C(n, k) / 2^n / 5000, summed at 30 digits through
+    # the term ratio (n+1) / (2 (n+1-k)); entry 4999 underflows to 0 and is
+    # trimmed with the other trailing zeros
+    width = 5000
+    out = np.zeros(width)
+    thinned = thin(FinitePmf(np.full(width, 1.0 / width)), 0.5).probs
+    out[:thinned.size] = thinned
+    with mpmath.workdps(30):
+        for k in (0, 1250, 2500, 3700, 4999):
+            term = mpmath.mpf(2) ** -k
+            total = term
+            for n in range(k, width - 1):
+                term *= mpmath.mpf(n + 1) / (2 * (n + 1 - k))
+                total += term
+            expected = float(total / width)
+            assert abs(out[k] - expected) <= 1e-10 * expected
 
 
 def test_thin_rejects_bad_alpha():
