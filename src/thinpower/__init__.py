@@ -5,8 +5,9 @@ from .entropy_functionals import (EntropyValue, entropy, entropy_power,
                                   l_functional, lambda_functional,
                                   poisson_entropy, poisson_entropy_derivative,
                                   rel_entropy_poisson, u_functional)
-from .errors import (ConsistencyError, DomainError, NotThinnableError,
-                     NumericError, ParameterError, PreconditionError)
+from .errors import (ConsistencyError, DomainError, IllConditionedError,
+                     NotThinnableError, NumericError, ParameterError,
+                     PreconditionError)
 from .inequality_suite import (InequalityVerdict, SearchReport,
                                check_conjecture_tepi,
                                check_conjecture_v_superadd, check_dsub,
@@ -21,8 +22,8 @@ from .semigroup import (PathReport, default_t_grid, entropy_preserving_path,
 from .transforms import convolve, inverse_thin, thin
 
 __all__ = [
-    "ConsistencyError", "DEFAULT_TOLERANCES", "DomainError",
-    "EntropyValue", "FamilySpec", "FinitePmf", "InequalityVerdict",
+    "ConsistencyError", "DEFAULT_TOLERANCES", "DomainError", "EntropyValue",
+    "FamilySpec", "FinitePmf", "IllConditionedError", "InequalityVerdict",
     "NotThinnableError", "NumericError", "ParameterError", "PathReport",
     "PreconditionError", "SearchReport", "ToleranceConfig",
     "check_conjecture_tepi", "check_conjecture_v_superadd", "check_dsub",

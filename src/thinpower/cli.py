@@ -24,8 +24,9 @@ from .entropy_functionals import (entropy, entropy_power, l_functional,
                                   lambda_functional, poisson_entropy,
                                   poisson_entropy_derivative,
                                   rel_entropy_poisson, u_functional)
-from .errors import (ConsistencyError, DomainError, NotThinnableError,
-                     NumericError, ParameterError, PreconditionError)
+from .errors import (ConsistencyError, DomainError, IllConditionedError,
+                     NotThinnableError, NumericError, ParameterError,
+                     PreconditionError)
 from .inequality_suite import STATEMENTS, search
 from .jsonio import (dumps_canonical, load_json_argument, load_pmf,
                      pmf_from_doc, pmf_to_json)
@@ -34,7 +35,7 @@ from .semigroup import default_t_grid, entropy_preserving_path
 from .transforms import convolve, inverse_thin, thin
 
 INPUT_ERRORS = (ParameterError, DomainError, PreconditionError,
-                NotThinnableError)
+                NotThinnableError, IllConditionedError)
 
 TOLERANCE_ENV = "THINPOWER_TOLERANCES"
 
@@ -286,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     for cmd, handler, blurb in (
             ("thin", _cmd_thin, "binomially thin a pmf"),
-            ("unthin", _cmd_unthin, "invert thinning; exit 2 if impossible")):
+            ("unthin", _cmd_unthin, "invert thinning; exit 2 if not "
+             "thinnable or too ill-conditioned to decide")):
         p = add_parser(cmd, handler, help=blurb)
         p.add_argument("--pmf", action="append", required=True)
         p.add_argument("--alpha", type=float, required=True)

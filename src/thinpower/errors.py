@@ -16,14 +16,23 @@ class PreconditionError(ValueError):
 class NotThinnableError(ValueError):
     """Inverting the thinning map produced an invalid mass function."""
 
-    def __init__(self, alpha, index, value, message=None):
+    def __init__(self, alpha, index, value):
         self.alpha = alpha
         self.index = index
         self.value = value
-        if message is None:
-            message = ("not %g-thinnable: solved mass at index %d is %.6e"
-                       % (alpha, index, value))
-        super().__init__(message)
+        super().__init__("not %g-thinnable: solved mass at index %d is %.6e"
+                         % (alpha, index, value))
+
+
+class IllConditionedError(ValueError):
+    """Inverse thinning's rounding-error bound exceeds tol_norm, so double
+    precision cannot decide the preimage (see transforms.inverse_thin)."""
+
+    def __init__(self, alpha, kappa, bound):
+        self.alpha, self.kappa, self.bound = alpha, kappa, bound
+        super().__init__(f"inverse thinning at alpha = {alpha:g} is "
+                         f"ill-conditioned: kappa = {kappa:.3e}, error "
+                         f"bound {bound:.3e} > tol_norm")
 
 
 class NumericError(RuntimeError):

@@ -45,9 +45,6 @@ class SplittingWitness:
 
 def phi(xs, alphas, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
     """Cross-entropy functional of the thinned sum, via direct convolution."""
-    alphas = np.asarray(alphas, dtype=float)
-    if np.any(alphas < 0.0) or np.any(alphas > 1.0):
-        raise ParameterError("every alpha_i must lie in [0, 1]")
     return lambda_functional(thinned_sum(xs, alphas, cfg), cfg)
 
 
@@ -63,15 +60,14 @@ def hessian_analytic(xs, alphas,
     x_i P_i and x_j P_j (or x_i(x_i - 1) P_i) with every other thinned pmf.
     Those weights vanish wherever c_ij does, so g is only needed at s >= 2.
     The remaining part is the exact rank-one term -lambda_i lambda_j / sum_k
-    alpha_k lambda_k from the mean functional.
+    alpha_k lambda_k from the mean functional, skipped (0/0) when every mean
+    is 0, where phi and its Hessian vanish.
     """
     alphas = np.asarray(alphas, dtype=float)
-    if np.any(alphas >= 1.0):
+    if not np.all((0.0 < alphas) & (alphas < 1.0)):
         raise ParameterError("hessian needs every alpha_i in (0, 1)")
     if len(xs) != alphas.size or len(xs) < 2:
         raise ParameterError("need n+1 >= 2 pmfs with one alpha each")
-    if np.any(alphas <= 0.0):
-        raise ParameterError("every alpha_i must lie in (0, 1]")
     probs = [thin(p, float(a), cfg).probs for p, a in zip(xs, alphas)]
     m = len(probs)
     total = np.arange(sum(q.size - 1 for q in probs) + 1)
@@ -93,7 +89,8 @@ def hessian_analytic(xs, alphas,
         for j in range(i + 1):
             hess[i, j] = hess[j, i] = entry(i, j)
     lam = np.array([mean(p) for p in xs])
-    hess -= np.outer(lam, lam) / float(np.dot(alphas, lam))
+    if np.any(lam):
+        hess -= np.outer(lam, lam) / float(np.dot(alphas, lam))
     return hess
 
 

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DomainError, NotThinnableError, ParameterError,
-                     PreconditionError)
+from .errors import (DomainError, IllConditionedError, NotThinnableError,
+                     ParameterError, PreconditionError)
 from .entropy_functionals import entropy, entropy_power, rel_entropy_poisson
 from .inequality_verdict import InequalityVerdict, make_verdict, ulc_note
 from .pmf_core import (DEFAULT_TOLERANCES, FamilySpec, FinitePmf,
@@ -24,8 +24,8 @@ from .transforms import (convolve, inverse_thin, leave_one_out, thin,
 # alpha values used by the grid-sweeping searches
 ALPHA_GRID = tuple(np.linspace(0.1, 0.9, 9))
 
-# step of the feasible-alpha scan in check_epilike
-EPILIKE_GRID_STEP = 1e-3
+# coarse alpha scan of check_epilike: k/64, exact in binary like 1 - alpha
+EPILIKE_SCAN = tuple(k / 64.0 for k in range(1, 64))
 
 
 @dataclass(frozen=True)
@@ -88,10 +88,26 @@ def check_rtepi(x: FinitePmf, alpha: float,
                         units="poisson-rate", note=note)
 
 
-def _entropy_of_preimages(x, y, alpha, cfg):
-    xs = inverse_thin(x, alpha, cfg)
-    ys = inverse_thin(y, 1.0 - alpha, cfg)
-    return entropy(xs).nats, entropy(ys).nats
+def _bisect(gap, a0, d0, a1, tol):
+    """A zero of gap in [a0, a1], where it changes sign; d0 = gap(a0)."""
+    while a1 - a0 > tol:
+        am = 0.5 * (a0 + a1)
+        a0, a1 = (am, a1) if (gap(am) > 0.0) == (d0 > 0.0) else (a0, am)
+    return 0.5 * (a0 + a1)
+
+
+def _golden_min(gap, lo, hi, tol):
+    """(|gap(a)|, a) at the least |gap| golden section on [lo, hi] meets."""
+    c = lo + 0.5 * (3.0 - math.sqrt(5.0)) * (hi - lo)
+    fc = abs(gap(c))
+    while hi - lo > tol:
+        d = lo + hi - c  # the mirror keeps both points at golden ratios
+        fd = abs(gap(d))
+        if fd < fc:
+            lo, hi, c, fc = (c, hi, d, fd) if d > c else (lo, c, d, fd)
+        else:
+            lo, hi = (d, hi) if c > d else (lo, d)
+    return fc, c
 
 
 def check_epilike(x: FinitePmf, y: FinitePmf,
@@ -99,74 +115,53 @@ def check_epilike(x: FinitePmf, y: FinitePmf,
                   allow_non_ulc: bool = False) -> InequalityVerdict:
     """H(X + Y) >= H(X*) where X = T_a X*, Y = T_(1-a) Y*, H(X*) = H(Y*).
 
-    The feasible alpha set (both preimages exist) is scanned on a coarse
-    grid; the entropy-matching alpha is then located by bisection on the
-    difference H(X*_a) - H(Y*_a) inside a bracketing grid cell, preferring
-    the cell nearest the heuristic alpha = V(X)/(V(X)+V(Y)).  When no
-    feasible decomposition exists the check raises DomainError.
+    The gap H(X*_a) - H(Y*_a) is scanned over EPILIKE_SCAN where both
+    preimages exist and are certified (see inverse_thin); each set is an
+    interval.  A sign change between neighbours is refined by bisection, a
+    local minimum of |gap| without one (a tangent zero) by golden section,
+    kept if |gap| <= tol_ineq there.  The zero nearest the heuristic
+    alpha = V(X)/(V(X)+V(Y)) is used; with none, DomainError is raised.
     """
     note = ulc_note(cfg, allow_non_ulc, x, y)
     v_x, v_y = entropy_power(x, cfg), entropy_power(y, cfg)
     heuristic = v_x / (v_x + v_y) if v_x + v_y > 0.0 else 0.5
 
-    grid = np.arange(EPILIKE_GRID_STEP, 1.0, EPILIKE_GRID_STEP)
-    feasible = []
-    for a in grid:
+    def gap(a):
+        return (entropy(inverse_thin(x, a, cfg)).nats
+                - entropy(inverse_thin(y, 1.0 - a, cfg)).nats)
+
+    scan = []
+    for a in EPILIKE_SCAN:
         try:
-            hx, hy = _entropy_of_preimages(x, y, float(a), cfg)
-        except NotThinnableError:
+            scan.append((a, gap(a)))
+        except (NotThinnableError, IllConditionedError):
             continue
-        feasible.append((float(a), hx - hy))
-    if not feasible:
+    if not scan:
+        raise DomainError("no admissible (X*, Y*) decomposition: no alpha "
+                          "makes both preimages valid, certified pmfs")
+    zeros, ends = [], scan[:1] + scan + scan[-1:]
+    # floats near alpha = 1 are 1.1e-16 apart; finer brackets never shrink
+    tol = max(cfg.tol_root, 1e-12)
+    for (a_lo, d_lo), (a, d), (a_hi, d_hi) in zip(ends, scan, ends[2:]):
+        if d * d_hi < 0.0:
+            zeros.append(_bisect(gap, a, d, a_hi, tol))
+        elif d * d_lo >= 0.0 and abs(d) <= min(abs(d_lo), abs(d_hi)):
+            size, best = min(_golden_min(gap, a_lo, a_hi, tol), (abs(d), a))
+            if size <= cfg.tol_ineq:
+                zeros.append(best)
+    if not zeros:
         raise DomainError("no admissible (X*, Y*) decomposition: "
-                          "no alpha makes both preimages valid pmfs")
+                          "preimage entropies never meet on the feasible set")
+    alpha = min(zeros, key=lambda a: abs(a - heuristic))
 
-    exact = min(feasible, key=lambda ad: abs(ad[1]))
-    brackets = []
-    for (a0, d0), (a1, d1) in zip(feasible, feasible[1:]):
-        if a1 - a0 <= 2.5 * EPILIKE_GRID_STEP and d0 * d1 < 0.0:
-            brackets.append((a0, d0, a1, d1))
-    if not brackets:
-        # no strict sign change; accept a grid point that already matches
-        if abs(exact[1]) <= cfg.tol_ineq:
-            alpha = exact[0]
-        else:
-            raise DomainError("no admissible (X*, Y*) decomposition: "
-                              "preimage entropies never cross on the feasible set")
-    else:
-        a0, d0, a1, d1 = min(
-            brackets, key=lambda br: abs(0.5 * (br[0] + br[2]) - heuristic))
-        while a1 - a0 > cfg.tol_root:
-            am = 0.5 * (a0 + a1)
-            try:
-                hx, hy = _entropy_of_preimages(x, y, am, cfg)
-            except NotThinnableError:
-                # feasibility is an interval in exact arithmetic, so a ragged
-                # midpoint only happens at the numeric edge; stop here
-                break
-            dm = hx - hy
-            if dm == 0.0:
-                a0 = a1 = am
-                break
-            if (dm > 0.0) == (d0 > 0.0):
-                a0, d0 = am, dm
-            else:
-                a1, d1 = am, dm
-        alpha = 0.5 * (a0 + a1)
-        if abs(exact[1]) == 0.0 and abs(exact[0] - heuristic) <= abs(alpha - heuristic):
-            alpha = exact[0]
-
-    x_star = inverse_thin(x, alpha, cfg)
-    y_star = inverse_thin(y, 1.0 - alpha, cfg)
+    h_xstar = entropy(inverse_thin(x, alpha, cfg)).nats
+    h_ystar = entropy(inverse_thin(y, 1.0 - alpha, cfg)).nats
     lhs = entropy(convolve(x, y, cfg)).nats
-    rhs = entropy(x_star).nats
-    return make_verdict(
-        "epilike", lhs, rhs, lhs - rhs, cfg,
-        inputs={"alpha": alpha, "alpha_heuristic": heuristic,
-                "h_xstar": entropy(x_star).nats,
-                "h_ystar": entropy(y_star).nats,
-                "x": _echo(x), "y": _echo(y)},
-        units="nats", note=note)
+    return make_verdict("epilike", lhs, h_xstar, lhs - h_xstar, cfg,
+                        inputs={"alpha": alpha, "alpha_heuristic": heuristic,
+                                "h_xstar": h_xstar, "h_ystar": h_ystar,
+                                "x": _echo(x), "y": _echo(y)},
+                        units="nats", note=note)
 
 
 def check_hmon(xs, alphas, cfg: ToleranceConfig = DEFAULT_TOLERANCES,

@@ -23,11 +23,13 @@ def log_factorials(n: int) -> np.ndarray:
 
 
 def binomial_rows(ns: np.ndarray, alpha: float, width: int) -> np.ndarray:
-    """Rows of the thinning kernel: row r holds P(Binomial(ns[r], alpha) = k).
+    """Rows of the thinning kernel: row r holds C(n, k) alpha^k (1-alpha)^(n-k)
+    for n = ns[r] over columns k = 0..width-1 (zero for k > n).
 
-    Requires 0 < alpha < 1.  Columns run over k = 0..width-1; entries with
-    k > n are zero.  Each row is renormalised to sum to exactly 1, which keeps
-    total mass and means of thinned pmfs stable to ~1e-15 even for n ~ 2000.
+    Requires alpha > 0 and alpha != 1.  For alpha < 1 each row is renormalised
+    to sum to exactly 1, which keeps total mass and means of thinned pmfs
+    stable to ~1e-15 even for n ~ 2000.  For alpha > 1 (inverse thinning)
+    the rows, signed (-1)^(n-k) by 1 - alpha < 0, are not renormalised.
     """
     # rows stop at n but columns run to width-1, which can exceed ns.max()
     lf = log_factorials(max(int(ns.max()), width - 1))
@@ -35,11 +37,13 @@ def binomial_rows(ns: np.ndarray, alpha: float, width: int) -> np.ndarray:
     nk = ns[:, None] - k[None, :]
     valid = nk >= 0
     nk = np.where(valid, nk, 0)
+    log_rest = math.log1p(-alpha) if alpha < 1.0 else math.log(alpha - 1.0)
     logw = (lf[ns][:, None] - lf[k][None, :] - lf[nk]
-            + k[None, :] * math.log(alpha) + nk * math.log1p(-alpha))
+            + k[None, :] * math.log(alpha) + nk * log_rest)
     w = np.where(valid, np.exp(logw), 0.0)
-    w /= w.sum(axis=1, keepdims=True)
-    return w
+    if alpha > 1.0:
+        return np.where(nk % 2 == 1, -w, w)
+    return w / w.sum(axis=1, keepdims=True)
 
 
 def poisson_log_terms(rate: float, n_top: int):

@@ -8,7 +8,8 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import NotThinnableError, ParameterError, PreconditionError
+from .errors import (IllConditionedError, NotThinnableError, ParameterError,
+                     PreconditionError)
 from .numerics import binomial_rows
 from .pmf_core import DEFAULT_TOLERANCES, FinitePmf, ToleranceConfig
 
@@ -80,40 +81,30 @@ def inverse_thin(x: FinitePmf, alpha: float,
                  cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> FinitePmf:
     """The pmf x* with thin(x*, alpha) = x, when one exists on len(x) points.
 
-    Thinning cannot raise the top support point, so the defining linear
-    system is upper triangular and is solved by back-substitution from the
-    top index down.  A solved entry below -tol_norm (or a non-finite one)
-    means no valid preimage exists and raises NotThinnableError.
+    T_a T_b = T_ab, so x* is x thinned by 1/alpha: a signed kernel whose
+    absolute terms sum to kappa = G_x(2/alpha - 1).  Relative errors delta
+    in x and in the kernel move x* by at most delta*kappa in L1 (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 3-4).  Three enter,
+    each about N*eps for N = len(x): the rounding of x (an N-term thinning
+    sum), the log-gamma kernel entries and the N-term dot product; c*u =
+    4*N*eps leaves one more N*eps for the log-gamma errors' growth with N.
+    A bound c*u*kappa above tol_norm raises IllConditionedError before any
+    kernel is built; otherwise an entry below -tol_norm raises
+    NotThinnableError.
     """
     if not 0.0 < alpha <= 1.0:
         raise ParameterError(f"inverse thinning needs alpha in (0, 1], got {alpha!r}")
-    if alpha == 1.0:
-        return x
     width = len(x)
-    if width == 1:
+    if alpha == 1.0 or width == 1:
         return x
-    kernel = binomial_rows(np.arange(width), alpha, width)
-    solved = np.zeros(width)
-    for n in range(width - 1, -1, -1):
-        diag = kernel[n, n]
-        if diag == 0.0:
-            raise NotThinnableError(
-                alpha, n, 0.0,
-                f"kernel diagonal underflow at index {n}; "
-                f"alpha^{n} is below double precision")
-        value = (x.probs[n] - solved[n + 1:] @ kernel[n + 1:, n]) / diag
-        if not np.isfinite(value):
-            raise NotThinnableError(
-                alpha, n, value,
-                f"not {alpha:g}-thinnable: back-substitution diverged "
-                f"at index {n}")
-        if value < -cfg.tol_norm:
-            raise NotThinnableError(alpha, n, float(value))
-        solved[n] = value
+    t = 2.0 / alpha - 1.0
+    kappa = reduce(lambda acc, p: acc * t + p, reversed(x.probs.tolist()))
+    bound = 4.0 * width * np.finfo(float).eps * kappa
+    if bound > cfg.tol_norm:
+        raise IllConditionedError(alpha, kappa, bound)
+    solved = x.probs @ binomial_rows(np.arange(width), 1.0 / alpha, width)
     try:
         return FinitePmf(solved, cfg)
-    except ParameterError as exc:
-        raise NotThinnableError(
-            alpha, -1, float(solved.sum()),
-            f"not {alpha:g}-thinnable: solved vector fails pmf invariants "
-            f"({exc})") from None
+    except ParameterError:
+        worst = int(np.argmin(solved))
+        raise NotThinnableError(alpha, worst, float(solved[worst])) from None

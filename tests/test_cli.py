@@ -55,6 +55,12 @@ def test_unthin_success_and_failure_exit_codes(capsys):
     assert code == 2
     doc = json.loads(out)
     assert doc["error"] == "NotThinnableError"
+    # binomial(64, 0.25) = T_0.5 binomial(64, 0.5), but kappa = 1.5^64
+    code, out = run(capsys, "unthin", "--pmf",
+                    '{"family": "binomial", "n": 64, "p": 0.25}',
+                    "--alpha", "0.5")
+    assert code == 2
+    assert json.loads(out)["error"] == "IllConditionedError"
 
 
 def test_vpower_matches_poisson_rate(capsys):
@@ -148,6 +154,16 @@ def test_hessian_command_with_fd_check(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["max_abs_gap"] < 1e-5
+
+
+def test_hessian_command_with_zero_mean_inputs(capsys):
+    delta = '{"family": "delta", "k": 0}'
+    code, out = run(capsys, "hessian", "--specs", f"[{delta}, {delta}]",
+                    "--alphas", "0.5,0.5", "--fd-check")
+    assert code == 0
+    assert "NaN" not in out
+    doc = json.loads(out)
+    assert doc["hessian"] == doc["fd_hessian"] == [[0, 0], [0, 0]]
 
 
 def test_splitting_command(capsys):

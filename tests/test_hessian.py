@@ -113,6 +113,20 @@ def test_hessian_of_four_wide_poissons_matches_finite_differences():
     assert np.all(np.abs(analytic - numeric) <= 1e-5 * np.abs(analytic) + 1e-8)
 
 
+def test_hessian_of_zero_mean_inputs_is_zero():
+    # every thinned sum is 0, so phi and both Hessians vanish identically
+    xs = [construct(FamilySpec.delta(0))] * 2
+    analytic = apb.hessian_analytic(xs, [0.5, 0.5])
+    assert np.array_equal(analytic, apb.hessian_fd(xs, [0.5, 0.5]))
+    assert np.array_equal(analytic, np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("alphas", [[0.0, 0.5], [0.5, 1.0], [-0.1, 0.5]])
+def test_hessian_needs_alphas_strictly_inside_the_unit_interval(alphas):
+    with pytest.raises(ParameterError, match=r"in \(0, 1\)"):
+        apb.hessian_analytic([bern(0.5), bern(0.5)], alphas)
+
+
 def test_poisson_quadratic_form_never_positive():
     rng = np.random.default_rng(31)
     xs = [poi(0.3), poi(0.5)]

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from thinpower import (DomainError, FamilySpec, ParameterError,
-                       PreconditionError, check_conjecture_tepi,
+                       PreconditionError, ToleranceConfig,
+                       check_conjecture_tepi,
                        check_conjecture_v_superadd, check_discepilike,
                        check_dsub, check_epilike, check_hmon, check_rtepi,
                        check_teci, check_tepis, construct, convolve, entropy,
@@ -65,12 +66,24 @@ class TestEpilike:
         assert v.inputs["alpha_heuristic"] == pytest.approx(0.4, abs=1e-6)
         assert abs(v.margin) < 1e-8
 
-    def test_binomial_pair_gives_merged_parameter_bound(self):
-        v = check_epilike(binom(4, 0.2), binom(4, 0.3))
-        assert v.inputs["alpha"] == pytest.approx(0.4, abs=1e-3)
-        merged = entropy(binom(4, 0.5)).nats
+    # Bin(n, p) = T_a Bin(n, p/a): the merged root a = p/(p+q) makes both
+    # preimages Bin(n, 1/2), a tangent zero of H(X*) - H(Y*) where both
+    # entropies peak; a mirrored crossing sits elsewhere for each pair
+    @pytest.mark.parametrize("n, p, q", [(4, 0.2, 0.3), (2, 0.2, 0.3),
+                                         (4, 0.1, 0.4)])
+    def test_binomial_pair_gives_merged_parameter_bound(self, n, p, q):
+        v = check_epilike(binom(n, p), binom(n, q))
+        assert v.inputs["alpha"] == pytest.approx(p / (p + q), abs=1e-3)
+        merged = entropy(binom(n, 0.5)).nats
         assert v.rhs == pytest.approx(merged, abs=1e-6)
         assert v.holds
+
+    def test_tiny_root_tolerance_still_terminates(self):
+        # alpha brackets stop shrinking near 1e-16, so a tol_root below
+        # that must not keep the refinement loops running
+        cfg = ToleranceConfig(tol_root=1e-300)
+        v = check_epilike(binom(2, 0.2), binom(2, 0.3), cfg)
+        assert v.inputs["alpha"] == pytest.approx(0.4, abs=1e-3)
 
     def test_symmetric_three_point_pair_has_no_decomposition(self):
         with pytest.raises(DomainError):

@@ -5,9 +5,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thinpower import numerics
-from thinpower import (FamilySpec, FinitePmf, NotThinnableError,
+from thinpower import (DEFAULT_TOLERANCES, FamilySpec, FinitePmf,
+                       IllConditionedError, NotThinnableError,
                        ParameterError, PreconditionError, construct, convolve,
                        inverse_thin, is_ulc, mean, random_ulc, thin,
                        total_variation)
@@ -187,6 +189,71 @@ def test_inverse_thin_round_trip_random_ulc():
         except NotThinnableError:
             continue
         assert total_variation(thin(star, alpha), x) < 1e-10
+
+
+def pgf_at_inverse_point(x, alpha):
+    """kappa = G_x(2/alpha - 1), summed in log space so no term overflows."""
+    n = np.flatnonzero(x.probs)
+    logs = np.log(x.probs[n]) + n * math.log(2.0 / alpha - 1.0)
+    top = float(np.max(logs))
+    try:
+        return math.exp(top) * math.fsum(np.exp(logs - top))
+    except OverflowError:
+        return math.inf
+
+
+def roundtrip_bound(x, alpha):
+    """The documented L1 error bound of inverse_thin(x, alpha)."""
+    return 4.0 * len(x) * np.finfo(float).eps * pgf_at_inverse_point(x, alpha)
+
+
+@settings(max_examples=80)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 150),
+       st.floats(0.0, 40.0), st.floats(0.01, 0.999))
+def test_inverse_thin_round_trip_within_its_bound(seed, bernoullis, rate, alpha):
+    # ULC inputs of up to a few hundred points: a Bernoulli sum times a
+    # Poisson factor
+    vec = np.array([1.0])
+    for p in np.random.default_rng(seed).uniform(0.05, 0.95, bernoullis):
+        vec = np.convolve(vec, [1.0 - p, p])
+    x = convolve(FinitePmf(vec), poi(rate)) if rate > 0.0 else FinitePmf(vec)
+    y = thin(x, alpha)
+    try:
+        back = inverse_thin(y, alpha)
+    except IllConditionedError as exc:
+        assert exc.bound > DEFAULT_TOLERANCES.tol_norm
+        assert exc.kappa == pytest.approx(pgf_at_inverse_point(y, alpha),
+                                          rel=1e-9)
+        return
+    assert 2.0 * total_variation(back, x) <= roundtrip_bound(y, alpha)
+
+
+def test_inverse_thin_overflowing_condition_number():
+    # 2/alpha - 1 overflows to inf; the top entry is positive, so kappa is
+    # inf rather than 0 * inf = nan
+    with pytest.raises(IllConditionedError) as info:
+        inverse_thin(bern(0.5), 1e-310)
+    assert info.value.kappa == math.inf
+
+
+@pytest.mark.parametrize("spec, alpha", [
+    (FamilySpec.binomial(128, 0.5), 0.5),
+    (FamilySpec.binomial(600, 0.5), 0.9),
+    (FamilySpec.poisson(160.0), 0.9),
+    (FamilySpec.binomial(64, 0.5), 0.5),
+])
+def test_inverse_thin_refuses_ill_conditioned_round_trips(spec, alpha):
+    # each input is a thinned pmf, so its preimage exists, but kappa is
+    # too large for double precision to decide its entries' signs
+    y = thin(construct(spec), alpha)
+    with pytest.raises(IllConditionedError) as info:
+        inverse_thin(y, alpha)
+    assert info.value.alpha == alpha
+    assert info.value.kappa == pytest.approx(pgf_at_inverse_point(y, alpha),
+                                             rel=1e-9)
+    assert info.value.bound == pytest.approx(roundtrip_bound(y, alpha),
+                                             rel=1e-9)
+    assert info.value.bound > DEFAULT_TOLERANCES.tol_norm
 
 
 def test_thinned_sum_matches_thin_then_convolve():
