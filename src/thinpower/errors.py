@@ -25,14 +25,14 @@ class NotThinnableError(ValueError):
 
 
 class IllConditionedError(ValueError):
-    """Inverse thinning's rounding-error bound exceeds tol_norm, so double
+    """Inverse thinning's rounding-error estimate exceeds tol_norm, so double
     precision cannot decide the preimage (see transforms.inverse_thin)."""
 
     def __init__(self, alpha, kappa, bound):
         self.alpha, self.kappa, self.bound = alpha, kappa, bound
         super().__init__(f"inverse thinning at alpha = {alpha:g} is "
                          f"ill-conditioned: kappa = {kappa:.3e}, error "
-                         f"bound {bound:.3e} > tol_norm")
+                         f"estimate {bound:.3e} > tol_norm")
 
 
 class NumericError(RuntimeError):

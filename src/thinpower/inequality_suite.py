@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,8 +24,8 @@ from .transforms import (convolve, inverse_thin, leave_one_out, thin,
 # alpha values used by the grid-sweeping searches
 ALPHA_GRID = tuple(np.linspace(0.1, 0.9, 9))
 
-# coarse alpha scan of check_epilike: k/64, exact in binary like 1 - alpha
-EPILIKE_SCAN = tuple(k / 64.0 for k in range(1, 64))
+# check_epilike scans its feasible alpha window at this many equal steps
+EPILIKE_SCAN = 64
 
 
 @dataclass(frozen=True)
@@ -39,13 +39,7 @@ class SearchReport:
     seed: int
 
     def to_json(self) -> dict:
-        return {
-            "conjecture": self.conjecture,
-            "trials": self.trials,
-            "violations": self.violations,
-            "tightest_margin": self.tightest_margin,
-            "seed": self.seed,
-        }
+        return dict(vars(self))
 
 
 def _check_alpha(alpha: float) -> None:
@@ -88,6 +82,20 @@ def check_rtepi(x: FinitePmf, alpha: float,
                         units="poisson-rate", note=note)
 
 
+def _edge(preimage, good, bad, tol):
+    """(a, err): a within tol of the end of the interval where preimage
+    succeeds (it does at good), err what it raised just past a."""
+    err = None
+    while abs(good - bad) > tol:
+        mid = 0.5 * (good + bad)
+        try:
+            preimage(mid)
+            good = mid
+        except (NotThinnableError, IllConditionedError) as exc:
+            bad, err = mid, exc
+    return good, err
+
+
 def _bisect(gap, a0, d0, a1, tol):
     """A zero of gap in [a0, a1], where it changes sign; d0 = gap(a0)."""
     while a1 - a0 > tol:
@@ -115,33 +123,34 @@ def check_epilike(x: FinitePmf, y: FinitePmf,
                   allow_non_ulc: bool = False) -> InequalityVerdict:
     """H(X + Y) >= H(X*) where X = T_a X*, Y = T_(1-a) Y*, H(X*) = H(Y*).
 
-    The gap H(X*_a) - H(Y*_a) is scanned over EPILIKE_SCAN where both
-    preimages exist and are certified (see inverse_thin); each set is an
-    interval.  A sign change between neighbours is refined by bisection, a
-    local minimum of |gap| without one (a tangent zero) by golden section,
-    kept if |gap| <= tol_ineq there.  The zero nearest the heuristic
-    alpha = V(X)/(V(X)+V(Y)) is used; with none, DomainError is raised.
+    X*_a exists and is certified (see inverse_thin) for a in [lo, 1], Y*_a
+    for a in [0, hi]; bisection finds lo and hi.  H(X*_a) - H(Y*_a) is
+    scanned at EPILIKE_SCAN equal steps over [lo, hi].  Sign changes are
+    bisected; a local minimum of |gap| without one (a tangent zero) is
+    refined by golden section and kept if |gap| <= tol_ineq.  The zero
+    nearest the heuristic alpha = V(X)/(V(X)+V(Y)) is used.  With none:
+    IllConditionedError if a zero may hide where a preimage is
+    ill-conditioned, else DomainError.
     """
     note = ulc_note(cfg, allow_non_ulc, x, y)
     v_x, v_y = entropy_power(x, cfg), entropy_power(y, cfg)
     heuristic = v_x / (v_x + v_y) if v_x + v_y > 0.0 else 0.5
 
-    def gap(a):
-        return (entropy(inverse_thin(x, a, cfg)).nats
-                - entropy(inverse_thin(y, 1.0 - a, cfg)).nats)
+    # a preimage whose negative mass sits at tol_norm passes or fails by
+    # rounding, so points inside [lo, hi] get twice the slack
+    inner = replace(cfg, tol_norm=2.0 * cfg.tol_norm)
 
-    scan = []
-    for a in EPILIKE_SCAN:
-        try:
-            scan.append((a, gap(a)))
-        except (NotThinnableError, IllConditionedError):
-            continue
-    if not scan:
-        raise DomainError("no admissible (X*, Y*) decomposition: no alpha "
-                          "makes both preimages valid, certified pmfs")
-    zeros, ends = [], scan[:1] + scan + scan[-1:]
+    def gap(a):
+        return (entropy(inverse_thin(x, a, inner)).nats
+                - entropy(inverse_thin(y, 1.0 - a, inner)).nats)
+
     # floats near alpha = 1 are 1.1e-16 apart; finer brackets never shrink
     tol = max(cfg.tol_root, 1e-12)
+    lo, err_x = _edge(lambda a: inverse_thin(x, a, cfg), 1.0, 0.0, tol)
+    hi, err_y = _edge(lambda a: inverse_thin(y, 1.0 - a, cfg), 0.0, 1.0, tol)
+    scan = ([(a, gap(a)) for a in np.linspace(lo, hi, EPILIKE_SCAN + 1).tolist()]
+            if lo <= hi else [])
+    zeros, ends = [], scan[:1] + scan + scan[-1:]
     for (a_lo, d_lo), (a, d), (a_hi, d_hi) in zip(ends, scan, ends[2:]):
         if d * d_hi < 0.0:
             zeros.append(_bisect(gap, a, d, a_hi, tol))
@@ -150,12 +159,17 @@ def check_epilike(x: FinitePmf, y: FinitePmf,
             if size <= cfg.tol_ineq:
                 zeros.append(best)
     if not zeros:
-        raise DomainError("no admissible (X*, Y*) decomposition: "
-                          "preimage entropies never meet on the feasible set")
+        # a not-thinnable end rules out every alpha beyond it; beyond an
+        # ill-conditioned end, alphas the other does not rule out stay open
+        ill_x, ill_y = (isinstance(e, IllConditionedError) for e in (err_x, err_y))
+        if ill_x and (hi > 0.0 or ill_y) or ill_y and lo < 1.0:
+            raise err_x if ill_x else err_y
+        raise DomainError("no admissible (X*, Y*) decomposition: " + (
+            "preimage entropies never meet" if scan
+            else "no alpha makes both preimages valid pmfs"))
     alpha = min(zeros, key=lambda a: abs(a - heuristic))
-
-    h_xstar = entropy(inverse_thin(x, alpha, cfg)).nats
-    h_ystar = entropy(inverse_thin(y, 1.0 - alpha, cfg)).nats
+    h_xstar = entropy(inverse_thin(x, alpha, inner)).nats
+    h_ystar = entropy(inverse_thin(y, 1.0 - alpha, inner)).nats
     lhs = entropy(convolve(x, y, cfg)).nats
     return make_verdict("epilike", lhs, h_xstar, lhs - h_xstar, cfg,
                         inputs={"alpha": alpha, "alpha_heuristic": heuristic,

@@ -31,16 +31,7 @@ class InequalityVerdict:
     note: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "holds": self.holds,
-            "inputs": self.inputs,
-            "units": self.units,
-            "note": self.note,
-        }
+        return dict(vars(self))
 
 
 def make_verdict(name: str, lhs: float, rhs: float, margin: float,

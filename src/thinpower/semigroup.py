@@ -36,15 +36,7 @@ class PathReport:
     v_target: float
 
     def to_json(self) -> dict:
-        return {
-            "t_grid": self.t_grid.tolist(),
-            "f_vals": self.f_vals.tolist(),
-            "r_vals": self.r_vals.tolist(),
-            "h_vals": self.h_vals.tolist(),
-            "u_vals": self.u_vals.tolist(),
-            "f0_extrapolated": self.f0_extrapolated,
-            "v_target": self.v_target,
-        }
+        return {k: np.asarray(v).tolist() for k, v in vars(self).items()}
 
 
 def default_t_grid(points: int = 40) -> np.ndarray:

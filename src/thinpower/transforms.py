@@ -10,9 +10,10 @@ import numpy as np
 
 from .errors import (IllConditionedError, NotThinnableError, ParameterError,
                      PreconditionError)
-from .numerics import binomial_rows
+from .numerics import binomial_rows, log_factorials
 from .pmf_core import DEFAULT_TOLERANCES, FinitePmf, ToleranceConfig
 
+U = 0.5 * np.finfo(float).eps  # unit roundoff
 # cap on rows held at once while applying the thinning kernel
 _BLOCK_CELLS = 8_000_000
 
@@ -82,13 +83,15 @@ def inverse_thin(x: FinitePmf, alpha: float,
     """The pmf x* with thin(x*, alpha) = x, when one exists on len(x) points.
 
     T_a T_b = T_ab, so x* is x thinned by 1/alpha: a signed kernel whose
-    absolute terms sum to kappa = G_x(2/alpha - 1).  Relative errors delta
-    in x and in the kernel move x* by at most delta*kappa in L1 (Higham,
-    Accuracy and Stability of Numerical Algorithms, ch. 3-4).  Three enter,
-    each about N*eps for N = len(x): the rounding of x (an N-term thinning
-    sum), the log-gamma kernel entries and the N-term dot product; c*u =
-    4*N*eps leaves one more N*eps for the log-gamma errors' growth with N.
-    A bound c*u*kappa above tol_norm raises IllConditionedError before any
+    absolute terms sum to kappa = G_x(2/alpha - 1), so relative errors
+    delta in x and the kernel move x* by at most delta*kappa in L1 (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 3-4).  In units of
+    u = eps/2, with N = len(x) and lf[m] = log(m!): the log-factorials in
+    each entry's exponent and its first subtraction err by up to 3*lf[N-1]
+    (gammaln is accurate to about u, lf[k] + lf[n-k] <= lf[n]); rounding x
+    and the N-term dot product add 2N; the exponent's log terms, later sums
+    and exp about 6N for alpha >= 0.1.  The first-order estimate u*(8N +
+    3*lf[N-1])*kappa above tol_norm raises IllConditionedError before any
     kernel is built; otherwise an entry below -tol_norm raises
     NotThinnableError.
     """
@@ -99,7 +102,7 @@ def inverse_thin(x: FinitePmf, alpha: float,
         return x
     t = 2.0 / alpha - 1.0
     kappa = reduce(lambda acc, p: acc * t + p, reversed(x.probs.tolist()))
-    bound = 4.0 * width * np.finfo(float).eps * kappa
+    bound = U * (8.0 * width + 3.0 * log_factorials(width - 1)[-1]) * kappa
     if bound > cfg.tol_norm:
         raise IllConditionedError(alpha, kappa, bound)
     solved = x.probs @ binomial_rows(np.arange(width), 1.0 / alpha, width)

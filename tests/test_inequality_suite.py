@@ -5,13 +5,13 @@ import re
 import numpy as np
 import pytest
 
-from thinpower import (DomainError, FamilySpec, ParameterError,
-                       PreconditionError, ToleranceConfig,
+from thinpower import (DomainError, FamilySpec, IllConditionedError,
+                       ParameterError, PreconditionError, ToleranceConfig,
                        check_conjecture_tepi,
                        check_conjecture_v_superadd, check_discepilike,
                        check_dsub, check_epilike, check_hmon, check_rtepi,
                        check_teci, check_tepis, construct, convolve, entropy,
-                       entropy_power, is_ulc, random_ulc, search)
+                       entropy_power, is_ulc, random_ulc, search, thin)
 from thinpower.inequality_suite import tepis_ratio_condition
 from thinpower.jsonio import dumps_canonical
 
@@ -67,14 +67,16 @@ class TestEpilike:
         assert abs(v.margin) < 1e-8
 
     # Bin(n, p) = T_a Bin(n, p/a): the merged root a = p/(p+q) makes both
-    # preimages Bin(n, 1/2), a tangent zero of H(X*) - H(Y*) where both
-    # entropies peak; a mirrored crossing sits elsewhere for each pair
+    # preimages Bin(n, p+q).  For p + q = 1/2 it is a tangent zero of
+    # H(X*) - H(Y*) where both entropies peak, and a mirrored crossing sits
+    # elsewhere.  Bin(4,.49)/Bin(4,.505) has both preimages only for alpha
+    # in [0.49, 0.495], a window narrower than 1/64.
     @pytest.mark.parametrize("n, p, q", [(4, 0.2, 0.3), (2, 0.2, 0.3),
-                                         (4, 0.1, 0.4)])
+                                         (4, 0.1, 0.4), (4, 0.49, 0.505)])
     def test_binomial_pair_gives_merged_parameter_bound(self, n, p, q):
         v = check_epilike(binom(n, p), binom(n, q))
         assert v.inputs["alpha"] == pytest.approx(p / (p + q), abs=1e-3)
-        merged = entropy(binom(n, 0.5)).nats
+        merged = entropy(binom(n, p + q)).nats
         assert v.rhs == pytest.approx(merged, abs=1e-6)
         assert v.holds
 
@@ -88,6 +90,24 @@ class TestEpilike:
     def test_symmetric_three_point_pair_has_no_decomposition(self):
         with pytest.raises(DomainError):
             check_epilike(FAIL1, FAIL1)
+
+    def test_window_edge_rounding_does_not_refuse(self):
+        # X = T_a Z, Y = T_(1-a) Z: Y*'s negative mass reaches tol_norm at
+        # the window's upper end, and a refinement point just inside it
+        # rounds past tol_norm unless inner points get extra slack
+        z = convolve(construct(FamilySpec.bernoulli_sum(
+            0.5344060761936011, 0.5146398843808033, 0.5424897526728931)),
+            poi(1.1329111563573413))
+        a = 0.43177830162982067
+        v = check_epilike(thin(z, a), thin(z, 1.0 - a))
+        assert v.holds
+        assert abs(v.inputs["h_xstar"] - v.inputs["h_ystar"]) <= 1e-6
+
+    def test_undecidable_poisson_pair_is_ill_conditioned(self):
+        # Poisson(10) = T_a Poisson(10/a), but X* is certified only for
+        # alpha above about 0.69 and Y* only below about 0.31
+        with pytest.raises(IllConditionedError):
+            check_epilike(poi(10.0), poi(10.0))
 
 
 class TestHmon:
