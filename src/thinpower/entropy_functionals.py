@@ -9,8 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError, ParameterError
-from .numerics import log_factorials, poisson_log_terms, poisson_support_top
+from .errors import DomainError, ParameterError
+from .numerics import (log_factorials, poisson_log_terms, poisson_support_top,
+                       solve_increasing)
 from .pmf_core import DEFAULT_TOLERANCES, FinitePmf, ToleranceConfig, mean
 
 LN2 = math.log(2.0)
@@ -69,56 +70,15 @@ def poisson_entropy_derivative(t: float,
 def entropy_power(p: FinitePmf, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
     """The Poisson rate t whose entropy equals H(p).
 
-    The bracket starts at max(mean, 1) and doubles until it encloses the
-    target (a pmf need not satisfy V <= mean outside the ultra-log-concave
-    class).  Newton then steps on every iteration, falling back to bisection
-    only when a step leaves the bracket.  E is increasing and concave, so
-    Newton from a point left of the root rises monotonically to it, and a
-    step from the right lands left of it: the iteration starts from the
-    bottom of a grown bracket and otherwise from the top.  It stops once the
-    Newton step or the bracket is below cfg.tol_root * t, a bound relative
-    to t that holds for tiny rates too, and returns the evaluated point
-    nearest the target.  Each iteration takes E and E' from one evaluation
-    of the Poisson log pmf; a call typically needs 5 to 8 of them, and up to
-    about 40 for rates near 1e-12, whose first steps bisect down from the
-    bracket top at 1.
+    Solved by numerics.solve_increasing on the concave E from max(mean, 1)
+    to cfg.tol_root * t; E and E' share one Poisson log pmf per step.  It
+    takes 5 to 8 steps, and hundreds for entropies near 1e-100 (bisecting).
     """
     target = entropy(p).nats
     if target <= 0.0:
         return 0.0
-    lo, t = 0.0, max(mean(p), 1.0)
-    e, slope = _poisson_entropy_pair(t, cfg)
-    hi = t
-    while e < target:
-        # t is left of the root: it becomes the start once 2t encloses it
-        lo, hi = t, 2.0 * t
-        if hi > 1e15:
-            raise NumericError("entropy power bracket expansion diverged",
-                               {"target_nats": target})
-        e_hi, slope_hi = _poisson_entropy_pair(hi, cfg)
-        if e_hi >= target:
-            break
-        t, e, slope = hi, e_hi, slope_hi
-    best_t, best_err = t, math.inf
-    for _ in range(200):
-        err = e - target
-        if abs(err) < best_err:
-            best_t, best_err = t, abs(err)
-        if err >= 0.0:
-            hi = t
-        else:
-            lo = t
-        step = err / slope
-        if abs(step) <= cfg.tol_root * t or hi - lo <= cfg.tol_root * t:
-            break
-        t = t - step
-        if not lo < t < hi:
-            t = 0.5 * (lo + hi)
-        e, slope = _poisson_entropy_pair(t, cfg)
-    else:
-        raise NumericError("entropy power iteration did not converge",
-                           {"lo": lo, "hi": hi, "target_nats": target})
-    return best_t
+    return solve_increasing(lambda t: _poisson_entropy_pair(t, cfg), target,
+                            max(mean(p), 1.0), cfg.tol_root)
 
 
 def rel_entropy_poisson(p: FinitePmf,

@@ -1,4 +1,4 @@
-"""Low-level shared numerics: cached log-factorials and stable binomial rows.
+"""Shared numerics: log-factorials, binomial rows, support cuts, root solves.
 
 Everything here works in log space via scipy's gammaln so that supports of a
 few thousand points neither overflow nor lose more than ~1e-13 relative
@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 from scipy.special import gammaln
+
+from .errors import NumericError, ParameterError
 
 # _LOG_FACT[k] = log(k!), grown on demand and only ever read afterwards.
 _LOG_FACT = gammaln(np.arange(128) + 1.0)
@@ -58,13 +60,23 @@ def poisson_log_terms(rate: float, n_top: int):
     return z, logp
 
 
+def check_support(top: int, name: str, value) -> int:
+    """top, the last support point that `name` = `value` sets, if it fits."""
+    # callers allocate up to 2 top + 4 doubles; numpy refuses 2**63 bytes
+    if top >= 2 ** 58:
+        raise ParameterError(f"{name} = {value:g} needs {float(top) + 1:.3g} "
+                             "support points, more than one array can hold")
+    return top
+
+
 def poisson_support_top(rate: float, tail_eps: float) -> int:
     """Smallest support cut N with omitted upper-tail mass provably < tail_eps.
 
     Starts at rate + 10*sqrt(rate) + 30 and extends until the geometric-ratio
     tail bound pmf(N+1)/(1 - rate/(N+2)) drops below tail_eps.
     """
-    n = int(math.ceil(rate + 10.0 * math.sqrt(rate) + 30.0))
+    n = check_support(int(math.ceil(rate + 10.0 * math.sqrt(rate) + 30.0)),
+                      "Poisson rate t", rate)
     while True:
         lf = log_factorials(n + 1)
         log_tip = (n + 1) * math.log(rate) - rate - lf[n + 1]
@@ -72,3 +84,47 @@ def poisson_support_top(rate: float, tail_eps: float) -> int:
         if bound < tail_eps:
             return n
         n += max(10, int(math.sqrt(rate)))
+
+
+def solve_increasing(pair, target: float, t0: float, tol: float) -> float:
+    """The s > 0 with g(s) = target for an increasing g; pair(s) = (g(s), g'(s)).
+
+    The bracket [0, t0] doubles until it encloses the target; Newton then
+    steps, bisecting when a step leaves the bracket (for a concave g, Newton
+    from the left rises monotonically to the root).  It stops when the step
+    or the bracket is below tol * s, or when the bracket cannot shrink in
+    double precision, and returns the evaluated point whose g is nearest.
+    """
+    lo, t = 0.0, t0
+    g, slope = pair(t)
+    hi = t
+    while g < target:
+        # t is left of the root: it becomes the start once 2t encloses it
+        lo, hi = t, 2.0 * t
+        if not 0.0 < hi <= 1e15:
+            raise NumericError("root bracket cannot grow to the target",
+                               {"target": target, "hi": hi})
+        g_hi, slope_hi = pair(hi)
+        if g_hi >= target:
+            break
+        t, g, slope = hi, g_hi, slope_hi
+    best_t, best_err = t, math.inf
+    for _ in range(2250):   # twice the 1124 halvings from 1e15 to 5e-324
+        err = g - target
+        if abs(err) < best_err:
+            best_t, best_err = t, abs(err)
+        if err >= 0.0:
+            hi = t
+        else:
+            lo = t
+        step = err / slope
+        if abs(step) <= tol * t or hi - lo <= tol * t:
+            return best_t
+        t = t - step
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi)
+            if not lo < t < hi:
+                return best_t
+        g, slope = pair(t)
+    raise NumericError("root solve did not converge",
+                       {"lo": lo, "hi": hi, "target": target})

@@ -10,7 +10,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .numerics import log_factorials, poisson_log_terms, poisson_support_top
+from .numerics import (check_support, log_factorials, poisson_log_terms,
+                       poisson_support_top)
 
 
 @dataclass(frozen=True)
@@ -19,7 +20,9 @@ class ToleranceConfig:
 
     tol_norm   slack for pmf normalisation and sub-noise negative clamping
     tol_ineq   margin below which an inequality verdict stops holding
-    tol_root   convergence width for one-dimensional root solves
+    tol_root   root-solve width: relative for V and the path rates, which
+               stop where the bracket cannot shrink if tol_root is below
+               double resolution; absolute (>= 1e-12) for epilike alphas
     tail_eps   Poisson/geometric truncation tail mass
     fd_step    default finite-difference step
     """
@@ -224,7 +227,7 @@ def construct(spec: FamilySpec, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Fi
     if fam == "delta":
         if spec.k < 0:
             raise ParameterError("delta offset must be >= 0")
-        vec = np.zeros(spec.k + 1)
+        vec = np.zeros(check_support(spec.k, "delta offset k", spec.k) + 1)
         vec[spec.k] = 1.0
         return FinitePmf(vec, cfg)
     if fam == "bernoulli":
@@ -238,7 +241,7 @@ def construct(spec: FamilySpec, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Fi
             return construct(FamilySpec.delta(0), cfg)
         if spec.p == 1.0:
             return construct(FamilySpec.delta(spec.n), cfg)
-        lf = log_factorials(spec.n)
+        lf = log_factorials(check_support(spec.n, "binomial n", spec.n))
         k = np.arange(spec.n + 1)
         logw = (lf[spec.n] - lf[k] - lf[spec.n - k]
                 + k * math.log(spec.p) + (spec.n - k) * math.log1p(-spec.p))
@@ -263,7 +266,7 @@ def construct(spec: FamilySpec, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Fi
         succ = 1.0 / (1.0 + spec.mean)
         # tail beyond k is (1-succ)^(k+1); cut it below tail_eps
         top = max(1, int(math.ceil(math.log(cfg.tail_eps) / math.log1p(-succ))))
-        k = np.arange(top + 1)
+        k = np.arange(check_support(top, "geometric mean", spec.mean) + 1)
         block = np.exp(math.log(succ) + k * math.log1p(-succ))
         return FinitePmf(block / math.fsum(block), cfg)
     if fam == "raw":

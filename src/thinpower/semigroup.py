@@ -4,6 +4,7 @@ isoperimetric comparison it certifies."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,6 +13,7 @@ from .errors import DomainError, NumericError, ParameterError, PreconditionError
 from .entropy_functionals import (entropy, entropy_power, l_functional,
                                   poisson_entropy_derivative, u_functional)
 from .inequality_verdict import InequalityVerdict, make_verdict, ulc_note
+from .numerics import solve_increasing
 from .pmf_core import (DEFAULT_TOLERANCES, FamilySpec, FinitePmf,
                        ToleranceConfig, construct, is_ulc, mean)
 from .transforms import convolve, thin
@@ -53,10 +55,13 @@ def evolve(x: FinitePmf, t: float, f_val: float,
         raise ParameterError(f"evolution time {t!r} outside (0, 1]")
     if f_val < 0.0:
         raise ParameterError(f"added Poisson rate {f_val!r} must be >= 0")
-    thinned = thin(x, t, cfg)
-    if f_val == 0.0:
-        return thinned
-    return convolve(thinned, construct(FamilySpec.poisson(f_val), cfg), cfg)
+    return _add_poisson(thin(x, t, cfg), f_val, cfg)
+
+
+def _add_poisson(p: FinitePmf, rate: float, cfg: ToleranceConfig) -> FinitePmf:
+    if rate == 0.0:
+        return p
+    return convolve(p, construct(FamilySpec.poisson(rate), cfg), cfg)
 
 
 def _padded(p: FinitePmf, width: int) -> np.ndarray:
@@ -101,50 +106,31 @@ def pde_residual(x: FinitePmf, t: float, r_val: float, f_val: float,
     return float(np.max(np.abs(dpdt - rhs)))
 
 
-def _solve_rate_for_entropy(base: FinitePmf, h_target: float, f_hi: float,
-                            t: float,
+def _solve_rate_for_entropy(base: FinitePmf, h_target: float, t: float,
                             cfg: ToleranceConfig) -> float:
-    """Poisson rate f >= 0 with H(base + Poisson(f)) = h_target, by bisection.
+    """Poisson rate f >= 0 with H(base + Poisson(f)) = h_target.
 
-    Adding independent Poisson mass strictly increases entropy, so the
-    objective is increasing in f.
+    H grows with f, so no gap at f = 0 (as at t = 1) means f = 0.  Else
+    numerics.solve_increasing starts from mean(base) / t * (1 - t), the rate
+    that restores the mean (exact for Poisson inputs), and steps on the
+    exact derivative: Q = base * Poisson(f) has dQ(z)/df = Q(z-1) - Q(z), so
+    dH/df = -sum_z (Q(z-1) - Q(z)) log Q(z).
     """
-    def gap(f):
-        if f == 0.0:
-            return entropy(base).nats - h_target
-        noisy = convolve(base, construct(FamilySpec.poisson(f), cfg), cfg)
-        return entropy(noisy).nats - h_target
-
-    g_lo = gap(0.0)
-    if g_lo > 0.0:
-        if g_lo <= 10.0 * cfg.tol_root:
+    gap_at_zero = entropy(base).nats - h_target
+    if gap_at_zero >= 0.0:
+        if gap_at_zero <= 10.0 * cfg.tol_root:
             return 0.0
         raise NumericError("entropy gap positive at f = 0; no bracket",
-                           {"t": t, "gap_at_zero": g_lo})
-    g_hi = gap(f_hi)
-    if g_hi < 0.0:
-        raise NumericError("entropy gap negative at upper rate; no bracket",
-                           {"t": t, "f_hi": f_hi, "gap_at_f_hi": g_hi})
-    lo, hi = 0.0, f_hi
-    while hi - lo > cfg.tol_root:
-        mid = 0.5 * (lo + hi)
-        if gap(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+                           {"t": t, "gap_at_zero": gap_at_zero})
 
+    def pair(f):
+        q = _add_poisson(base, f, cfg)
+        log_q = np.log(q.probs, out=np.zeros(len(q)), where=q.probs > 0.0)
+        dq = np.diff(q.probs, prepend=0.0)
+        return entropy(q).nats, math.fsum(dq * log_q)
 
-def _grid_derivative(t: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Central differences of f on a non-uniform grid; one-sided at the ends."""
-    d = np.empty_like(f)
-    hm = t[1:-1] - t[:-2]
-    hp = t[2:] - t[1:-1]
-    d[1:-1] = (hm ** 2 * f[2:] - hp ** 2 * f[:-2]
-               + (hp ** 2 - hm ** 2) * f[1:-1]) / (hm * hp * (hm + hp))
-    d[0] = (f[1] - f[0]) / (t[1] - t[0])
-    d[-1] = (f[-1] - f[-2]) / (t[-1] - t[-2])
-    return d
+    return solve_increasing(pair, h_target, mean(base) / t * (1.0 - t),
+                            cfg.tol_root)
 
 
 def entropy_preserving_path(x: FinitePmf, t_grid=None,
@@ -154,8 +140,9 @@ def entropy_preserving_path(x: FinitePmf, t_grid=None,
     Defined for ultra-log-concave x with l_functional(x) > 0, the regime in
     which entropy strictly grows under thinning-with-replenishment and the
     path runs from x at t = 1 towards a Poisson of rate V(x) as t -> 0.
-    The report records f, its extrapolation to t = 0, and the U functional,
-    which should be non-increasing in t.
+    Each f(t) is solved by Newton on the exact derivative dH/df, to
+    cfg.tol_root * f.  The report records f, its extrapolation to t = 0,
+    and the U functional, which should be non-increasing in t.
     """
     if t_grid is None:
         t_grid = default_t_grid()
@@ -171,28 +158,21 @@ def entropy_preserving_path(x: FinitePmf, t_grid=None,
 
     h_target = entropy(x).nats
     v_target = entropy_power(x, cfg)
-    f_hi = v_target + mean(x) + 1.0
 
     f_vals = np.empty(t_grid.size)
     h_vals = np.empty(t_grid.size)
     u_vals = np.empty(t_grid.size)
-    for i, t in enumerate(t_grid):
-        if t == 1.0:
-            f_vals[i] = 0.0
-            state = x
-        else:
-            base = thin(x, float(t), cfg)
-            f_vals[i] = _solve_rate_for_entropy(base, h_target, f_hi, float(t), cfg)
-            state = (convolve(base,
-                              construct(FamilySpec.poisson(f_vals[i]), cfg), cfg)
-                     if f_vals[i] > 0.0 else base)
+    for i, t in enumerate(t_grid.tolist()):
+        base = thin(x, t, cfg)
+        f_vals[i] = _solve_rate_for_entropy(base, h_target, t, cfg)
+        state = _add_poisson(base, f_vals[i], cfg)
         h_vals[i] = entropy(state).nats
         u_vals[i] = u_functional(state, cfg)
 
-    f_prime = _grid_derivative(t_grid, f_vals)
+    # second-order central differences inside, one-sided at the ends
+    f_prime = np.gradient(f_vals, t_grid)
     r_vals = f_vals / t_grid - f_prime
-    slope = (f_vals[1] - f_vals[0]) / (t_grid[1] - t_grid[0])
-    f0 = f_vals[0] - slope * t_grid[0]
+    f0 = f_vals[0] - f_prime[0] * t_grid[0]
     return PathReport(t_grid=t_grid, f_vals=f_vals, r_vals=r_vals,
                       h_vals=h_vals, u_vals=u_vals,
                       f0_extrapolated=float(f0), v_target=v_target)

@@ -1,9 +1,14 @@
 """Command-line behaviour: dispatch, JSON formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import thinpower
 from thinpower.cli import main
 from thinpower.inequality_suite import STATEMENTS
 
@@ -67,6 +72,48 @@ def test_vpower_matches_poisson_rate(capsys):
     code, out = run(capsys, "vpower", "--pmf", '{"family": "poisson", "rate": 3}')
     assert code == 0
     assert json.loads(out) == pytest.approx(3.0, abs=1e-8)
+
+
+def test_vpower_with_tol_root_below_double_resolution(capsys):
+    code, out = run(capsys, "vpower", "--pmf", '{"family": "poisson", "rate": 3}',
+                    "--tol-root", "1e-17")
+    assert code == 0
+    assert json.loads(out) == pytest.approx(3.0, abs=1e-12)
+
+
+def test_path_with_tol_root_below_double_resolution():
+    # a solve that never stops would hang the suite, so run it in a
+    # subprocess that the timeout turns into a failure
+    src = str(Path(thinpower.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "thinpower.cli", "path", "--pmf",
+            '{"family": "binomial", "n": 4, "p": 0.3}', "--grid", "3",
+            "--tol-root", "1e-16"]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["f_vals"][-1] == 0.0
+    assert doc["f0_extrapolated"] == pytest.approx(doc["v_target"], abs=1e-2)
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["construct", "--spec", '{"family": "geometric", "mean": 1e20}'],
+     "geometric mean = 1e+20"),
+    (["construct", "--spec", '{"family": "poisson", "rate": 1e30}'],
+     "Poisson rate t = 1e+30"),
+    (["construct", "--spec", '{"family": "binomial", "n": 1e30, "p": 0.5}'],
+     "binomial n = 1e+30"),
+    (["functional", "--name", "E", "--t", "1e30"], "Poisson rate t = 1e+30"),
+])
+def test_oversized_family_parameters_are_input_errors(capsys, argv, name):
+    code, out = run(capsys, *argv)
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"] == "ParameterError"
+    assert doc["message"].startswith(name)
+    assert "more than one array can hold" in doc["message"]
 
 
 def test_functional_dispatch(capsys):

@@ -7,12 +7,14 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from thinpower import (DomainError, FamilySpec, FinitePmf, ParameterError,
-                       construct, convolve, entropy, entropy_power, is_ulc,
-                       l_functional, lambda_functional, mean, poisson_entropy,
+from thinpower import (DomainError, FamilySpec, FinitePmf, NumericError,
+                       ParameterError, ToleranceConfig, construct, convolve,
+                       entropy, entropy_power, is_ulc, l_functional,
+                       lambda_functional, mean, poisson_entropy,
                        poisson_entropy_derivative, random_ulc,
                        rel_entropy_poisson, thin, u_functional)
 from thinpower import entropy_functionals
+from thinpower.numerics import solve_increasing
 
 bern = lambda p: construct(FamilySpec.bernoulli(p))
 poi = lambda r: construct(FamilySpec.poisson(r))
@@ -165,6 +167,62 @@ def test_entropy_power_takes_few_e_evaluations(monkeypatch):
     rates.clear()
     assert abs(entropy_power(poi(1000.0)) - 1000.0) < 1e-8
     assert len(rates) <= 3
+
+
+def _tiny_entropy_power_mp(x):
+    """Extended-precision root of E(t) = entropy(x).nats for entropies far
+    below 1, by bisection in log t: there t(1 - log t) <= E(t) is at least t
+    and at most 1000 t, so the root lies within e^10 below the target."""
+    target = mp.mpf(entropy(x).nats)
+    lo, hi = mp.log(target) - 10, mp.log(target)
+    for _ in range(120):
+        mid = (lo + hi) / 2
+        if _poisson_entropy_mp(mp.e ** mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return float(mp.e ** ((lo + hi) / 2))
+
+
+@pytest.mark.parametrize("x", [
+    pytest.param(poi(1e-100), id="poisson-1e-100"),
+    pytest.param(bern(1e-62), id="bernoulli-1e-62"),
+])
+def test_entropy_power_of_tiny_entropy_matches_extended_precision_root(x):
+    # from t = 1 every Newton step lands below 0, so the solve bisects down
+    # hundreds of times; a cap of 200 steps used to end it with NumericError
+    oracle = _tiny_entropy_power_mp(x)
+    assert abs(entropy_power(x) - oracle) <= 1e-9 * oracle
+
+
+@pytest.mark.parametrize("tol_root", [1e-17, 1e-300])
+def test_entropy_power_with_tol_root_below_double_resolution(tol_root):
+    cfg = ToleranceConfig(tol_root=tol_root)
+    assert abs(entropy_power(poi(3.0), cfg) - 3.0) < 1e-12
+    x = convolve(bern(1.0 / 3.0), poi(1.0))
+    assert entropy_power(x, cfg) == pytest.approx(entropy_power(x), rel=1e-10)
+
+
+def test_solve_increasing_raises_numeric_error_when_it_cannot_converge():
+    # a slope 1e9 times too steep keeps every Newton step inside the bracket
+    # and above tol, so only the step cap ends the solve
+    pair = lambda s: (s - 1.0, (s - 1.0) / (1e-9 * s))
+    with pytest.raises(NumericError):
+        solve_increasing(pair, 0.0, 2.0, 1e-10)
+
+
+def test_solve_increasing_raises_numeric_error_from_a_start_at_zero():
+    # a path start that underflows to 0 (thinning Bernoulli(5e-324)) made
+    # the doubling loop spin at 0 forever
+    calls = []
+
+    def pair(s):
+        calls.append(s)
+        assert len(calls) < 100, "bracket growth did not stop"
+        return s, 1.0
+
+    with pytest.raises(NumericError):
+        solve_increasing(pair, 1.0, 0.0, 1e-10)
 
 
 def test_entropy_power_of_point_mass_is_zero():

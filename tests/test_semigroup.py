@@ -4,11 +4,13 @@ entropy-preserving path, and the isoperimetric comparison."""
 import numpy as np
 import pytest
 
-from thinpower import (DomainError, FamilySpec, ParameterError,
-                       PreconditionError, construct, convolve, default_t_grid,
+from thinpower import (DEFAULT_TOLERANCES, DomainError, FamilySpec,
+                       ParameterError, PreconditionError, construct, convolve,
+                       default_t_grid,
                        entropy, entropy_power, entropy_preserving_path, evolve,
                        isoperimetric_check, pde_residual, random_ulc, thin,
                        total_variation)
+from thinpower import entropy_functionals, semigroup
 
 bern = lambda p: construct(FamilySpec.bernoulli(p))
 poi = lambda r: construct(FamilySpec.poisson(r))
@@ -73,6 +75,29 @@ def test_path_for_poisson_is_linear_rate_exchange():
     assert np.max(np.abs(report.f_vals - (1.0 - report.t_grid) * lam)) < 1e-8
     assert report.f0_extrapolated == pytest.approx(lam, abs=1e-3)
     assert report.v_target == pytest.approx(lam, abs=1e-8)
+
+
+@pytest.mark.parametrize("lam", [0.5, 2.0, 20.0, 200.0])
+def test_path_rate_matches_poisson_oracle(lam):
+    # thin(Poisson(lam), t) + Poisson(lam (1 - t)) is Poisson(lam) again
+    report = entropy_preserving_path(poi(lam))
+    exact = lam * (1.0 - report.t_grid)
+    bound = DEFAULT_TOLERANCES.tol_root * np.maximum(1.0, report.f_vals)
+    assert np.all(np.abs(report.f_vals - exact) <= bound)
+
+
+@pytest.mark.parametrize("x", [
+    pytest.param(construct(FamilySpec.binomial(40, 0.3)), id="binomial-40"),
+    pytest.param(poi(200.0), id="poisson-200"),
+])
+def test_path_takes_few_entropy_evaluations(monkeypatch, x):
+    # Newton on the exact derivative; bisection took about 40 per point
+    calls = []
+    for module in (semigroup, entropy_functionals):
+        monkeypatch.setattr(module, "entropy",
+                            lambda p, f=module.entropy: calls.append(1) or f(p))
+    report = entropy_preserving_path(x)
+    assert len(calls) <= 16 * report.t_grid.size
 
 
 def test_path_extrapolates_to_entropy_power():
