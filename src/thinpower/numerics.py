@@ -14,6 +14,8 @@ from .errors import NumericError, ParameterError
 
 # _LOG_FACT[k] = log(k!), grown on demand and only ever read afterwards.
 _LOG_FACT = gammaln(np.arange(128) + 1.0)
+# rows of the binomial kernel evaluated per block, each up to its diagonal
+_ROW_BLOCK = 256
 
 
 def log_factorials(n: int) -> np.ndarray:
@@ -24,28 +26,65 @@ def log_factorials(n: int) -> np.ndarray:
     return _LOG_FACT[:n + 1]
 
 
+def _toeplitz(v: np.ndarray, rows: int, width: int) -> np.ndarray:
+    """Read-only view T[r, k] = v[width - 1 + r - k] of a contiguous v."""
+    s = v.itemsize
+    return np.ndarray((rows, width), v.dtype, buffer=v,
+                      offset=(width - 1) * s, strides=(s, -s))
+
+
 def binomial_rows(ns: np.ndarray, alpha: float, width: int) -> np.ndarray:
     """Rows of the thinning kernel: row r holds C(n, k) alpha^k (1-alpha)^(n-k)
     for n = ns[r] over columns k = 0..width-1 (zero for k > n).
 
-    Requires alpha > 0 and alpha != 1.  For alpha < 1 each row is renormalised
-    to sum to exactly 1, which keeps total mass and means of thinned pmfs
-    stable to ~1e-15 even for n ~ 2000.  For alpha > 1 (inverse thinning)
-    the rows, signed (-1)^(n-k) by 1 - alpha < 0, are not renormalised.
+    ns must be a contiguous increasing range lo, lo+1, ..., hi (every caller
+    passes an np.arange).  Requires alpha > 0 and alpha != 1.  For alpha < 1
+    each row is renormalised to sum to exactly 1, which keeps total mass and
+    means of thinned pmfs stable to ~1e-15 even for n ~ 2000.  For alpha > 1
+    (inverse thinning) the rows, signed (-1)^(n-k) by 1 - alpha < 0, are not
+    renormalised.
+
+    Each cell is exp(((lf[n] - lf[k]) - lf[n-k]) + k log(alpha)
+    + (n-k) log|1-alpha|), with lf[m] = log(m!).  The terms in n - k are
+    vectors read as Toeplitz views, lf[m] = +inf for m < 0 makes exp give
+    an exact 0 there, and row blocks stop at their last diagonal cell.
     """
-    # rows stop at n but columns run to width-1, which can exceed ns.max()
-    lf = log_factorials(max(int(ns.max()), width - 1))
-    k = np.arange(width)
-    nk = ns[:, None] - k[None, :]
-    valid = nk >= 0
-    nk = np.where(valid, nk, 0)
+    lo, rows = int(ns[0]), ns.size
+    hi = lo + rows - 1
+    # rows stop at n but columns run to width-1, which can exceed hi
+    lf = log_factorials(max(hi, width - 1))
     log_rest = math.log1p(-alpha) if alpha < 1.0 else math.log(alpha - 1.0)
-    logw = (lf[ns][:, None] - lf[k][None, :] - lf[nk]
-            + k[None, :] * math.log(alpha) + nk * log_rest)
-    w = np.where(valid, np.exp(logw), 0.0)
+    first = lo - width + 1
+    m = np.arange(first, hi + 1.0)          # n - k over the whole table
+    below = max(0, -first)                  # entries with m < 0
+    lf_m = np.empty(m.size)
+    lf_m[:below] = np.inf
+    lf_m[below:] = lf[max(first, 0):hi + 1]
+    lf_nk = _toeplitz(lf_m, rows, width)
+    rest_nk = _toeplitz(m * log_rest, rows, width)
+    lf_n = lf[lo:hi + 1, None]
+    lf_k = lf[:width]
+    k_log_alpha = np.arange(float(width)) * math.log(alpha)
     if alpha > 1.0:
-        return np.where(nk % 2 == 1, -w, w)
-    return w / w.sum(axis=1, keepdims=True)
+        # +1 where m < 0, so those cells stay +0.0
+        sign_nk = _toeplitz(np.where((m >= 0) & (m % 2 == 1), -1.0, 1.0),
+                            rows, width)
+    w = np.zeros((rows, width))
+    for r0 in range(0, rows, _ROW_BLOCK):
+        r1 = min(r0 + _ROW_BLOCK, rows)
+        c = min(width, lo + r1)             # columns k <= the block's last n
+        blk = w[r0:r1, :c]
+        np.subtract(lf_n[r0:r1], lf_k[:c], out=blk)
+        blk -= lf_nk[r0:r1, :c]
+        blk += k_log_alpha[:c]
+        blk += rest_nk[r0:r1, :c]
+        np.exp(blk, out=blk)
+        if alpha > 1.0:
+            blk *= sign_nk[r0:r1, :c]
+        else:
+            # the sum runs over the whole row: its zeros fix the summation order
+            blk /= w[r0:r1].sum(axis=1, keepdims=True)
+    return w
 
 
 def poisson_log_terms(rate: float, n_top: int):

@@ -106,31 +106,35 @@ def pde_residual(x: FinitePmf, t: float, r_val: float, f_val: float,
     return float(np.max(np.abs(dpdt - rhs)))
 
 
-def _solve_rate_for_entropy(base: FinitePmf, h_target: float, t: float,
-                            cfg: ToleranceConfig) -> float:
-    """Poisson rate f >= 0 with H(base + Poisson(f)) = h_target.
+def _solve_rate_for_entropy(base: FinitePmf, h_target: float, rate0: float,
+                            cfg: ToleranceConfig):
+    """(f, Q, H(Q)): the Poisson rate f >= 0 with H(Q) = h_target for
+    Q = base + Poisson(f), and the Q and H(Q) evaluated at that f.
 
     H grows with f, so no gap at f = 0 (as at t = 1) means f = 0.  Else
-    numerics.solve_increasing starts from mean(base) / t * (1 - t), the rate
-    that restores the mean (exact for Poisson inputs), and steps on the
-    exact derivative: Q = base * Poisson(f) has dQ(z)/df = Q(z-1) - Q(z), so
+    numerics.solve_increasing starts from rate0 and steps on the exact
+    derivative: Q has dQ(z)/df = Q(z-1) - Q(z), so
     dH/df = -sum_z (Q(z-1) - Q(z)) log Q(z).
     """
-    gap_at_zero = entropy(base).nats - h_target
+    h_base = entropy(base).nats
+    gap_at_zero = h_base - h_target
     if gap_at_zero >= 0.0:
         if gap_at_zero <= 10.0 * cfg.tol_root:
-            return 0.0
+            return 0.0, base, h_base
         raise NumericError("entropy gap positive at f = 0; no bracket",
-                           {"t": t, "gap_at_zero": gap_at_zero})
+                           {"rate0": rate0, "gap_at_zero": gap_at_zero})
+    evaluated = {}
 
     def pair(f):
         q = _add_poisson(base, f, cfg)
+        h = entropy(q).nats
+        evaluated[f] = q, h
         log_q = np.log(q.probs, out=np.zeros(len(q)), where=q.probs > 0.0)
         dq = np.diff(q.probs, prepend=0.0)
-        return entropy(q).nats, math.fsum(dq * log_q)
+        return h, math.fsum(dq * log_q)
 
-    return solve_increasing(pair, h_target, mean(base) / t * (1.0 - t),
-                            cfg.tol_root)
+    f = solve_increasing(pair, h_target, rate0, cfg.tol_root)
+    return (f, *evaluated[f])
 
 
 def entropy_preserving_path(x: FinitePmf, t_grid=None,
@@ -164,9 +168,12 @@ def entropy_preserving_path(x: FinitePmf, t_grid=None,
     u_vals = np.empty(t_grid.size)
     for i, t in enumerate(t_grid.tolist()):
         base = thin(x, t, cfg)
-        f_vals[i] = _solve_rate_for_entropy(base, h_target, t, cfg)
-        state = _add_poisson(base, f_vals[i], cfg)
-        h_vals[i] = entropy(state).nats
+        # start from the rate that restores the mean (exact for a Poisson x),
+        # mean(base) / t * (1 - t), or from mean(x) * (1 - t), which it
+        # approximates, where thinning underflows a subnormal mean to 0
+        rate0 = mean(base) / t * (1.0 - t) or mean(x) * (1.0 - t)
+        f_vals[i], state, h_vals[i] = _solve_rate_for_entropy(
+            base, h_target, rate0, cfg)
         u_vals[i] = u_functional(state, cfg)
 
     # second-order central differences inside, one-sided at the ends

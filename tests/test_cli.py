@@ -193,6 +193,19 @@ def test_path_command(capsys):
     assert doc["f0_extrapolated"] == pytest.approx(2.0, abs=1e-3)
 
 
+@pytest.mark.parametrize("p, grid", [(5e-324, "5"), (1e-322, "40")])
+def test_path_on_a_subnormal_bernoulli(capsys, p, grid):
+    # thinning underflows the mean at small t, so the rate solve falls back
+    # to mean(x) * (1 - t) instead of a zero start it cannot grow
+    code, out = run(capsys, "path", "--pmf",
+                    json.dumps({"family": "bernoulli", "p": p}), "--grid", grid)
+    assert code == 0, out
+    doc = json.loads(out)
+    assert all(f >= 0.0 for f in doc["f_vals"])
+    assert doc["f_vals"][-1] == 0.0
+    assert doc["v_target"] > 0.0
+
+
 def test_hessian_command_with_fd_check(capsys):
     code, out = run(capsys, "hessian",
                     "--specs", '[{"family": "bernoulli", "p": 0.5},'

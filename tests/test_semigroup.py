@@ -100,6 +100,26 @@ def test_path_takes_few_entropy_evaluations(monkeypatch, x):
     assert len(calls) <= 16 * report.t_grid.size
 
 
+def test_path_reports_the_state_its_solver_evaluated(monkeypatch):
+    # H(x), then per point H(thin(x, t)) and one H per solver evaluation;
+    # the reported H and U are those of the evaluated state, not a recount
+    entropies, evals = [], []
+    monkeypatch.setattr(semigroup, "entropy", lambda p, f=semigroup.entropy:
+                        entropies.append(1) or f(p))
+    monkeypatch.setattr(semigroup, "solve_increasing",
+                        lambda pair, *args, f=semigroup.solve_increasing:
+                        f(lambda s: evals.append(1) or pair(s), *args))
+    x = construct(FamilySpec.binomial(40, 0.3))
+    report = entropy_preserving_path(x, default_t_grid(10))
+    assert len(entropies) == 1 + report.t_grid.size + len(evals)
+    monkeypatch.undo()
+    for t, f, h, u in zip(report.t_grid, report.f_vals, report.h_vals,
+                          report.u_vals):
+        state = evolve(x, float(t), float(f))
+        assert h == entropy(state).nats
+        assert u == entropy_functionals.u_functional(state)
+
+
 def test_path_extrapolates_to_entropy_power():
     x = construct(FamilySpec.binomial(4, 0.3))
     report = entropy_preserving_path(x, default_t_grid(40))
