@@ -26,6 +26,7 @@ from .inequality_suite import (check_conjecture_tepi, check_conjecture_v_superad
                                check_dsub, check_epilike, check_hmon, check_teci,
                                random_ulc, search)
 from .jsonio import dumps_canonical
+from .numerics import fsum
 from .pmf_core import (DEFAULT_TOLERANCES, FamilySpec, ToleranceConfig,
                        construct, total_variation)
 from .semigroup import default_t_grid, entropy_preserving_path, pde_residual
@@ -273,7 +274,7 @@ def criterion_7(cfg):
         size = int(rng.integers(2, 4))
         xs = [_random_small_ulc(rng, cfg) for _ in range(size)]
         alphas = rng.dirichlet(np.full(size, 2.0))
-        alphas = alphas / math.fsum(alphas)
+        alphas = alphas / fsum(alphas)
         margin_h = check_hmon(xs, alphas, cfg).margin
         lam_lhs, lam_rhs = hes.lambda_monotonicity_sides(xs, alphas, cfg)
         margin_lambda = lam_lhs - lam_rhs

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .numerics import (log_factorials, poisson_log_terms, poisson_support_top,
-                       solve_increasing)
+from .numerics import (fsum, log_factorials, poisson_log_terms,
+                       poisson_support_top, solve_increasing)
 from .pmf_core import DEFAULT_TOLERANCES, FinitePmf, ToleranceConfig, mean
 
 LN2 = math.log(2.0)
@@ -32,7 +32,7 @@ class EntropyValue:
 def entropy(p: FinitePmf) -> EntropyValue:
     """Shannon entropy -sum p log p in nats; zero terms are skipped."""
     mass = p.probs[p.probs > 0.0]
-    nats = -math.fsum(mass * np.log(mass))
+    nats = -fsum(mass * np.log(mass))
     return EntropyValue(nats if nats > 0.0 else 0.0)
 
 
@@ -40,8 +40,8 @@ def _poisson_entropy_pair(t: float, cfg: ToleranceConfig) -> tuple[float, float]
     """(E(t), E'(t)) for t > 0 from one truncated Poisson(t) log pmf."""
     z, logp = poisson_log_terms(t, poisson_support_top(t, cfg.tail_eps))
     pmf = np.exp(logp)
-    return (-math.fsum(pmf * logp),
-            math.fsum(pmf * (np.log(z + 1.0) - math.log(t))))
+    return (-fsum(pmf * logp),
+            fsum(pmf * (np.log(z + 1.0) - math.log(t))))
 
 
 def poisson_entropy(t: float, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
@@ -92,11 +92,11 @@ def rel_entropy_poisson(p: FinitePmf,
     log_pi = k * log_lam - lam - log_fact
     keep = p.probs > 0.0
     probs, log_p = p.probs[keep], np.log(p.probs[keep])
-    value = math.fsum(probs * (log_p - log_pi[keep]))
+    value = fsum(probs * (log_p - log_pi[keep]))
     # D >= 0, so swallow a negative value within the rounding bound of the
     # sum; log_pi is formed from parts far larger than itself on wide supports
     parts = k * abs(log_lam) + lam + log_fact
-    slack = 4.0 * EPS * math.fsum(probs * (parts[keep] + np.abs(log_p)))
+    slack = 4.0 * EPS * fsum(probs * (parts[keep] + np.abs(log_p)))
     return 0.0 if -slack < value < 0.0 else value
 
 
@@ -116,7 +116,7 @@ def l_functional(p: FinitePmf, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> flo
     if len(p) == 1:
         return 0.0
     z1 = np.arange(1, len(p))
-    return math.fsum(z1 * probs[1:] * (np.log(probs[:-1]) - np.log(probs[1:])))
+    return fsum(z1 * probs[1:] * (np.log(probs[:-1]) - np.log(probs[1:])))
 
 
 def lambda_functional(p: FinitePmf,
@@ -126,7 +126,7 @@ def lambda_functional(p: FinitePmf,
     if lam == 0.0:
         return 0.0
     log_fact = log_factorials(len(p) - 1)
-    return lam + math.fsum(p.probs * log_fact) - lam * math.log(lam)
+    return lam + fsum(p.probs * log_fact) - lam * math.log(lam)
 
 
 def u_functional(p: FinitePmf, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
@@ -136,6 +136,6 @@ def u_functional(p: FinitePmf, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> flo
         return h - 0.0 - mean(p)
     z1 = np.arange(1, len(p))
     log_fact = log_factorials(len(p) - 1)
-    s_fact = math.fsum(p.probs[1:] * log_fact[1:])
-    s_lin = math.fsum(z1 * p.probs[1:] * np.log(z1))
+    s_fact = fsum(p.probs[1:] * log_fact[1:])
+    s_lin = fsum(z1 * p.probs[1:] * np.log(z1))
     return h - s_fact - mean(p) + s_lin

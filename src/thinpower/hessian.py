@@ -14,6 +14,7 @@ import numpy as np
 from .errors import ConsistencyError, ParameterError, PreconditionError
 from .entropy_functionals import lambda_functional
 from .inequality_verdict import make_verdict
+from .numerics import fsum
 from .pmf_core import DEFAULT_TOLERANCES, ToleranceConfig, is_ulc, mean
 from .transforms import leave_one_out, thin, thinned_sum
 
@@ -137,7 +138,7 @@ def interpolation_point(alphas, leave_out: int, t: float):
         raise ParameterError(f"leave_out index {leave_out} outside 0..{m - 1}")
     loo = alphas.copy()
     loo[leave_out] = 0.0
-    comp = math.fsum(loo)
+    comp = fsum(loo)
     if comp <= 0.0:
         raise ParameterError("leave-one-out weight vanished")
     loo /= comp
@@ -175,14 +176,14 @@ def positive_splitting(beta, mu, t: float, lambdas,
     loo = -mu.copy()
     loo[leave_out] = 0.0
     if (abs(mu[leave_out] - 1.0) > 1e-9 or np.any(loo < -1e-9)
-            or abs(math.fsum(loo) - 1.0) > 1e-9):
+            or abs(fsum(loo) - 1.0) > 1e-9):
         raise ParameterError("mu is not of the form e_l - alpha^(l)")
     expected_beta = (1.0 - t) * loo
     expected_beta[leave_out] = t
     if np.max(np.abs(beta - expected_beta)) > 1e-9:
         raise ParameterError("beta is not the interpolation point A_l(t) for mu")
 
-    lam_t = math.fsum(beta * lambdas)
+    lam_t = fsum(beta * lambdas)
     lam_loo_t = lam_t - t * lambdas[leave_out]
     scale = (lam_loo_t * lambdas[leave_out]) / (t * (1.0 - t) ** 2 * lam_t)
 
@@ -208,14 +209,14 @@ def positive_splitting(beta, mu, t: float, lambdas,
                     f"splitting part 1 failed at ({i},{j}): "
                     f"u_ij + u_ji deviates from v_ij by {gap:.3e}")
     for j in range(m):
-        col = math.fsum(u[i, j] for i in range(m) if i != j)
+        col = fsum(np.delete(u[:, j], j))
         gap = abs(col / (beta[j] * lambdas[j]) - scale)
         if gap > tol:
             raise ConsistencyError(
                 f"splitting part 2 failed at column {j}: "
                 f"scaled column sum deviates from S by {gap:.3e}")
-    lhs = math.fsum(mu * mu * lambdas / beta) - scale
-    rhs = math.fsum(mu * lambdas) ** 2 / lam_t
+    lhs = fsum(mu * mu * lambdas / beta) - scale
+    rhs = fsum(mu * lambdas) ** 2 / lam_t
     if abs(lhs - rhs) > tol:
         raise ConsistencyError(
             f"quadratic-mean identity failed: residual {abs(lhs - rhs):.3e}")
@@ -244,7 +245,7 @@ def check_quadratic_form(xs, alphas, leave_out: int, t_grid,
     what the negative quadratic forms certify through the Taylor step.
     """
     alphas = np.asarray(alphas, dtype=float)
-    if np.any(alphas <= 0.0) or abs(math.fsum(alphas) - 1.0) > 1e-12:
+    if np.any(alphas <= 0.0) or abs(fsum(alphas) - 1.0) > 1e-12:
         raise PreconditionError("alphas must be a strictly positive simplex vector")
     for p in xs:
         if not is_ulc(p, cfg):

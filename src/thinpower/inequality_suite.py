@@ -14,6 +14,7 @@ from .errors import (DomainError, IllConditionedError, NotThinnableError,
                      ParameterError, PreconditionError)
 from .entropy_functionals import entropy, entropy_power, rel_entropy_poisson
 from .inequality_verdict import InequalityVerdict, make_verdict, ulc_note
+from .numerics import fsum
 from .pmf_core import (DEFAULT_TOLERANCES, FamilySpec, FinitePmf,
                        ToleranceConfig, construct, is_ulc, mean,
                        total_variation)
@@ -364,7 +365,7 @@ def random_ulc(seed: int, max_bernoullis: int = 3, max_poisson_rate: float = 2.0
 
 def _simplex(rng, size: int) -> np.ndarray:
     alphas = rng.dirichlet(np.full(size, 2.0))
-    return alphas / math.fsum(alphas)
+    return alphas / fsum(alphas)
 
 
 def search(conjecture: str, trials: int, seed: int,

@@ -14,8 +14,11 @@ from .errors import NumericError, ParameterError
 
 # _LOG_FACT[k] = log(k!), grown on demand and only ever read afterwards.
 _LOG_FACT = gammaln(np.arange(128) + 1.0)
-# rows of the binomial kernel evaluated per block, each up to its diagonal
-_ROW_BLOCK = 256
+# rows of the binomial kernel evaluated per block, each over its own columns
+_ROW_BLOCK = 64
+# exp of a double at or below about -745.14 is exactly +0.0; the margin
+# covers the rounding of a kernel exponent, a few ulps of log(n!)
+_EXP_ZERO = -745.5
 
 
 def log_factorials(n: int) -> np.ndarray:
@@ -26,6 +29,12 @@ def log_factorials(n: int) -> np.ndarray:
     return _LOG_FACT[:n + 1]
 
 
+def fsum(a: np.ndarray) -> float:
+    """The correctly rounded sum of a 1-D array's entries.  math.fsum over
+    a list: iterating the array itself yields numpy scalars, twice as slow."""
+    return math.fsum(a.tolist())
+
+
 def _toeplitz(v: np.ndarray, rows: int, width: int) -> np.ndarray:
     """Read-only view T[r, k] = v[width - 1 + r - k] of a contiguous v."""
     s = v.itemsize
@@ -33,54 +42,93 @@ def _toeplitz(v: np.ndarray, rows: int, width: int) -> np.ndarray:
                       offset=(width - 1) * s, strides=(s, -s))
 
 
+def _live_band(ns: np.ndarray, alpha: float):
+    """Per row n = ns[r], 0 < alpha < 1: the columns [left, right) of the
+    kernel whose exponent, computed as binomial_rows computes it, is above
+    _EXP_ZERO.  The exponent is concave in k and peaks at the mode
+    floor((n+1) alpha), so bisection finds the left edge in [0, mode] and
+    the right edge in [mode+1, n+1], for all rows at once."""
+    lf = log_factorials(int(ns[-1]))
+    log_alpha, log_rest = math.log(alpha), math.log1p(-alpha)
+    rows = ns.size
+    n = np.tile(ns, 2)
+    # the first half of the entries look for the first live column, the
+    # second half for the first dead one past the mode; k = n + 1 is dead
+    right = np.arange(2 * rows) >= rows
+    mode = np.floor((ns + 1) * alpha).astype(ns.dtype)
+    a = np.concatenate([np.zeros_like(ns), mode + 1])
+    b = np.concatenate([mode, ns + 1])
+    # invariant: the predicate holds at b; at a - 1 it fails (or a is a start)
+    while (a < b).any():
+        mid = (a + b) >> 1
+        k = np.minimum(mid, n)
+        e = ((lf[n] - lf[k]) - lf[n - k]) + k * log_alpha + (n - k) * log_rest
+        hit = (mid > n) | ((e > _EXP_ZERO) != right)
+        b = np.where(hit, mid, b)
+        a = np.where(hit, a, mid + 1)
+    return a[:rows], a[rows:]
+
+
 def binomial_rows(ns: np.ndarray, alpha: float, width: int) -> np.ndarray:
     """Rows of the thinning kernel: row r holds C(n, k) alpha^k (1-alpha)^(n-k)
     for n = ns[r] over columns k = 0..width-1 (zero for k > n).
 
     ns must be a contiguous increasing range lo, lo+1, ..., hi (every caller
-    passes an np.arange).  Requires alpha > 0 and alpha != 1.  For alpha < 1
-    each row is renormalised to sum to exactly 1, which keeps total mass and
-    means of thinned pmfs stable to ~1e-15 even for n ~ 2000.  For alpha > 1
-    (inverse thinning) the rows, signed (-1)^(n-k) by 1 - alpha < 0, are not
+    passes an np.arange) of complete rows: width > hi, else ParameterError.
+    Requires alpha > 0 and alpha != 1.  For alpha < 1 each row is
+    renormalised to sum to exactly 1, which keeps total mass and means of
+    thinned pmfs stable to ~1e-15 even for n ~ 2000.  For alpha > 1 (inverse
+    thinning) the rows, signed (-1)^(n-k) by 1 - alpha < 0, are not
     renormalised.
 
     Each cell is exp(((lf[n] - lf[k]) - lf[n-k]) + k log(alpha)
     + (n-k) log|1-alpha|), with lf[m] = log(m!).  The terms in n - k are
     vectors read as Toeplitz views, lf[m] = +inf for m < 0 makes exp give
-    an exact 0 there, and row blocks stop at their last diagonal cell.
+    an exact 0 there, and row blocks stop at their last diagonal cell.  For
+    alpha < 1, where some exponent can reach _EXP_ZERO, a row block is
+    evaluated only between its rows' outermost live columns (_live_band):
+    every cell left out is an exact +0.0 in the dense table too.
     """
     lo, rows = int(ns[0]), ns.size
     hi = lo + rows - 1
-    # rows stop at n but columns run to width-1, which can exceed hi
-    lf = log_factorials(max(hi, width - 1))
+    if width <= hi:
+        raise ParameterError(f"binomial rows up to n = {hi} need width > {hi}, "
+                             f"got {width}")
+    lf = log_factorials(width - 1)
+    log_alpha = math.log(alpha)
     log_rest = math.log1p(-alpha) if alpha < 1.0 else math.log(alpha - 1.0)
-    first = lo - width + 1
-    m = np.arange(first, hi + 1.0)          # n - k over the whole table
-    below = max(0, -first)                  # entries with m < 0
+    m = np.arange(lo - width + 1, hi + 1.0)  # n - k over the whole table
     lf_m = np.empty(m.size)
-    lf_m[:below] = np.inf
-    lf_m[below:] = lf[max(first, 0):hi + 1]
+    lf_m[:width - 1 - lo] = np.inf           # m < 0
+    lf_m[width - 1 - lo:] = lf[:hi + 1]
     lf_nk = _toeplitz(lf_m, rows, width)
     rest_nk = _toeplitz(m * log_rest, rows, width)
     lf_n = lf[lo:hi + 1, None]
     lf_k = lf[:width]
-    k_log_alpha = np.arange(float(width)) * math.log(alpha)
+    k_log_alpha = np.arange(float(width)) * log_alpha
     if alpha > 1.0:
         # +1 where m < 0, so those cells stay +0.0
         sign_nk = _toeplitz(np.where((m >= 0) & (m % 2 == 1), -1.0, 1.0),
                             rows, width)
+    # C(n, k) >= 1, so every exponent is at least hi * min(log_alpha, log_rest)
+    band = alpha < 1.0 and hi * min(log_alpha, log_rest) <= _EXP_ZERO
+    if band:
+        left, right = _live_band(np.arange(lo, hi + 1), alpha)
+        starts = np.arange(0, rows, _ROW_BLOCK)
+        c0 = np.minimum.reduceat(left, starts).tolist()
+        c1 = np.maximum.reduceat(right, starts).tolist()
     w = np.zeros((rows, width))
-    for r0 in range(0, rows, _ROW_BLOCK):
+    for i, r0 in enumerate(range(0, rows, _ROW_BLOCK)):
         r1 = min(r0 + _ROW_BLOCK, rows)
-        c = min(width, lo + r1)             # columns k <= the block's last n
-        blk = w[r0:r1, :c]
-        np.subtract(lf_n[r0:r1], lf_k[:c], out=blk)
-        blk -= lf_nk[r0:r1, :c]
-        blk += k_log_alpha[:c]
-        blk += rest_nk[r0:r1, :c]
+        a, b = (c0[i], c1[i]) if band else (0, lo + r1)
+        blk = w[r0:r1, a:b]
+        np.subtract(lf_n[r0:r1], lf_k[a:b], out=blk)
+        blk -= lf_nk[r0:r1, a:b]
+        blk += k_log_alpha[a:b]
+        blk += rest_nk[r0:r1, a:b]
         np.exp(blk, out=blk)
         if alpha > 1.0:
-            blk *= sign_nk[r0:r1, :c]
+            blk *= sign_nk[r0:r1, a:b]
         else:
             # the sum runs over the whole row: its zeros fix the summation order
             blk /= w[r0:r1].sum(axis=1, keepdims=True)

@@ -10,7 +10,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .numerics import (check_support, log_factorials, poisson_log_terms,
+from .numerics import (check_support, fsum, log_factorials, poisson_log_terms,
                        poisson_support_top)
 
 
@@ -80,7 +80,7 @@ class FinitePmf:
             raise ParameterError(
                 f"pmf entry {lowest:.6e} is below -tol_norm = {-cfg.tol_norm:.1e}")
         np.clip(arr, 0.0, None, out=arr)
-        total = math.fsum(arr)
+        total = fsum(arr)
         if abs(total - 1.0) > cfg.tol_norm:
             raise ParameterError(
                 f"pmf mass {total!r} differs from 1 by more than tol_norm")
@@ -268,14 +268,14 @@ def construct(spec: FamilySpec, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Fi
         top = max(1, int(math.ceil(math.log(cfg.tail_eps) / math.log1p(-succ))))
         k = np.arange(check_support(top, "geometric mean", spec.mean) + 1)
         block = np.exp(math.log(succ) + k * math.log1p(-succ))
-        return FinitePmf(block / math.fsum(block), cfg)
+        return FinitePmf(block / fsum(block), cfg)
     if fam == "raw":
         arr = np.asarray(spec.probs, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ParameterError("raw pmf requires a nonempty vector")
         if not np.all(np.isfinite(arr)):
             raise ParameterError("raw pmf entries must be finite")
-        total = math.fsum(np.clip(arr, 0.0, None))
+        total = fsum(np.clip(arr, 0.0, None))
         if total <= 0.0:
             raise ParameterError("raw pmf has no positive mass")
         if float(arr.min()) < -cfg.tol_norm * total:
@@ -286,7 +286,7 @@ def construct(spec: FamilySpec, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Fi
 
 def mean(p: FinitePmf) -> float:
     """First moment, with compensated summation."""
-    return math.fsum(np.arange(len(p)) * p.probs)
+    return fsum(np.arange(len(p)) * p.probs)
 
 
 def is_ulc(p: FinitePmf, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
@@ -325,4 +325,4 @@ def total_variation(p: FinitePmf, q: FinitePmf) -> float:
     b = np.zeros(width)
     a[:len(p)] = p.probs
     b[:len(q)] = q.probs
-    return 0.5 * math.fsum(np.abs(a - b))
+    return 0.5 * fsum(np.abs(a - b))

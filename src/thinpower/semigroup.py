@@ -4,7 +4,6 @@ isoperimetric comparison it certifies."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,7 +12,7 @@ from .errors import DomainError, NumericError, ParameterError, PreconditionError
 from .entropy_functionals import (entropy, entropy_power, l_functional,
                                   poisson_entropy_derivative, u_functional)
 from .inequality_verdict import InequalityVerdict, make_verdict, ulc_note
-from .numerics import solve_increasing
+from .numerics import fsum, solve_increasing
 from .pmf_core import (DEFAULT_TOLERANCES, FamilySpec, FinitePmf,
                        ToleranceConfig, construct, is_ulc, mean)
 from .transforms import convolve, thin
@@ -131,7 +130,7 @@ def _solve_rate_for_entropy(base: FinitePmf, h_target: float, rate0: float,
         evaluated[f] = q, h
         log_q = np.log(q.probs, out=np.zeros(len(q)), where=q.probs > 0.0)
         dq = np.diff(q.probs, prepend=0.0)
-        return h, math.fsum(dq * log_q)
+        return h, fsum(dq * log_q)
 
     f = solve_increasing(pair, h_target, rate0, cfg.tol_root)
     return (f, *evaluated[f])

@@ -3,14 +3,13 @@ plus the thinned sums and leave-one-out sums built from them."""
 
 from __future__ import annotations
 
-import math
 from functools import reduce
 
 import numpy as np
 
 from .errors import (IllConditionedError, NotThinnableError, ParameterError,
                      PreconditionError)
-from .numerics import binomial_rows, log_factorials
+from .numerics import binomial_rows, fsum, log_factorials
 from .pmf_core import DEFAULT_TOLERANCES, FinitePmf, ToleranceConfig
 
 U = 0.5 * np.finfo(float).eps  # unit roundoff
@@ -68,10 +67,10 @@ def leave_one_out(xs, alphas, functional,
         raise PreconditionError("need n+1 >= 2 pmfs with one alpha each")
     if np.any(alphas <= 0.0):
         raise PreconditionError("every alpha_i must be strictly positive")
-    if abs(math.fsum(alphas) - 1.0) > 1e-12:
+    if abs(fsum(alphas) - 1.0) > 1e-12:
         raise PreconditionError("alphas must sum to 1 within 1e-12")
     full = functional(thinned_sum(xs, alphas, cfg))
-    comp = [math.fsum(np.delete(alphas, l)) for l in range(len(xs))]
+    comp = [fsum(np.delete(alphas, l)) for l in range(len(xs))]
     loo = [functional(thinned_sum([p for i, p in enumerate(xs) if i != l],
                                   np.delete(alphas, l) / comp[l], cfg))
            for l in range(len(xs))]

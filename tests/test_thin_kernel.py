@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from thinpower import FamilySpec, FinitePmf, construct, inverse_thin, thin
+from thinpower import (FamilySpec, FinitePmf, ParameterError, construct,
+                       inverse_thin, thin)
 from thinpower.jsonio import dumps_canonical, pmf_to_json
-from thinpower.numerics import binomial_rows, log_factorials, poisson_log_terms
+from thinpower.numerics import (_EXP_ZERO, _live_band, binomial_rows,
+                                log_factorials, poisson_log_terms)
 
 
 def dense_binomial_rows(ns, alpha, width):
@@ -29,11 +31,15 @@ def dense_binomial_rows(ns, alpha, width):
 
 
 KERNEL_ALPHAS = [1e-3, 0.1, 0.5, 0.9, 0.999, 1.0 / 0.3, 1.0 / 0.9]
+# at 2048 points and more the live band cuts rows on the right (0.1),
+# on the left (0.9) and on both sides (0.5)
+BAND_ALPHAS = [0.1, 0.5, 0.9]
 
 
 @pytest.mark.parametrize("width, start", [
     (width, start) for width in (1, 2, 3, 17, 255, 256, 257, 1024)
-    for start in ("zero", "block") if (width, start) != (1, "block")])
+    for start in ("zero", "block") if (width, start) != (1, "block")]
+    + [(2048, "zero"), (3000, "block")])
 def test_binomial_rows_equals_dense_formula_bit_for_bit(width, start):
     if start == "zero":
         ns = np.arange(width)
@@ -42,7 +48,7 @@ def test_binomial_rows_equals_dense_formula_bit_for_bit(width, start):
         lo = max(1, width // 4)
         ns = np.arange(lo, max(lo + 1, 3 * width // 4))
         assert width > ns.max()
-    for alpha in KERNEL_ALPHAS:
+    for alpha in KERNEL_ALPHAS if width <= 1024 else BAND_ALPHAS:
         # the signed kernel overflows past a few hundred points at 1/0.3;
         # inverse_thin refuses such inputs by their condition number
         with np.errstate(over="ignore"):
@@ -51,6 +57,26 @@ def test_binomial_rows_equals_dense_formula_bit_for_bit(width, start):
         assert got.shape == want.shape
         # compared as integers, so -0.0 against 0.0 also counts
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), alpha
+
+
+def test_cells_outside_the_live_band_are_exact_zeros():
+    assert np.exp(_EXP_ZERO) == 0.0
+    for width, alpha in [(2048, 0.1), (2048, 0.5), (2048, 0.9), (1024, 0.999)]:
+        ns = np.arange(width)
+        left, right = _live_band(ns, alpha)
+        k = np.arange(width)
+        skipped = (k < left[:, None]) | (k >= right[:, None])
+        dense = dense_binomial_rows(ns, alpha, width)
+        # +0.0 is the all-zero bit pattern; some skipped cells are below the
+        # diagonal, so the band does leave out cells the triangle would not
+        assert np.all(dense[skipped].view(np.uint64) == 0), alpha
+        assert np.count_nonzero(skipped & (k <= ns[:, None])) > 0, alpha
+
+
+def test_binomial_rows_refuses_cut_rows():
+    # every kept entry of these rows underflows: the sum they divide by is 0
+    with pytest.raises(ParameterError, match="width"):
+        binomial_rows(np.arange(300, 600), 0.999, 1)
 
 
 # thin's output bits, recorded before the kernel was built from Toeplitz
