@@ -81,6 +81,16 @@ def test_vpower_with_tol_root_below_double_resolution(capsys):
     assert json.loads(out) == pytest.approx(3.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("tiny", ["1e-17", "1e-300", "5e-324"])
+def test_vpower_of_geometric_below_double_resolution(capsys, tiny):
+    code, out = run(capsys, "vpower", "--pmf",
+                    f'{{"family": "geometric", "mean": {tiny}}}')
+    assert code == 0
+    # P(0) rounds to 1.0, which drops the -P(0) log P(0) ~ mean share of
+    # the entropy: V sits a few percent below the mean
+    assert json.loads(out) == pytest.approx(float(tiny), rel=0.05)
+
+
 def test_path_with_tol_root_below_double_resolution():
     # a solve that never stops would hang the suite, so run it in a
     # subprocess that the timeout turns into a failure

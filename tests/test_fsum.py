@@ -1,0 +1,181 @@
+"""numerics.fsum returns math.fsum's bits, and the wide-support functionals
+that sum through it are pinned by digest."""
+
+import hashlib
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from thinpower import (FamilySpec, construct, convolve, entropy, entropy_power,
+                       mean, rel_entropy_poisson)
+from thinpower import numerics
+from thinpower.jsonio import dumps_canonical, pmf_to_json
+from thinpower.numerics import fsum
+
+SPLIT = numerics._FSUM_SPLIT
+
+
+def _outcome(sum_fn, a):
+    """The value's bit pattern, or the type of the exception raised."""
+    try:
+        value = sum_fn(a)
+    except (ValueError, OverflowError) as err:
+        return type(err)
+    # compared as integers, so -0.0 against 0.0 also counts
+    return int(np.array([value]).view(np.uint64)[0])
+
+
+def assert_same_as_math_fsum(a):
+    assert _outcome(fsum, a) == _outcome(lambda v: math.fsum(v.tolist()), a)
+
+
+def _pmf(family, n, p, seed):
+    if family == "poisson":
+        # a support cut near rate + 10 sqrt(rate) + 30 points lands near n
+        rate = ((math.sqrt(100.0 + 4.0 * max(n - 31, 1)) - 10.0) / 2.0) ** 2
+        return construct(FamilySpec.poisson(rate))
+    if family == "binomial":
+        return construct(FamilySpec.binomial(n - 1, p))
+    ps = np.random.default_rng(seed).uniform(0.05, 0.95, n - 1)
+    return construct(FamilySpec.bernoulli_sum(*ps))
+
+
+@given(family=st.sampled_from(["poisson", "binomial", "bernoulli_sum"]),
+       n=st.integers(SPLIT // 2, 4096), p=st.floats(0.01, 0.99),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_fsum_of_pmfs_and_entropy_terms(family, n, p, seed):
+    x = _pmf(family, n, p, seed)
+    probs = x.probs
+    assert_same_as_math_fsum(probs)
+    mass = probs[probs > 0.0]
+    logp = np.log(mass)
+    assert_same_as_math_fsum(mass * logp)
+    # the terms of D against the Poisson of the same mean: for a Poisson
+    # input they cancel to ~1e-13
+    k = np.flatnonzero(probs > 0.0)
+    lam = mean(x)
+    log_pi = k * math.log(lam) - lam - numerics.log_factorials(k[-1])[k]
+    assert_same_as_math_fsum(mass * (logp - log_pi))
+    assert_same_as_math_fsum(k * mass)
+
+
+magnitudes = st.lists(
+    st.floats(-1074.0, 10.0).map(lambda e: 2.0 ** e), min_size=1,
+    max_size=2100)
+
+
+@given(half=magnitudes, extra=st.integers(-4, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_fsum_of_cancelling_entries(half, extra, seed):
+    # v and -v cancel exactly; extra smallest subnormals leave a total of
+    # 0 or a few times 5e-324
+    a = np.array(half + [-v for v in half] + [math.copysign(5e-324, extra)]
+                 * abs(extra))
+    np.random.default_rng(seed).shuffle(a)
+    assert_same_as_math_fsum(a)
+
+
+@given(tie=st.sampled_from([2.0 ** -53, 2.0 ** -53 - 2.0 ** -106,
+                            -(2.0 ** -54), -(2.0 ** -54 - 2.0 ** -107),
+                            3 * 2.0 ** -53]),
+       n_tiny=st.integers(0, 2 * SPLIT), sign=st.sampled_from([-1.0, 0.0, 1.0]),
+       exponent=st.integers(-1074, -101) | st.integers(-115, -101))
+def test_fsum_near_ties(tie, n_tiny, sign, exponent):
+    # 1 + tie sits on or just inside a midpoint between two doubles: the
+    # tiny entries, all below the split's threshold, decide how it rounds
+    a = np.array([1.0, tie] + [sign * 2.0 ** exponent] * n_tiny)
+    assert_same_as_math_fsum(a)
+
+
+MAX = 1.7976931348623157e308
+CERTIFICATE_EDGES = {
+    # the small entries carry 1 + 2^-53 - 2^-102 past the midpoint above 1
+    "small_sum": [1.0, 2.0 ** -53 - 2.0 ** -102, 2.0 ** -101],
+    # just below the midpoint to the double past MAX; the small entries
+    # round the total to inf, which math.fsum reports as an overflow
+    "overflow": [MAX, 2.0 ** 970 - 2.0 ** 918, 2.0 ** 920, 2.0 ** 920],
+}
+
+
+@pytest.mark.parametrize("case", sorted(CERTIFICATE_EDGES))
+def test_fsum_certificate_edges(case):
+    a = np.zeros(SPLIT)
+    entries = CERTIFICATE_EDGES[case]
+    a[:len(entries)] = entries
+    assert_same_as_math_fsum(a)
+
+
+@pytest.mark.parametrize("n", [1, SPLIT - 1, SPLIT, 4096])
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_fsum_of_zeros_keeps_the_sign_of_math_fsum(n, zero):
+    assert_same_as_math_fsum(np.full(n, zero))
+
+
+@given(n=st.integers(1, 2 * SPLIT),
+       specials=st.lists(st.tuples(st.integers(0, 2 * SPLIT - 1),
+                                   st.sampled_from([math.inf, -math.inf,
+                                                    math.nan, 1e308, -1e308])),
+                         min_size=1, max_size=4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_fsum_with_non_finite_or_huge_entries(n, specials, seed):
+    a = np.random.default_rng(seed).random(n)
+    for i, v in specials:
+        a[i % n] = v
+    assert_same_as_math_fsum(a)
+
+
+def _lengths_summed_by_math_fsum(monkeypatch, a):
+    lengths = []
+    real = math.fsum
+
+    def spy(values):
+        lengths.append(len(values))
+        return real(values)
+
+    monkeypatch.setattr(math, "fsum", spy)
+    fsum(a)
+    monkeypatch.undo()
+    return lengths
+
+
+def test_fsum_sums_a_wide_pmf_in_part_and_a_tie_whole(monkeypatch):
+    probs = construct(FamilySpec.poisson(1615.0)).probs
+    assert probs.size >= 2048
+    assert max(_lengths_summed_by_math_fsum(monkeypatch, probs)) < probs.size
+    # 1 + 2^-53 is a midpoint that the tiny entries push up: only the whole
+    # sum decides it
+    tie = np.array([1.0, 2.0 ** -53] + [2.0 ** -200] * (probs.size - 2))
+    assert _lengths_summed_by_math_fsum(monkeypatch, tie)[-1] == tie.size
+    assert fsum(tie) == 1.0 + 2.0 ** -52
+
+
+# SHA-256 of the canonical JSON of each functional below, recorded when
+# fsum was math.fsum over the whole list
+WIDE_DIGESTS = {
+    "bernoulli_sum": "5e0ded739bcea2c4713915f287aaed9a7e55c3cedf5c57c07858bf1de801785c",
+    "binomial": "331ee4e5bbfc3019c6ad9b7f3d8fcec43cd766800ace5de35d3c3bf2f4fb1fa9",
+    "poisson": "b5ecbc9b7e7ef346794035c7d67020b5bb6afff5b2217c8c84f39473df4b263d",
+}
+WIDE_FAMILIES = sorted(WIDE_DIGESTS)
+
+
+def wide_digest(family: str) -> str:
+    docs = []
+    for n in (1024, 2048):
+        x = _pmf(family, n, 0.8, n)
+        nxt = WIDE_FAMILIES[(WIDE_FAMILIES.index(family) + 1) % 3]
+        partner = _pmf(nxt, n, 0.8, n)
+        h = entropy(x)
+        docs.append({"entropy": {"nats": h.nats, "bits": h.bits},
+                     "entropy_power": entropy_power(x),
+                     "rel_entropy_poisson": rel_entropy_poisson(x),
+                     "mean": mean(x),
+                     "convolve": pmf_to_json(convolve(x, partner))})
+    return hashlib.sha256(dumps_canonical(docs).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("family", WIDE_FAMILIES)
+def test_wide_support_functional_digest(recorded_platform, family):
+    assert wide_digest(family) == WIDE_DIGESTS[family]

@@ -126,6 +126,14 @@ def test_geometric_family_mean_and_shape():
     assert g.probs[1] / g.probs[0] == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("tiny", [1e-17, 1e-300, 5e-324])
+def test_geometric_below_double_resolution_of_its_success_probability(tiny):
+    # 1 / (1 + tiny) rounds to 1.0, so 1 - succ cannot be formed from succ
+    g = construct(FamilySpec.geometric(tiny))
+    assert math.fsum(g.probs) == 1.0
+    assert mean(g) == pytest.approx(tiny, rel=1e-12)
+
+
 @pytest.mark.parametrize("tail_eps", [1e-4, 1e-2])
 def test_truncated_geometric_is_renormalised(tail_eps):
     # the omitted tail (about tail_eps) is above tol_norm, so only the
