@@ -1,8 +1,8 @@
-"""Shared numerics: log-factorials, binomial rows, support cuts, root solves.
+"""Shared numerics: log-factorials, inverse thinning rows, support cuts,
+root solves and the correctly rounded sum.
 
-Everything here works in log space via scipy's gammaln so that supports of a
-few thousand points neither overflow nor lose more than ~1e-13 relative
-accuracy.
+The binomial and Poisson terms work in log space via scipy's gammaln so
+that supports of a few thousand points do not overflow.
 """
 
 import math
@@ -14,11 +14,8 @@ from .errors import NumericError, ParameterError
 
 # _LOG_FACT[k] = log(k!), grown on demand and only ever read afterwards.
 _LOG_FACT = gammaln(np.arange(128) + 1.0)
-# rows of the binomial kernel evaluated per block, each over its own columns
+# rows of the inverse thinning kernel evaluated per block
 _ROW_BLOCK = 64
-# exp of a double at or below about -745.14 is exactly +0.0; the margin
-# covers the rounding of a kernel exponent, a few ulps of log(n!)
-_EXP_ZERO = -745.5
 # fsum splits arrays from this many entries on.  Measured: the split saves
 # time on wide-range arrays (pmfs with tails) from about 200 entries and
 # costs 5-15 us on narrow-range ones at any size; from 512 on it saves a pmf
@@ -92,52 +89,19 @@ def _toeplitz(v: np.ndarray, rows: int, width: int) -> np.ndarray:
                       offset=(width - 1) * s, strides=(s, -s))
 
 
-def _live_band(ns: np.ndarray, alpha: float):
-    """Per row n = ns[r], 0 < alpha < 1: the columns [left, right) of the
-    kernel whose exponent, computed as binomial_rows computes it, is above
-    _EXP_ZERO.  The exponent is concave in k and peaks at the mode
-    floor((n+1) alpha), so bisection finds the left edge in [0, mode] and
-    the right edge in [mode+1, n+1], for all rows at once."""
-    lf = log_factorials(int(ns[-1]))
-    log_alpha, log_rest = math.log(alpha), math.log1p(-alpha)
-    rows = ns.size
-    n = np.tile(ns, 2)
-    # the first half of the entries look for the first live column, the
-    # second half for the first dead one past the mode; k = n + 1 is dead
-    right = np.arange(2 * rows) >= rows
-    mode = np.floor((ns + 1) * alpha).astype(ns.dtype)
-    a = np.concatenate([np.zeros_like(ns), mode + 1])
-    b = np.concatenate([mode, ns + 1])
-    # invariant: the predicate holds at b; at a - 1 it fails (or a is a start)
-    while (a < b).any():
-        mid = (a + b) >> 1
-        k = np.minimum(mid, n)
-        e = ((lf[n] - lf[k]) - lf[n - k]) + k * log_alpha + (n - k) * log_rest
-        hit = (mid > n) | ((e > _EXP_ZERO) != right)
-        b = np.where(hit, mid, b)
-        a = np.where(hit, a, mid + 1)
-    return a[:rows], a[rows:]
-
-
 def binomial_rows(ns: np.ndarray, alpha: float, width: int) -> np.ndarray:
-    """Rows of the thinning kernel: row r holds C(n, k) alpha^k (1-alpha)^(n-k)
-    for n = ns[r] over columns k = 0..width-1 (zero for k > n).
+    """Rows of the inverse thinning kernel, alpha > 1: row r holds
+    C(n, k) alpha^k (1-alpha)^(n-k) for n = ns[r] over columns
+    k = 0..width-1 (zero for k > n), signed (-1)^(n-k) by 1 - alpha < 0.
 
     ns must be a contiguous increasing range lo, lo+1, ..., hi (every caller
     passes an np.arange) of complete rows: width > hi, else ParameterError.
-    Requires alpha > 0 and alpha != 1.  For alpha < 1 each row is
-    renormalised to sum to exactly 1, which keeps total mass and means of
-    thinned pmfs stable to ~1e-15 even for n ~ 2000.  For alpha > 1 (inverse
-    thinning) the rows, signed (-1)^(n-k) by 1 - alpha < 0, are not
-    renormalised.
 
     Each cell is exp(((lf[n] - lf[k]) - lf[n-k]) + k log(alpha)
-    + (n-k) log|1-alpha|), with lf[m] = log(m!).  The terms in n - k are
-    vectors read as Toeplitz views, lf[m] = +inf for m < 0 makes exp give
-    an exact 0 there, and row blocks stop at their last diagonal cell.  For
-    alpha < 1, where some exponent can reach _EXP_ZERO, a row block is
-    evaluated only between its rows' outermost live columns (_live_band):
-    every cell left out is an exact +0.0 in the dense table too.
+    + (n-k) log(alpha-1)) times its sign, with lf[m] = log(m!).  The terms
+    in n - k are vectors read as Toeplitz views, lf[m] = +inf for m < 0
+    makes exp give an exact 0 there, and row blocks stop at their last
+    diagonal cell.
     """
     lo, rows = int(ns[0]), ns.size
     hi = lo + rows - 1
@@ -145,43 +109,29 @@ def binomial_rows(ns: np.ndarray, alpha: float, width: int) -> np.ndarray:
         raise ParameterError(f"binomial rows up to n = {hi} need width > {hi}, "
                              f"got {width}")
     lf = log_factorials(width - 1)
-    log_alpha = math.log(alpha)
-    log_rest = math.log1p(-alpha) if alpha < 1.0 else math.log(alpha - 1.0)
     m = np.arange(lo - width + 1, hi + 1.0)  # n - k over the whole table
     lf_m = np.empty(m.size)
     lf_m[:width - 1 - lo] = np.inf           # m < 0
     lf_m[width - 1 - lo:] = lf[:hi + 1]
     lf_nk = _toeplitz(lf_m, rows, width)
-    rest_nk = _toeplitz(m * log_rest, rows, width)
+    rest_nk = _toeplitz(m * math.log(alpha - 1.0), rows, width)
+    # +1 where m < 0, so those cells stay +0.0
+    sign_nk = _toeplitz(np.where((m >= 0) & (m % 2 == 1), -1.0, 1.0),
+                        rows, width)
     lf_n = lf[lo:hi + 1, None]
     lf_k = lf[:width]
-    k_log_alpha = np.arange(float(width)) * log_alpha
-    if alpha > 1.0:
-        # +1 where m < 0, so those cells stay +0.0
-        sign_nk = _toeplitz(np.where((m >= 0) & (m % 2 == 1), -1.0, 1.0),
-                            rows, width)
-    # C(n, k) >= 1, so every exponent is at least hi * min(log_alpha, log_rest)
-    band = alpha < 1.0 and hi * min(log_alpha, log_rest) <= _EXP_ZERO
-    if band:
-        left, right = _live_band(np.arange(lo, hi + 1), alpha)
-        starts = np.arange(0, rows, _ROW_BLOCK)
-        c0 = np.minimum.reduceat(left, starts).tolist()
-        c1 = np.maximum.reduceat(right, starts).tolist()
+    k_log_alpha = np.arange(float(width)) * math.log(alpha)
     w = np.zeros((rows, width))
-    for i, r0 in enumerate(range(0, rows, _ROW_BLOCK)):
+    for r0 in range(0, rows, _ROW_BLOCK):
         r1 = min(r0 + _ROW_BLOCK, rows)
-        a, b = (c0[i], c1[i]) if band else (0, lo + r1)
-        blk = w[r0:r1, a:b]
-        np.subtract(lf_n[r0:r1], lf_k[a:b], out=blk)
-        blk -= lf_nk[r0:r1, a:b]
-        blk += k_log_alpha[a:b]
-        blk += rest_nk[r0:r1, a:b]
+        b = lo + r1
+        blk = w[r0:r1, :b]
+        np.subtract(lf_n[r0:r1], lf_k[:b], out=blk)
+        blk -= lf_nk[r0:r1, :b]
+        blk += k_log_alpha[:b]
+        blk += rest_nk[r0:r1, :b]
         np.exp(blk, out=blk)
-        if alpha > 1.0:
-            blk *= sign_nk[r0:r1, a:b]
-        else:
-            # the sum runs over the whole row: its zeros fix the summation order
-            blk /= w[r0:r1].sum(axis=1, keepdims=True)
+        blk *= sign_nk[r0:r1, :b]
     return w
 
 

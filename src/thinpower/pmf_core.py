@@ -263,14 +263,15 @@ def construct(spec: FamilySpec, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Fi
             raise ParameterError(f"geometric mean {spec.mean!r} must be >= 0")
         if spec.mean == 0.0:
             return construct(FamilySpec.delta(0), cfg)
-        succ = 1.0 / (1.0 + spec.mean)
-        # log(1 - succ); below mean ~1.1e-16 succ rounds to 1 and 1 - succ to 0
-        log_fail = (math.log1p(-succ) if succ < 1.0
-                    else math.log(spec.mean) - math.log1p(spec.mean))
-        # tail beyond k is (1-succ)^(k+1); cut it below tail_eps
+        # logs of 1 / (1 + mean) and mean / (1 + mean) from the mean itself;
+        # above mean 1, 1 / mean avoids cancelling two nearly equal logs
+        log_succ = -math.log1p(spec.mean)
+        log_fail = (math.log(spec.mean) + log_succ if spec.mean <= 1.0
+                    else -math.log1p(1.0 / spec.mean))
+        # tail beyond k is fail^(k+1); cut it below tail_eps
         top = max(1, int(math.ceil(math.log(cfg.tail_eps) / log_fail)))
         k = np.arange(check_support(top, "geometric mean", spec.mean) + 1)
-        block = np.exp(math.log(succ) + k * log_fail)
+        block = np.exp(log_succ + k * log_fail)
         return FinitePmf(block / fsum(block), cfg)
     if fam == "raw":
         arr = np.asarray(spec.probs, dtype=float)

@@ -3,6 +3,7 @@ plus the thinned sums and leave-one-out sums built from them."""
 
 from __future__ import annotations
 
+import math
 from functools import reduce
 
 import numpy as np
@@ -13,16 +14,41 @@ from .numerics import binomial_rows, fsum, log_factorials
 from .pmf_core import DEFAULT_TOLERANCES, FinitePmf, ToleranceConfig
 
 U = 0.5 * np.finfo(float).eps  # unit roundoff
-# cap on rows held at once while applying the thinning kernel
-_BLOCK_CELLS = 8_000_000
+# thin's block size m: x is thinned in blocks of m coefficients
+_M = 64
+# C(i, k) for i, k <= _M, each exact integer rounded once (zero for k > i)
+_COMB = np.array([[math.comb(i, k) for k in range(_M + 1)]
+                  for i in range(_M + 1)], dtype=float)
+_I_MINUS_K = np.maximum(np.subtract.outer(np.arange(_M + 1),
+                                          np.arange(_M + 1)), 0)
 
 
 def thin(x: FinitePmf, alpha: float,
          cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> FinitePmf:
     """Thinned pmf: result[k] = sum_n x[n] * C(n,k) alpha^k (1-alpha)^(n-k).
 
-    Binomial weights are evaluated through log-gamma differences, so supports
-    well past n = 170 neither overflow nor lose accuracy.
+    Thinning is a Taylor shift of the pgf, G_(T_a X)(s) = G_X(b + a s) with
+    b = 1 - a (von zur Gathen and Gerhard, "Fast algorithms for Taylor
+    shifts", ISSAC 1997).  x is cut into J = ceil(N/m) blocks of m = _M
+    coefficients, all thinned by one product with the Pascal block
+    K[i, k] = C(i, k) a^k b^(i-k), and Horner's rule in q = (b + a s)^m,
+    row m of K, adds them up, one np.convolve a step.  For N = len(x) <= m
+    the result is x @ K.
+
+    Error bound, 0 < a < 1, u = 2^-53: every operation adds or multiplies
+    non-negative numbers, so each entry is a sum of terms that each carry a
+    product of rounding factors (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 3).  A term rounds at most D = 2 min(N, m) +
+    (J - 1)(2m + 3) times: a K entry i + 1 times (C(i, k) once, the cumprod
+    powers k - 1 and i - k - 1 times, two products), a block product
+    min(N, m) times in any summation order, a Horner step 2m + 3 times (q's
+    entry, one product, m + 1 additions).  b = fl(1 - a) adds one relative
+    error, at most u and the same in each of a term's N - 1 or fewer
+    factors b.  Dividing by the correctly rounded sum, whose factor lies in
+    the same range as the entries', as FinitePmf does, leaves each entry
+    within gamma_(N + 2D + 1) <= (5.1 N + 4m) u, relative, of the exact
+    thinning of x.probs normalised to mass 1.  Where intermediate values
+    underflow, add at most 2 (N + m)^2 2^-1074, absolute.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ParameterError(f"thinning parameter {alpha!r} outside [0, 1]")
@@ -31,12 +57,24 @@ def thin(x: FinitePmf, alpha: float,
     width = len(x)
     if alpha == 0.0 or width == 1:
         return FinitePmf([1.0], cfg)
-    out = np.zeros(width)
-    block = max(1, _BLOCK_CELLS // width)
-    for lo in range(0, width, block):
-        ns = np.arange(lo, min(lo + block, width))
-        out += x.probs[ns] @ binomial_rows(ns, alpha, width)
-    return FinitePmf(out, cfg)
+    size = min(width, _M + 1)
+    powers = np.empty((2, size))
+    powers[:, 0] = 1.0
+    powers[0, 1:] = alpha
+    powers[1, 1:] = 1.0 - alpha
+    np.cumprod(powers, axis=1, out=powers)
+    pascal = (_COMB[:size, :size] * powers[0]
+              * powers[1][_I_MINUS_K[:size, :size]])
+    if width <= _M:
+        return FinitePmf(x.probs @ pascal, cfg)
+    padded = np.zeros(width + -width % _M)
+    padded[:width] = x.probs
+    thinned = padded.reshape(-1, _M) @ pascal[:_M, :_M]
+    out = thinned[-1]
+    for block in thinned[-2::-1]:
+        out = np.convolve(out, pascal[_M])
+        out[:_M] += block
+    return FinitePmf(out[:width], cfg)
 
 
 def convolve(x: FinitePmf, y: FinitePmf,

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -132,6 +133,26 @@ def test_geometric_below_double_resolution_of_its_success_probability(tiny):
     g = construct(FamilySpec.geometric(tiny))
     assert math.fsum(g.probs) == 1.0
     assert mean(g) == pytest.approx(tiny, rel=1e-12)
+
+
+@pytest.mark.parametrize("mean_, tail_eps", [
+    (1e-10, 1e-14), (1e-12, 1e-14), (1e-14, 1e-14), (1.2e-16, 1e-14),
+    (1.0, 1e-14), (50.0, 1e-14),
+    # the default cut would keep 3.2e7 points
+    (1e6, 0.5)])
+def test_geometric_against_mpmath(mean_, tail_eps):
+    # the pmf the constructor claims: r^k (1 - r) on 0..top, r = m / (1 + m),
+    # renormalised by 1 - r^(top + 1), with its mean in closed form
+    g = construct(FamilySpec.geometric(mean_), ToleranceConfig(tail_eps=tail_eps))
+    top = len(g) - 1
+    with mpmath.workdps(40):
+        m = mpmath.mpf(mean_)
+        r = m / (1 + m)
+        kept = 1 - r ** (top + 1)
+        p0 = (1 - r) / kept
+        want = [p0, r * p0, r / (1 - r) - (top + 1) * r ** (top + 1) / kept]
+    for got, exact in zip([g.probs[0], g.probs[1], mean(g)], want):
+        assert abs(got - float(exact)) <= 1e-14 * float(exact)
 
 
 @pytest.mark.parametrize("tail_eps", [1e-4, 1e-2])

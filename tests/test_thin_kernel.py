@@ -1,4 +1,5 @@
-"""The thinning kernel's bits: equal to the dense formula, and pinned by digest."""
+"""The inverse thinning kernel's bits, equal to the dense formula, and the
+output bits of thin and inverse_thin, pinned by digest."""
 
 import hashlib
 import math
@@ -9,30 +10,23 @@ import pytest
 from thinpower import (FamilySpec, FinitePmf, ParameterError, construct,
                        inverse_thin, thin)
 from thinpower.jsonio import dumps_canonical, pmf_to_json
-from thinpower.numerics import (_EXP_ZERO, _live_band, binomial_rows,
-                                log_factorials, poisson_log_terms)
+from thinpower.numerics import binomial_rows, log_factorials, poisson_log_terms
 
 
 def dense_binomial_rows(ns, alpha, width):
-    """The kernel as one dense expression over the whole table."""
+    """The signed kernel, alpha > 1, as one dense expression over the table."""
     lf = log_factorials(max(int(ns.max()), width - 1))
     k = np.arange(width)
     nk = ns[:, None] - k[None, :]
     valid = nk >= 0
     nk = np.where(valid, nk, 0)
-    log_rest = math.log1p(-alpha) if alpha < 1.0 else math.log(alpha - 1.0)
     logw = (lf[ns][:, None] - lf[k][None, :] - lf[nk]
-            + k[None, :] * math.log(alpha) + nk * log_rest)
+            + k[None, :] * math.log(alpha) + nk * math.log(alpha - 1.0))
     w = np.where(valid, np.exp(logw), 0.0)
-    if alpha > 1.0:
-        return np.where(nk % 2 == 1, -w, w)
-    return w / w.sum(axis=1, keepdims=True)
+    return np.where(nk % 2 == 1, -w, w)
 
 
-KERNEL_ALPHAS = [1e-3, 0.1, 0.5, 0.9, 0.999, 1.0 / 0.3, 1.0 / 0.9]
-# at 2048 points and more the live band cuts rows on the right (0.1),
-# on the left (0.9) and on both sides (0.5)
-BAND_ALPHAS = [0.1, 0.5, 0.9]
+KERNEL_ALPHAS = [1.0 / 0.3, 1.0 / 0.9]
 
 
 @pytest.mark.parametrize("width, start", [
@@ -43,11 +37,11 @@ def test_binomial_rows_equals_dense_formula_bit_for_bit(width, start):
     if start == "zero":
         ns = np.arange(width)
     else:
-        # a row block of a kernel past 2828 points: lo > 0, columns beyond it
+        # a row block: lo > 0, columns beyond its largest n
         lo = max(1, width // 4)
         ns = np.arange(lo, max(lo + 1, 3 * width // 4))
         assert width > ns.max()
-    for alpha in KERNEL_ALPHAS if width <= 1024 else BAND_ALPHAS:
+    for alpha in KERNEL_ALPHAS:
         # the signed kernel overflows past a few hundred points at 1/0.3;
         # inverse_thin refuses such inputs by their condition number
         with np.errstate(over="ignore"):
@@ -58,32 +52,18 @@ def test_binomial_rows_equals_dense_formula_bit_for_bit(width, start):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), alpha
 
 
-def test_cells_outside_the_live_band_are_exact_zeros():
-    assert np.exp(_EXP_ZERO) == 0.0
-    for width, alpha in [(2048, 0.1), (2048, 0.5), (2048, 0.9), (1024, 0.999)]:
-        ns = np.arange(width)
-        left, right = _live_band(ns, alpha)
-        k = np.arange(width)
-        skipped = (k < left[:, None]) | (k >= right[:, None])
-        dense = dense_binomial_rows(ns, alpha, width)
-        # +0.0 is the all-zero bit pattern; some skipped cells are below the
-        # diagonal, so the band does leave out cells the triangle would not
-        assert np.all(dense[skipped].view(np.uint64) == 0), alpha
-        assert np.count_nonzero(skipped & (k <= ns[:, None])) > 0, alpha
-
-
 def test_binomial_rows_refuses_cut_rows():
-    # every kept entry of these rows underflows: the sum they divide by is 0
     with pytest.raises(ParameterError, match="width"):
-        binomial_rows(np.arange(300, 600), 0.999, 1)
+        binomial_rows(np.arange(300, 600), 1.0 / 0.9, 1)
 
 
-# thin's output bits, recorded before the kernel was built from Toeplitz
-# views: any change to how thin rounds fails here
+# thin's output bits, recorded from the blocked Taylor shift once it met the
+# mpmath oracles of test_transforms.py: any change to how thin rounds fails
+# here
 THIN_DIGESTS = {
-    "uniform": "0df289d61160a5a2476e35e60673cace9c1bf3f44ddaa7c06871fde33c165f2a",
-    "poisson": "daca987c0544eb6bede37dd2a62fbf8616bee5b9f9561ed34b1c15bcc68252bf",
-    "binomial": "a19cf86b64f7baf253f3c07ab0cd05f437ea8c5f52cf13b962c2f9ca8faf3351",
+    "uniform": "ff6241ae27d19d756a94654e67d8465618930695cb8896d29c14b6767d5145b4",
+    "poisson": "e383f822658c912df86a4e44a5b60b31eefad49726483b60b89ea9f6b5cc9522",
+    "binomial": "2f30636cf6ddffe03cf26b9cf98ffe6e65471c56bacfe1d4501ec6188e75a1a7",
 }
 INVERSE_THIN_DIGEST = (
     "cb3c4c6094b61779dc1fb06a878264bbe79953748306daecf6363ea9521775cc")

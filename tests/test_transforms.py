@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thinpower import numerics
+from thinpower import numerics, transforms
 from thinpower import (DEFAULT_TOLERANCES, FamilySpec, FinitePmf,
                        IllConditionedError, NotThinnableError,
                        ParameterError, PreconditionError, construct, convolve,
@@ -55,9 +55,8 @@ def cold_log_factorials(monkeypatch):
 
 
 @pytest.mark.parametrize("width", [2829, 4096])
-def test_thin_wide_support_in_blocks(cold_log_factorials, width):
-    # past 2828 points the kernel is built in several row blocks, whose
-    # columns run beyond the block's largest n
+def test_thin_wide_support_in_blocks(width):
+    # 45 and 64 blocks of 64 points, combined by 44 and 63 Horner steps
     x = FinitePmf(np.full(width, 1.0 / width))
     out = thin(x, 0.3)
     assert abs(math.fsum(out.probs) - 1.0) < 1e-12
@@ -68,10 +67,16 @@ def test_thin_wide_poisson_stays_poisson(cold_log_factorials):
     assert total_variation(thin(poi(3000.0), 0.5), poi(1500.0)) <= 1e-10
 
 
+def thin_bound(n):
+    """thin's relative error bound on n points (see its docstring)."""
+    return (5.1 * n + 4 * transforms._M) * transforms.U
+
+
 def test_thin_uniform_5000_against_mpmath():
     # P(k) = sum_(n >= k) C(n, k) / 2^n / 5000, summed at 30 digits through
     # the term ratio (n+1) / (2 (n+1-k)); entry 4999 underflows to 0 and is
-    # trimmed with the other trailing zeros
+    # trimmed with the other trailing zeros.  The stored entries are all
+    # equal, so their exact thinning normalised to mass 1 is P
     width = 5000
     out = np.zeros(width)
     thinned = thin(FinitePmf(np.full(width, 1.0 / width)), 0.5).probs
@@ -84,7 +89,51 @@ def test_thin_uniform_5000_against_mpmath():
                 term *= mpmath.mpf(n + 1) / (2 * (n + 1 - k))
                 total += term
             expected = float(total / width)
-            assert abs(out[k] - expected) <= 1e-10 * expected
+            assert abs(out[k] - expected) <= thin_bound(width) * expected
+
+
+def exact_thin(probs, alpha, ks):
+    """Entries ks of the exact thinning of the doubles probs by the double
+    alpha, normalised to mass 1, at 40 digits."""
+    with mpmath.workdps(40):
+        a = mpmath.mpf(alpha)
+        b = 1 - a
+        xs = [mpmath.mpf(v) for v in probs.tolist()]
+        mass = mpmath.fsum(xs)
+        out = []
+        for k in ks:
+            w = a ** k            # C(n, k) a^k b^(n-k) at n = k
+            total = w * xs[k]
+            for n in range(k + 1, len(xs)):
+                w *= b * n / (n - k)
+                total += w * xs[n]
+            out.append(float(total / mass))
+    return out
+
+
+def wide_support_input(family, n):
+    """The wide_support benchmark's families at n points."""
+    if family == "binomial":
+        return construct(FamilySpec.binomial(n - 1, 0.8))
+    if family == "poisson":
+        # about 0.975 of the rate whose support cut lands at n points
+        return poi(0.975 * ((math.sqrt(100.0 + 4.0 * (n - 31)) - 10.0) / 2.0) ** 2)
+    ps = np.random.default_rng(2048).uniform(0.05, 0.95, n - 1)
+    return construct(FamilySpec.bernoulli_sum(*ps))
+
+
+@pytest.mark.parametrize("family", ["binomial", "poisson", "bernoulli_sum"])
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+def test_thin_wide_support_against_mpmath(family, alpha):
+    # the mode and nine points spread over the entries above 1e-290, far
+    # tails included; every one within the componentwise bound
+    x = wide_support_input(family, 2048)
+    out = thin(x, alpha).probs
+    live = np.flatnonzero(out > 1e-290)
+    ks = sorted({int(np.argmax(out))}
+                | set(np.linspace(live[0], live[-1], 9).astype(int).tolist()))
+    for k, want in zip(ks, exact_thin(x.probs, alpha, ks)):
+        assert abs(out[k] - want) <= thin_bound(len(x)) * want, k
 
 
 def test_thin_rejects_bad_alpha():
