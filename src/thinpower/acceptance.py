@@ -250,8 +250,7 @@ def criterion_7(cfg):
         alphas = rng.dirichlet(np.full(size, 2.0))
         leave = int(rng.integers(0, size))
         t = float(rng.uniform(0.05, 0.95))
-        beta, mu = hes.interpolation_point(alphas, leave, t)
-        hes.positive_splitting(beta, mu, t, lambdas, cfg)  # raises on failure
+        hes.positive_splitting(alphas, leave, t, lambdas, cfg)  # raises on failure
         witnesses += 1
 
     worst_quad = -math.inf

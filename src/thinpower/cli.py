@@ -60,7 +60,11 @@ def _build_config(args) -> ToleranceConfig:
     for name, _ in TOLERANCE_FLAGS:
         if getattr(args, name) is not None:
             overrides[name] = getattr(args, name)
-    return ToleranceConfig.from_overrides(overrides)
+    cfg = ToleranceConfig.from_overrides(overrides)
+    # the flags also carry the variable's values: a command whose default
+    # differs from the config's (hessian's fd_step) checks its flag for None
+    vars(args).update(overrides)
+    return cfg
 
 
 def _render_table(obj, indent=""):
@@ -223,17 +227,17 @@ def _cmd_hessian(args, cfg):
     analytic = hes.hessian_analytic(pmfs, alphas, cfg)
     payload = {"alphas": alphas, "hessian": analytic.tolist()}
     if args.fd_check:
-        numeric = hes.hessian_fd(pmfs, alphas, cfg, step=args.fd_step or 1e-4)
+        step = 1e-4 if args.fd_step is None else cfg.fd_step
+        numeric = hes.hessian_fd(pmfs, alphas, cfg, step=step)
         payload["fd_hessian"] = numeric.tolist()
         payload["max_abs_gap"] = float(np.max(np.abs(analytic - numeric)))
     return payload, 0
 
 
 def _cmd_splitting(args, cfg):
-    alphas = np.asarray(_parse_numbers(args.alphas, "--alphas"))
+    alphas = _parse_numbers(args.alphas, "--alphas")
     lambdas = _parse_numbers(args.lambdas, "--lambdas")
-    beta, mu = hes.interpolation_point(alphas, args.l, args.t)
-    witness = hes.positive_splitting(beta, mu, args.t, lambdas, cfg)
+    witness = hes.positive_splitting(alphas, args.l, args.t, lambdas, cfg)
     return witness.to_json(), 0
 
 

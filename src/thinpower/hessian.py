@@ -147,41 +147,31 @@ def interpolation_point(alphas, leave_out: int, t: float):
     return (1.0 - t) * loo + t * unit, unit - loo
 
 
-def positive_splitting(beta, mu, t: float, lambdas,
+def positive_splitting(alphas, leave_out: int, t: float, lambdas,
                        cfg: ToleranceConfig = DEFAULT_TOLERANCES
                        ) -> SplittingWitness:
     """Construct and verify the explicit splitting along an interpolation path.
 
-    beta must be A_l(t) and mu the matching direction e_l - alpha^(l); the
-    leave-out index is recovered as the positive component of mu.  The
-    closed-form u is built from S = lambda^(l)(t) lambda_l / (t (1-t)^2
-    lambda(t)) and both defining identities plus the quadratic-mean identity
-    are re-verified numerically; any failure raises ConsistencyError naming
-    the violated equation (these are algebraic identities, so a failure is
-    an implementation bug, not an input problem).
+    The path is interpolation_point(alphas, leave_out, t): beta = A_l(t) and
+    mu = e_l - alpha^(l).  The closed-form u is built from S = lambda^(l)(t)
+    lambda_l / (t (1-t)^2 lambda(t)) and both defining identities plus the
+    quadratic-mean identity are re-verified numerically; any failure raises
+    ConsistencyError naming the violated equation (these are algebraic
+    identities, so a failure is an implementation bug, not an input
+    problem).
     """
-    beta = np.asarray(beta, dtype=float)
-    mu = np.asarray(mu, dtype=float)
+    beta, mu = interpolation_point(alphas, leave_out, t)
     lambdas = np.asarray(lambdas, dtype=float)
     m = beta.size
-    if not (mu.size == m and lambdas.size == m and m >= 2):
-        raise ParameterError("beta, mu, lambdas need a common length >= 2")
+    # interpolation_point has already refused fewer than two alphas
+    if lambdas.size != m:
+        raise ParameterError("alphas and lambdas need a common length")
     if not 0.0 < t < 1.0:
         raise ParameterError(f"interpolation time {t!r} outside (0, 1)")
     if np.any(lambdas <= 0.0):
         raise ParameterError("every lambda_i must be strictly positive")
     if np.any(beta <= 0.0):
         raise ParameterError("every beta_i must be strictly positive")
-    leave_out = int(np.argmax(mu))
-    loo = -mu.copy()
-    loo[leave_out] = 0.0
-    if (abs(mu[leave_out] - 1.0) > 1e-9 or np.any(loo < -1e-9)
-            or abs(fsum(loo) - 1.0) > 1e-9):
-        raise ParameterError("mu is not of the form e_l - alpha^(l)")
-    expected_beta = (1.0 - t) * loo
-    expected_beta[leave_out] = t
-    if np.max(np.abs(beta - expected_beta)) > 1e-9:
-        raise ParameterError("beta is not the interpolation point A_l(t) for mu")
 
     lam_t = fsum(beta * lambdas)
     lam_loo_t = lam_t - t * lambdas[leave_out]

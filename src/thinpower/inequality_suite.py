@@ -350,10 +350,8 @@ def random_ulc(seed: int, max_bernoullis: int = 3, max_poisson_rate: float = 2.0
         raise ParameterError("need max_bernoullis >= 1 and max_poisson_rate >= 0")
     rng = np.random.default_rng(seed)
     count = int(rng.integers(1, max_bernoullis + 1))
-    vec = np.array([1.0])
-    for p in rng.uniform(0.05, 0.95, size=count):
-        vec = np.convolve(vec, [1.0 - p, p])
-    pmf = FinitePmf(vec, cfg)
+    ps = rng.uniform(0.05, 0.95, size=count)
+    pmf = construct(FamilySpec.bernoulli_sum(*ps), cfg)
     if max_poisson_rate > 0.0:
         rate = float(rng.uniform(0.0, max_poisson_rate))
         if rate > 0.0:

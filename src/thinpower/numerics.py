@@ -1,4 +1,4 @@
-"""Shared numerics: log-factorials, inverse thinning rows, support cuts,
+"""Shared numerics: log-factorials, the inverse thinning kernel, support cuts,
 root solves and the correctly rounded sum.
 
 The binomial and Poisson terms work in log space via scipy's gammaln so
@@ -82,56 +82,41 @@ def fsum(a: np.ndarray) -> float:
     return math.fsum(a.tolist())
 
 
-def _toeplitz(v: np.ndarray, rows: int, width: int) -> np.ndarray:
-    """Read-only view T[r, k] = v[width - 1 + r - k] of a contiguous v."""
+def _toeplitz(v: np.ndarray, n: int) -> np.ndarray:
+    """Read-only n x n view T[j, k] = v[n - 1 + j - k] of a contiguous v."""
     s = v.itemsize
-    return np.ndarray((rows, width), v.dtype, buffer=v,
-                      offset=(width - 1) * s, strides=(s, -s))
+    return np.ndarray((n, n), v.dtype, buffer=v, offset=(n - 1) * s,
+                      strides=(s, -s))
 
 
-def binomial_rows(ns: np.ndarray, alpha: float, width: int) -> np.ndarray:
-    """Rows of the inverse thinning kernel, alpha > 1: row r holds
-    C(n, k) alpha^k (1-alpha)^(n-k) for n = ns[r] over columns
-    k = 0..width-1 (zero for k > n), signed (-1)^(n-k) by 1 - alpha < 0.
+def binomial_rows(alpha: float, n: int) -> np.ndarray:
+    """The n x n inverse thinning kernel, alpha > 1: entry (j, k) is
+    C(j, k) alpha^k (1-alpha)^(j-k), signed (-1)^(j-k) by 1 - alpha < 0,
+    and +0.0 above the diagonal.
 
-    ns must be a contiguous increasing range lo, lo+1, ..., hi (every caller
-    passes an np.arange) of complete rows: width > hi, else ParameterError.
-
-    Each cell is exp(((lf[n] - lf[k]) - lf[n-k]) + k log(alpha)
-    + (n-k) log(alpha-1)) times its sign, with lf[m] = log(m!).  The terms
-    in n - k are vectors read as Toeplitz views, lf[m] = +inf for m < 0
+    Each cell is exp(((lf[j] - lf[k]) - lf[j-k]) + k log(alpha)
+    + (j-k) log(alpha-1)) times its sign, with lf[m] = log(m!).  The terms
+    in j - k are vectors read as Toeplitz views, lf[m] = +inf for m < 0
     makes exp give an exact 0 there, and row blocks stop at their last
     diagonal cell.
     """
-    lo, rows = int(ns[0]), ns.size
-    hi = lo + rows - 1
-    if width <= hi:
-        raise ParameterError(f"binomial rows up to n = {hi} need width > {hi}, "
-                             f"got {width}")
-    lf = log_factorials(width - 1)
-    m = np.arange(lo - width + 1, hi + 1.0)  # n - k over the whole table
-    lf_m = np.empty(m.size)
-    lf_m[:width - 1 - lo] = np.inf           # m < 0
-    lf_m[width - 1 - lo:] = lf[:hi + 1]
-    lf_nk = _toeplitz(lf_m, rows, width)
-    rest_nk = _toeplitz(m * math.log(alpha - 1.0), rows, width)
+    lf = log_factorials(n - 1)
+    m = np.arange(1.0 - n, n)  # j - k over the whole table
+    lf_nk = _toeplitz(np.concatenate((np.full(n - 1, np.inf), lf)), n)
+    rest_nk = _toeplitz(m * math.log(alpha - 1.0), n)
     # +1 where m < 0, so those cells stay +0.0
-    sign_nk = _toeplitz(np.where((m >= 0) & (m % 2 == 1), -1.0, 1.0),
-                        rows, width)
-    lf_n = lf[lo:hi + 1, None]
-    lf_k = lf[:width]
-    k_log_alpha = np.arange(float(width)) * math.log(alpha)
-    w = np.zeros((rows, width))
-    for r0 in range(0, rows, _ROW_BLOCK):
-        r1 = min(r0 + _ROW_BLOCK, rows)
-        b = lo + r1
-        blk = w[r0:r1, :b]
-        np.subtract(lf_n[r0:r1], lf_k[:b], out=blk)
-        blk -= lf_nk[r0:r1, :b]
-        blk += k_log_alpha[:b]
-        blk += rest_nk[r0:r1, :b]
+    sign_nk = _toeplitz(np.where((m >= 0) & (m % 2 == 1), -1.0, 1.0), n)
+    k_log_alpha = np.arange(float(n)) * math.log(alpha)
+    w = np.zeros((n, n))
+    for r0 in range(0, n, _ROW_BLOCK):
+        r1 = min(r0 + _ROW_BLOCK, n)
+        blk = w[r0:r1, :r1]
+        np.subtract(lf[r0:r1, None], lf[:r1], out=blk)
+        blk -= lf_nk[r0:r1, :r1]
+        blk += k_log_alpha[:r1]
+        blk += rest_nk[r0:r1, :r1]
         np.exp(blk, out=blk)
-        blk *= sign_nk[r0:r1, :b]
+        blk *= sign_nk[r0:r1, :r1]
     return w
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import numbers
 import reprlib
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -25,6 +26,8 @@ class ToleranceConfig:
                double resolution; absolute (>= 1e-12) for epilike alphas
     tail_eps   Poisson/geometric truncation tail mass
     fd_step    default finite-difference step
+
+    Each must be finite and strictly positive, else ParameterError.
     """
 
     tol_norm: float = 1e-9
@@ -38,8 +41,11 @@ class ToleranceConfig:
             value = getattr(self, field.name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ParameterError(f"{field.name} must be a number, got {value!r}")
-            if not value > 0.0:
-                raise ParameterError(f"{field.name} must be strictly positive")
+            # inf (or an int past the largest double) overflows support
+            # cuts and root solves, and clamps pmfs silently
+            if not 0.0 < value <= sys.float_info.max:
+                raise ParameterError(f"{field.name} must be finite and strictly "
+                                     f"positive, got {reprlib.repr(value)}")
 
     @classmethod
     def from_overrides(cls, overrides: dict) -> "ToleranceConfig":

@@ -142,7 +142,7 @@ def inverse_thin(x: FinitePmf, alpha: float,
     bound = U * (8.0 * width + 3.0 * log_factorials(width - 1)[-1]) * kappa
     if bound > cfg.tol_norm:
         raise IllConditionedError(alpha, kappa, bound)
-    solved = x.probs @ binomial_rows(np.arange(width), 1.0 / alpha, width)
+    solved = x.probs @ binomial_rows(1.0 / alpha, width)
     try:
         return FinitePmf(solved, cfg)
     except ParameterError:

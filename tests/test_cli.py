@@ -1,6 +1,7 @@
 """Command-line behaviour: dispatch, JSON formats, exit codes, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -226,6 +227,30 @@ def test_hessian_command_with_fd_check(capsys):
     assert doc["max_abs_gap"] < 1e-5
 
 
+def test_hessian_fd_step_comes_from_the_flag_or_the_variable(
+        capsys, monkeypatch):
+    argv = ["hessian", "--specs", '[{"family": "bernoulli", "p": 0.3},'
+            ' {"family": "binomial", "n": 2, "p": 0.4}]',
+            "--alphas", "0.4,0.6", "--fd-check"]
+    gap = {}
+    for key, env, flags in (("default", None, []),
+                            ("4 flag", None, ["--fd-step", "1e-4"]),
+                            ("2 flag", None, ["--fd-step", "1e-2"]),
+                            ("2 env", '{"fd_step": 1e-2}', []),
+                            ("4 over env", '{"fd_step": 1e-2}',
+                             ["--fd-step", "1e-4"])):
+        if env is None:
+            monkeypatch.delenv("THINPOWER_TOLERANCES", raising=False)
+        else:
+            monkeypatch.setenv("THINPOWER_TOLERANCES", env)
+        code, out = run(capsys, *argv, *flags)
+        assert code == 0
+        gap[key] = json.loads(out)["max_abs_gap"]
+    # the step is 1e-4 unless the flag or the variable sets it
+    assert gap["default"] == gap["4 flag"] == gap["4 over env"] < 1e-7
+    assert gap["2 env"] == gap["2 flag"] > 1e-6
+
+
 def test_hessian_command_with_zero_mean_inputs(capsys):
     delta = '{"family": "delta", "k": 0}'
     code, out = run(capsys, "hessian", "--specs", f"[{delta}, {delta}]",
@@ -425,6 +450,44 @@ def test_tolerance_env_input_errors(capsys, monkeypatch, env, message):
     doc = json.loads(out)
     assert doc["error"] == "ParameterError"
     assert doc["message"].startswith(message)
+
+
+TOLERANCE_NAMES = ["tol_norm", "tol_ineq", "tol_root", "tail_eps", "fd_step"]
+
+
+@pytest.mark.parametrize("name", TOLERANCE_NAMES)
+@pytest.mark.parametrize("via", ["flag", "env"])
+def test_non_finite_tolerances_are_input_errors(capsys, monkeypatch, name, via):
+    for value, shown in ((math.inf, "inf"), (math.nan, "nan")):
+        if via == "flag":
+            argv = [f"--{name.replace('_', '-')}", shown]
+        else:
+            monkeypatch.setenv("THINPOWER_TOLERANCES",
+                               json.dumps({name: value}))
+            argv = []
+        code, out = run(capsys, *argv, "construct", "--spec", P1)
+        assert code == 2
+        assert json.loads(out) == {
+            "error": "ParameterError",
+            "message": f"{name} must be finite and strictly positive, "
+                       f"got {shown}"}
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["construct", "--spec", GEO, "--tail-eps", "inf"], None),
+    (["vpower", "--pmf", '{"probs": [0.5, 0.5]}', "--tol-root", "inf"], None),
+    (["unthin", "--pmf", '{"family": "binomial", "n": 60, "p": 0.5}',
+      "--alpha", "0.3"], '{"tol_norm": Infinity}'),
+], ids=["construct", "vpower", "unthin"])
+def test_infinite_tolerance_neither_crashes_nor_answers(
+        capsys, monkeypatch, argv, env):
+    # unchecked, inf overflows the geometric cut, stops the V solve at
+    # 1 (V is 0.3014) and lets unthin clamp an unthinnable pmf
+    if env is not None:
+        monkeypatch.setenv("THINPOWER_TOLERANCES", env)
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert json.loads(out)["error"] == "ParameterError"
 
 
 @pytest.mark.parametrize("spec, message", [

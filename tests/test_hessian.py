@@ -139,9 +139,9 @@ def test_poisson_quadratic_form_never_positive():
 def test_splitting_witness_hand_case():
     # two variables, unit means, leave out the second at t = 1/2:
     # S = 4, u_21 = u_12 = 2, v_12 = 4
-    beta, mu = apb.interpolation_point([0.5, 0.5], 1, 0.5)
-    assert np.allclose(beta, [0.5, 0.5]) and np.allclose(mu, [-1.0, 1.0])
-    witness = apb.positive_splitting(beta, mu, 0.5, [1.0, 1.0])
+    witness = apb.positive_splitting([0.5, 0.5], 1, 0.5, [1.0, 1.0])
+    assert np.allclose(witness.beta, [0.5, 0.5])
+    assert np.allclose(witness.mu, [-1.0, 1.0])
     assert witness.S == pytest.approx(4.0, abs=1e-12)
     assert witness.u[1, 0] == pytest.approx(2.0, abs=1e-12)
     assert witness.u[0, 1] == pytest.approx(2.0, abs=1e-12)
@@ -163,8 +163,8 @@ def test_splitting_witnesses_on_random_instances():
         alphas = rng.dirichlet(np.full(size, 2.0))
         leave = int(rng.integers(0, size))
         t = float(rng.uniform(0.05, 0.95))
-        beta, mu = apb.interpolation_point(alphas, leave, t)
-        witness = apb.positive_splitting(beta, mu, t, lambdas)
+        witness = apb.positive_splitting(alphas, leave, t, lambdas)
+        beta, mu = witness.beta, witness.mu
         assert np.all(witness.u >= 0.0)
         assert np.all(np.diag(witness.u) == 0.0)
         # independent re-evaluation of the quadratic-mean identity
@@ -173,9 +173,16 @@ def test_splitting_witnesses_on_random_instances():
         assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(witness.S))
 
 
-def test_splitting_rejects_inconsistent_geometry():
-    with pytest.raises(ParameterError):
-        apb.positive_splitting([0.5, 0.5], [-1.0, 1.0], 0.25, [1.0, 1.0])
+@pytest.mark.parametrize("alphas, leave, t, lambdas, message", [
+    ([0.5, 0.5], 2, 0.5, [1.0, 1.0], "leave_out index 2 outside 0..1"),
+    ([0.5, 0.5], 1, 0.5, [1.0, 1.0, 1.0], "alphas and lambdas need"),
+    ([0.5, 0.5], 1, 1.5, [1.0, 1.0], r"interpolation time 1.5 outside"),
+    ([0.5, 0.5], 1, 0.5, [1.0, -1.0], "every lambda_i must be"),
+    ([0.0, 0.5, 0.5], 1, 0.5, [1.0, 1.0, 1.0], "every beta_i must be"),
+])
+def test_splitting_input_errors(alphas, leave, t, lambdas, message):
+    with pytest.raises(ParameterError, match=message):
+        apb.positive_splitting(alphas, leave, t, lambdas)
 
 
 def test_quadratic_form_along_interpolation():

@@ -244,6 +244,10 @@ def test_family_spec_json_errors(doc, message):
 def test_tolerance_config_requires_positive_entries():
     with pytest.raises(ParameterError):
         ToleranceConfig(tol_norm=0.0)
+    for value in (math.inf, -math.inf, math.nan, 10 ** 400):
+        with pytest.raises(ParameterError, match="tail_eps must be finite"):
+            ToleranceConfig(tail_eps=value)
+    assert ToleranceConfig(tail_eps=np.finfo(float).max).tail_eps > 0.0
     with pytest.raises(ParameterError, match="tol_root must be a number"):
         ToleranceConfig(tol_root="x")
 
