@@ -138,8 +138,9 @@ def check_epilike(x: FinitePmf, y: FinitePmf,
     heuristic = v_x / (v_x + v_y) if v_x + v_y > 0.0 else 0.5
 
     # a preimage whose negative mass sits at tol_norm passes or fails by
-    # rounding, so points inside [lo, hi] get twice the slack
-    inner = replace(cfg, tol_norm=2.0 * cfg.tol_norm)
+    # rounding, so points inside [lo, hi] get twice the slack, kept below 1
+    inner = replace(cfg, tol_norm=min(2.0 * cfg.tol_norm,
+                                      0.5 * (1.0 + cfg.tol_norm)))
 
     def gap(a):
         return (entropy(inverse_thin(x, a, inner)).nats

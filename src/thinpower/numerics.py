@@ -1,5 +1,5 @@
-"""Shared numerics: log-factorials, the inverse thinning kernel, support cuts,
-root solves and the correctly rounded sum.
+"""Shared numerics: log-factorials, support cuts, root solves and the
+correctly rounded sum.
 
 The binomial and Poisson terms work in log space via scipy's gammaln so
 that supports of a few thousand points do not overflow.
@@ -14,8 +14,6 @@ from .errors import NumericError, ParameterError
 
 # _LOG_FACT[k] = log(k!), grown on demand and only ever read afterwards.
 _LOG_FACT = gammaln(np.arange(128) + 1.0)
-# rows of the inverse thinning kernel evaluated per block
-_ROW_BLOCK = 64
 # fsum splits arrays from this many entries on.  Measured: the split saves
 # time on wide-range arrays (pmfs with tails) from about 200 entries and
 # costs 5-15 us on narrow-range ones at any size; from 512 on it saves a pmf
@@ -80,44 +78,6 @@ def fsum(a: np.ndarray) -> float:
                         and 2.0 * (rho + slack) < math.nextafter(r, math.inf) - r):
                     return r
     return math.fsum(a.tolist())
-
-
-def _toeplitz(v: np.ndarray, n: int) -> np.ndarray:
-    """Read-only n x n view T[j, k] = v[n - 1 + j - k] of a contiguous v."""
-    s = v.itemsize
-    return np.ndarray((n, n), v.dtype, buffer=v, offset=(n - 1) * s,
-                      strides=(s, -s))
-
-
-def binomial_rows(alpha: float, n: int) -> np.ndarray:
-    """The n x n inverse thinning kernel, alpha > 1: entry (j, k) is
-    C(j, k) alpha^k (1-alpha)^(j-k), signed (-1)^(j-k) by 1 - alpha < 0,
-    and +0.0 above the diagonal.
-
-    Each cell is exp(((lf[j] - lf[k]) - lf[j-k]) + k log(alpha)
-    + (j-k) log(alpha-1)) times its sign, with lf[m] = log(m!).  The terms
-    in j - k are vectors read as Toeplitz views, lf[m] = +inf for m < 0
-    makes exp give an exact 0 there, and row blocks stop at their last
-    diagonal cell.
-    """
-    lf = log_factorials(n - 1)
-    m = np.arange(1.0 - n, n)  # j - k over the whole table
-    lf_nk = _toeplitz(np.concatenate((np.full(n - 1, np.inf), lf)), n)
-    rest_nk = _toeplitz(m * math.log(alpha - 1.0), n)
-    # +1 where m < 0, so those cells stay +0.0
-    sign_nk = _toeplitz(np.where((m >= 0) & (m % 2 == 1), -1.0, 1.0), n)
-    k_log_alpha = np.arange(float(n)) * math.log(alpha)
-    w = np.zeros((n, n))
-    for r0 in range(0, n, _ROW_BLOCK):
-        r1 = min(r0 + _ROW_BLOCK, n)
-        blk = w[r0:r1, :r1]
-        np.subtract(lf[r0:r1, None], lf[:r1], out=blk)
-        blk -= lf_nk[r0:r1, :r1]
-        blk += k_log_alpha[:r1]
-        blk += rest_nk[r0:r1, :r1]
-        np.exp(blk, out=blk)
-        blk *= sign_nk[r0:r1, :r1]
-    return w
 
 
 def poisson_log_terms(rate: float, n_top: int):

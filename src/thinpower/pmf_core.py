@@ -27,7 +27,8 @@ class ToleranceConfig:
     tail_eps   Poisson/geometric truncation tail mass
     fd_step    default finite-difference step
 
-    Each must be finite and strictly positive, else ParameterError.
+    Each must be finite and strictly positive, and tol_norm, a probability
+    mass, below 1, else ParameterError.
     """
 
     tol_norm: float = 1e-9
@@ -46,6 +47,10 @@ class ToleranceConfig:
             if not 0.0 < value <= sys.float_info.max:
                 raise ParameterError(f"{field.name} must be finite and strictly "
                                      f"positive, got {reprlib.repr(value)}")
+        # at 1 or more, FinitePmf would clamp any negative entry to 0
+        if self.tol_norm >= 1.0:
+            raise ParameterError(f"tol_norm must be below 1, got "
+                                 f"{reprlib.repr(self.tol_norm)}")
 
     @classmethod
     def from_overrides(cls, overrides: dict) -> "ToleranceConfig":

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import (IllConditionedError, NotThinnableError, ParameterError,
                      PreconditionError)
-from .numerics import binomial_rows, fsum, log_factorials
+from .numerics import fsum
 from .pmf_core import DEFAULT_TOLERANCES, FinitePmf, ToleranceConfig
 
 U = 0.5 * np.finfo(float).eps  # unit roundoff
@@ -23,58 +23,68 @@ _I_MINUS_K = np.maximum(np.subtract.outer(np.arange(_M + 1),
                                           np.arange(_M + 1)), 0)
 
 
-def thin(x: FinitePmf, alpha: float,
-         cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> FinitePmf:
-    """Thinned pmf: result[k] = sum_n x[n] * C(n,k) alpha^k (1-alpha)^(n-k).
+def _taylor_shift(probs: np.ndarray, a: float) -> np.ndarray:
+    """Coefficients of G(b + a s), b = 1 - a, for the polynomial G whose N
+    >= 2 coefficients are probs, any a > 0: T_a of probs.
 
-    Thinning is a Taylor shift of the pgf, G_(T_a X)(s) = G_X(b + a s) with
-    b = 1 - a (von zur Gathen and Gerhard, "Fast algorithms for Taylor
-    shifts", ISSAC 1997).  x is cut into J = ceil(N/m) blocks of m = _M
-    coefficients, all thinned by one product with the Pascal block
-    K[i, k] = C(i, k) a^k b^(i-k), and Horner's rule in q = (b + a s)^m,
-    row m of K, adds them up, one np.convolve a step.  For N = len(x) <= m
-    the result is x @ K.
-
-    Error bound, 0 < a < 1, u = 2^-53: every operation adds or multiplies
-    non-negative numbers, so each entry is a sum of terms that each carry a
-    product of rounding factors (Higham, Accuracy and Stability of Numerical
-    Algorithms, ch. 3).  A term rounds at most D = 2 min(N, m) +
-    (J - 1)(2m + 3) times: a K entry i + 1 times (C(i, k) once, the cumprod
-    powers k - 1 and i - k - 1 times, two products), a block product
-    min(N, m) times in any summation order, a Horner step 2m + 3 times (q's
-    entry, one product, m + 1 additions).  b = fl(1 - a) adds one relative
-    error, at most u and the same in each of a term's N - 1 or fewer
-    factors b.  Dividing by the correctly rounded sum, whose factor lies in
-    the same range as the entries', as FinitePmf does, leaves each entry
-    within gamma_(N + 2D + 1) <= (5.1 N + 4m) u, relative, of the exact
-    thinning of x.probs normalised to mass 1.  Where intermediate values
-    underflow, add at most 2 (N + m)^2 2^-1074, absolute.
+    von zur Gathen and Gerhard, "Fast algorithms for Taylor shifts", ISSAC
+    1997: probs is cut into J = ceil(N/m) blocks of m = _M coefficients, all
+    shifted by one product with the Pascal block K[i, k] = C(i, k) a^k
+    b^(i-k), and Horner's rule in q = (b + a s)^m, row m of K, adds them up,
+    one np.convolve a step.  For N <= m the result is probs @ K.  A term
+    x[n] C(n, k) a^k b^(n-k) of the result is rounded at most D = 2 min(N, m)
+    + (J - 1)(2m + 3) times, whatever its sign: a K entry i + 1 times
+    (C(i, k) once, the cumprod powers k - 1 and i - k - 1 times, two
+    products), a block product min(N, m) times in any summation order, a
+    Horner step 2m + 3 times (q's entry, one product, m + 1 additions).
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ParameterError(f"thinning parameter {alpha!r} outside [0, 1]")
-    if alpha == 1.0:
-        return x
-    width = len(x)
-    if alpha == 0.0 or width == 1:
-        return FinitePmf([1.0], cfg)
+    width = probs.size
     size = min(width, _M + 1)
     powers = np.empty((2, size))
     powers[:, 0] = 1.0
-    powers[0, 1:] = alpha
-    powers[1, 1:] = 1.0 - alpha
+    powers[0, 1:] = a
+    powers[1, 1:] = 1.0 - a
     np.cumprod(powers, axis=1, out=powers)
     pascal = (_COMB[:size, :size] * powers[0]
               * powers[1][_I_MINUS_K[:size, :size]])
     if width <= _M:
-        return FinitePmf(x.probs @ pascal, cfg)
+        return probs @ pascal
     padded = np.zeros(width + -width % _M)
-    padded[:width] = x.probs
+    padded[:width] = probs
     thinned = padded.reshape(-1, _M) @ pascal[:_M, :_M]
     out = thinned[-1]
     for block in thinned[-2::-1]:
         out = np.convolve(out, pascal[_M])
         out[:_M] += block
-    return FinitePmf(out[:width], cfg)
+    return out[:width]
+
+
+def thin(x: FinitePmf, alpha: float,
+         cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> FinitePmf:
+    """Thinned pmf: result[k] = sum_n x[n] * C(n,k) alpha^k (1-alpha)^(n-k).
+
+    Thinning is a Taylor shift of the pgf, G_(T_a X)(s) = G_X(b + a s) with
+    b = 1 - a, computed by _taylor_shift.
+
+    Error bound, 0 < a < 1, u = 2^-53: every operation adds or multiplies
+    non-negative numbers, so each entry is a sum of terms that each carry a
+    product of rounding factors (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 3).  A term rounds at most D times (see _taylor_shift),
+    with N = len(x) and J = ceil(N/m) blocks of m = _M.  b = fl(1 - a) adds
+    one relative error, at most u and the same in each of a term's N - 1 or
+    fewer factors b.  Dividing by the correctly rounded sum, whose factor
+    lies in the same range as the entries', as FinitePmf does, leaves each
+    entry within gamma_(N + 2D + 1) <= (5.1 N + 4m) u, relative, of the
+    exact thinning of x.probs normalised to mass 1.  Where intermediate
+    values underflow, add at most 2 (N + m)^2 2^-1074, absolute.
+    """
+    if not 0.0 <= alpha <= 1.0:
+        raise ParameterError(f"thinning parameter {alpha!r} outside [0, 1]")
+    if alpha == 1.0:
+        return x
+    if alpha == 0.0 or len(x) == 1:
+        return FinitePmf([1.0], cfg)
+    return FinitePmf(_taylor_shift(x.probs, alpha), cfg)
 
 
 def convolve(x: FinitePmf, y: FinitePmf,
@@ -119,18 +129,31 @@ def inverse_thin(x: FinitePmf, alpha: float,
                  cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> FinitePmf:
     """The pmf x* with thin(x*, alpha) = x, when one exists on len(x) points.
 
-    T_a T_b = T_ab, so x* is x thinned by 1/alpha: a signed kernel whose
-    absolute terms sum to kappa = G_x(2/alpha - 1), so relative errors
-    delta in x and the kernel move x* by at most delta*kappa in L1 (Higham,
-    Accuracy and Stability of Numerical Algorithms, ch. 3-4).  In units of
-    u = eps/2, with N = len(x) and lf[m] = log(m!): the log-factorials in
-    each entry's exponent and its first subtraction err by up to 3*lf[N-1]
-    (gammaln is accurate to about u, lf[k] + lf[n-k] <= lf[n]); rounding x
-    and the N-term dot product add 2N; the exponent's log terms, later sums
-    and exp about 6N for alpha >= 0.1.  The first-order estimate u*(8N +
-    3*lf[N-1])*kappa above tol_norm raises IllConditionedError before any
-    kernel is built; otherwise an entry below -tol_norm raises
-    NotThinnableError.
+    T_a T_b = T_ab, so x* is x thinned by A = 1/alpha > 1: _taylor_shift
+    with a = fl(A), b = 1 - a < 0.  Its terms x[n] C(n, k) a^k b^(n-k) have
+    magnitudes that sum, over all entries, to kappa = G_x(2A - 1).
+
+    Error bound, u = 2^-53, N = len(x), D the roundings along a term (see
+    _taylor_shift), x* the exact thinning by A of x.probs normalised to
+    mass 1.  Rounding each term D times moves each entry by at most gamma_D
+    times the sum of its terms' magnitudes (Higham, Accuracy and Stability
+    of Numerical Algorithms, ch. 3), so the result by gamma_D kappa in L1.
+    b = fl(1 - a) is exact for a <= 2 (Sterbenz); for a > 2 it adds one
+    error, at most u, to each of a term's N - 1 or fewer factors b:
+    (N - 1) u kappa more.  a = A(1 + delta), |delta| <= u, moves the exact
+    result by at most A u times the L1 norm of its derivative in A,
+    sum_n x[n] 2n (2A - 1)^(n - 1) <= 2 (N - 1) kappa A / (2A - 1):
+    2 (N - 1) u kappa for a <= 2, 4/3 (N - 1) u kappa above.  So the shift
+    is within E = (D + 7/3 (N - 1)) u kappa of x*, to first order.
+    FinitePmf clamps negative entries to 0, which moves none away from x*
+    clamped the same way, and divides by the correctly rounded sum, which
+    at most doubles E and adds 2u.  The L1 distance from the result to x*,
+    clamped and renormalised, is below bound = u (2D + 5N + 2) kappa,
+    terms of order (D + N)^2 u^2 kappa and E^2 included, for any bound <=
+    0.01 (the default tol_norm is 1e-9); where values underflow, add at
+    most 2 N (N + m)^2 2^-1074.  bound above tol_norm raises
+    IllConditionedError before the shift; otherwise an entry below
+    -tol_norm raises NotThinnableError.
     """
     if not 0.0 < alpha <= 1.0:
         raise ParameterError(f"inverse thinning needs alpha in (0, 1], got {alpha!r}")
@@ -138,11 +161,16 @@ def inverse_thin(x: FinitePmf, alpha: float,
     if alpha == 1.0 or width == 1:
         return x
     t = 2.0 / alpha - 1.0
-    kappa = reduce(lambda acc, p: acc * t + p, reversed(x.probs.tolist()))
-    bound = U * (8.0 * width + 3.0 * log_factorials(width - 1)[-1]) * kappa
+    # Horner's rule on x scaled by 2^52, exact, so that no step is
+    # subnormal: kappa within gamma_2N, relative, and inf from 2^972 on,
+    # where the bound is above any tol_norm
+    kappa = reduce(lambda acc, p: acc * t + p,
+                   reversed((x.probs * 2.0 ** 52).tolist())) * 2.0 ** -52
+    rounds = 2 * min(width, _M) + (-(-width // _M) - 1) * (2 * _M + 3)
+    bound = U * (2.0 * rounds + 5.0 * width + 2.0) * kappa
     if bound > cfg.tol_norm:
         raise IllConditionedError(alpha, kappa, bound)
-    solved = x.probs @ binomial_rows(1.0 / alpha, width)
+    solved = _taylor_shift(x.probs, 1.0 / alpha)
     try:
         return FinitePmf(solved, cfg)
     except ParameterError:

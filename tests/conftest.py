@@ -27,9 +27,10 @@ PLATFORM_PROBE = (
 
 
 def _platform_probe() -> str:
-    """Digest of the primitives the pinned bits rest on: exp and gammaln
-    (inverse_thin's kernel), the BLAS matrix-vector product at the shapes of
-    both maps, and thin's block product and np.convolve."""
+    """Digest of the primitives the pinned bits rest on: the Taylor shift
+    of thin and inverse_thin, a BLAS product with the Pascal block (a
+    vector-matrix product below 65 points) and np.convolve; and exp and
+    gammaln, which build the pmfs and functionals of the fsum digests."""
     rng = np.random.default_rng(8)
     parts = [np.exp(np.linspace(-745.0, 709.0, 4099)),
              gammaln(np.arange(1.0, 5001.0))]

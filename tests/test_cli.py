@@ -473,6 +473,26 @@ def test_non_finite_tolerances_are_input_errors(capsys, monkeypatch, name, via):
                        f"got {shown}"}
 
 
+@pytest.mark.parametrize("value, shown", [("1.0", "1.0"), ("1e300", "1e+300")])
+@pytest.mark.parametrize("via", ["flag", "env"])
+def test_tol_norm_of_one_or_more_is_an_input_error(capsys, monkeypatch, via,
+                                                    value, shown):
+    # unchecked, a slack of a whole probability mass lets unthin clamp an
+    # ill-conditioned, unthinnable preimage into a pmf of zeros and noise
+    if via == "flag":
+        argv = ["--tol-norm", value]
+    else:
+        monkeypatch.setenv("THINPOWER_TOLERANCES", f'{{"tol_norm": {value}}}')
+        argv = []
+    code, out = run(capsys, "unthin", "--pmf",
+                    '{"family": "binomial", "n": 60, "p": 0.5}',
+                    "--alpha", "0.3", *argv)
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "ParameterError",
+        "message": f"tol_norm must be below 1, got {shown}"}
+
+
 @pytest.mark.parametrize("argv, env", [
     (["construct", "--spec", GEO, "--tail-eps", "inf"], None),
     (["vpower", "--pmf", '{"probs": [0.5, 0.5]}', "--tol-root", "inf"], None),

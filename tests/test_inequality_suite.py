@@ -103,6 +103,24 @@ class TestEpilike:
         assert v.holds
         assert abs(v.inputs["h_xstar"] - v.inputs["h_ystar"]) <= 1e-6
 
+    @pytest.mark.parametrize("rate, certified", [(4.85, True), (4.9, False)])
+    def test_equal_poisson_pair_certified_below_rate_4_88(self, rate,
+                                                          certified):
+        # both preimages at alpha = 1/2 are Poisson(2 rate), and their
+        # bound u (2D + 5N + 2) e^(2 rate) crosses tol_norm between 4.87
+        # and 4.88
+        if certified:
+            v = check_epilike(poi(rate), poi(rate))
+            assert v.inputs["alpha"] == pytest.approx(0.5, abs=1e-6)
+            assert v.holds
+        else:
+            with pytest.raises(IllConditionedError):
+                check_epilike(poi(rate), poi(rate))
+
+    def test_tol_norm_near_one_keeps_inner_slack_below_one(self):
+        v = check_epilike(poi(2.0), poi(2.0), ToleranceConfig(tol_norm=0.9))
+        assert v.inputs["alpha"] == pytest.approx(0.5, abs=1e-6)
+
     def test_undecidable_poisson_pair_is_ill_conditioned(self):
         # Poisson(10) = T_a Poisson(10/a), but X* is certified only for
         # alpha above about 0.69 and Y* only below about 0.31

@@ -244,6 +244,10 @@ def test_family_spec_json_errors(doc, message):
 def test_tolerance_config_requires_positive_entries():
     with pytest.raises(ParameterError):
         ToleranceConfig(tol_norm=0.0)
+    for value in (1.0, 1e300):
+        with pytest.raises(ParameterError, match="tol_norm must be below 1"):
+            ToleranceConfig(tol_norm=value)
+    assert ToleranceConfig(tol_norm=np.nextafter(1.0, 0.0)).tol_norm < 1.0
     for value in (math.inf, -math.inf, math.nan, 10 ** 400):
         with pytest.raises(ParameterError, match="tail_eps must be finite"):
             ToleranceConfig(tail_eps=value)

@@ -1,22 +1,26 @@
 """Properties of thin over the envelope it claims: supports of a few thousand
-points, any alpha in (0, 1) and Poisson rates up to 2000.
+points, any alpha in (0, 1) and Poisson rates up to 2000; and of the round
+trip through inverse_thin.
 
 The tolerances follow from thin's componentwise bound: each entry is within
 (5.1 N + 4m) u, relative, of the exact thinning of its N-point input
-normalised to mass 1 (see thin's docstring).  Tier-1 draws inputs of up to
-a few hundred points; the thorough profile (--hypothesis-profile thorough)
-draws the whole envelope.
+normalised to mass 1 (see thin's docstring), and from inverse_thin's L1
+bound.  Tier-1 draws inputs of up to a few hundred points; the thorough
+profile (--hypothesis-profile thorough) draws the whole envelope.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from thinpower import (DEFAULT_TOLERANCES, FamilySpec, construct, convolve,
-                       mean, thin, total_variation)
+from thinpower import (DEFAULT_TOLERANCES, FamilySpec, IllConditionedError,
+                       construct, convolve, inverse_thin, mean, thin,
+                       total_variation)
 from thinpower import transforms
-from test_transforms import thin_bound
+from test_transforms import (inverse_bound, pgf_at_inverse_point,
+                             roundtrip_bound, thin_bound)
 
 THOROUGH = (settings().max_examples
             >= settings.get_profile("thorough").max_examples)
@@ -67,3 +71,21 @@ def test_thin_sign_mass_mean_and_semigroup(x, a, b):
 def test_thin_keeps_poisson_closed(rate, a):
     thinned = thin(construct(FamilySpec.poisson(rate)), a)
     assert total_variation(thinned, construct(FamilySpec.poisson(a * rate))) <= 1e-10
+
+
+@given(ulc_pmfs(), st.floats(0.01, 0.999))
+def test_inverse_thin_round_trip_within_its_bound(x, alpha):
+    y = thin(x, alpha)
+    try:
+        back = inverse_thin(y, alpha)
+    except IllConditionedError as exc:
+        assert exc.bound > DEFAULT_TOLERANCES.tol_norm
+        kappa = pgf_at_inverse_point(y, alpha)
+        if kappa < 2.0 ** 972:   # above, inverse_thin reads kappa as inf
+            assert exc.kappa == pytest.approx(kappa, rel=1e-9)
+            assert exc.bound == pytest.approx(inverse_bound(y, alpha),
+                                              rel=1e-9)
+        else:
+            assert exc.kappa == math.inf
+        return
+    assert 2.0 * total_variation(back, x) <= roundtrip_bound(x, y, alpha)

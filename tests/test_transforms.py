@@ -5,7 +5,6 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from thinpower import numerics, transforms
 from thinpower import (DEFAULT_TOLERANCES, FamilySpec, FinitePmf,
@@ -92,11 +91,11 @@ def test_thin_uniform_5000_against_mpmath():
             assert abs(out[k] - expected) <= thin_bound(width) * expected
 
 
-def exact_thin(probs, alpha, ks):
-    """Entries ks of the exact thinning of the doubles probs by the double
-    alpha, normalised to mass 1, at 40 digits."""
-    with mpmath.workdps(40):
-        a = mpmath.mpf(alpha)
+def exact_thin(probs, alpha, ks, power=1):
+    """Entries ks of the exact thinning of the doubles probs by alpha^power
+    for the double alpha, normalised to mass 1, at 60 digits."""
+    with mpmath.workdps(60):
+        a = mpmath.mpf(alpha) ** power
         b = 1 - a
         xs = [mpmath.mpf(v) for v in probs.tolist()]
         mass = mpmath.fsum(xs)
@@ -251,43 +250,65 @@ def pgf_at_inverse_point(x, alpha):
         return math.inf
 
 
-def roundtrip_bound(x, alpha):
-    """The documented L1 error estimate of inverse_thin(x, alpha)."""
-    n, u = len(x), 0.5 * np.finfo(float).eps
-    return (u * (8.0 * n + 3.0 * math.lgamma(n))
-            * pgf_at_inverse_point(x, alpha))
+def inverse_bound(x, alpha):
+    """inverse_thin's L1 error bound, u (2D + 5N + 2) kappa, on N = len(x)
+    points, with D = 2 min(N, m) + (J - 1)(2m + 3) (see its docstring)."""
+    n, m, u = len(x), transforms._M, transforms.U
+    rounds = 2 * min(n, m) + (math.ceil(n / m) - 1) * (2 * m + 3)
+    return u * (2 * rounds + 5 * n + 2) * pgf_at_inverse_point(x, alpha)
 
 
-@settings(max_examples=80)
-@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 150),
-       st.floats(0.0, 40.0), st.floats(0.01, 0.999))
-def test_inverse_thin_round_trip_within_its_bound(seed, bernoullis, rate, alpha):
-    # ULC inputs of up to a few hundred points: a Bernoulli sum times a
-    # Poisson factor
-    vec = np.array([1.0])
-    for p in np.random.default_rng(seed).uniform(0.05, 0.95, bernoullis):
-        vec = np.convolve(vec, [1.0 - p, p])
-    x = convolve(FinitePmf(vec), poi(rate)) if rate > 0.0 else FinitePmf(vec)
-    y = thin(x, alpha)
-    try:
-        back = inverse_thin(y, alpha)
-    except IllConditionedError as exc:
-        assert exc.bound > DEFAULT_TOLERANCES.tol_norm
-        assert exc.kappa == pytest.approx(pgf_at_inverse_point(y, alpha),
-                                          rel=1e-9)
-        return
-    assert 2.0 * total_variation(back, x) <= roundtrip_bound(y, alpha)
+def roundtrip_bound(x, y, alpha):
+    """L1 bound on inverse_thin(y, alpha) - x for y = thin(x, alpha): y's
+    own bound, plus thin's relative error on each entry of y, which the
+    exact inverse T_(1/alpha) magnifies by at most kappa in L1."""
+    return (inverse_bound(y, alpha)
+            + thin_bound(len(x)) * pgf_at_inverse_point(y, alpha))
+
+
+def exact_inverse_thin(probs, alpha):
+    """The exact thinning of the doubles probs, normalised to mass 1, by
+    1/alpha; its negative entries are clamped to 0 and the rest
+    renormalised, as FinitePmf does."""
+    clamped = [max(v, 0.0) for v in
+               exact_thin(probs, alpha, range(probs.size), power=-1)]
+    with mpmath.workdps(60):
+        mass = mpmath.fsum(clamped)
+        return [v / mass for v in clamped]
+
+
+INVERSE_ORACLE_CASES = {
+    "binomial(60, .3) at .8": (construct(FamilySpec.binomial(60, 0.3)), 0.8),
+    "thinned binomial(60, .3) at .8": (
+        thin(construct(FamilySpec.binomial(60, 0.3)), 0.8), 0.8),
+    "thinned Poisson(30) at .9": (thin(poi(30.0), 0.9), 0.9),
+    "binomial(299, .3) at .99": (construct(FamilySpec.binomial(299, 0.3)), 0.99),
+    "Poisson(1) at .25": (poi(1.0), 0.25),
+    "binomial(20, .2) at .5": (construct(FamilySpec.binomial(20, 0.2)), 0.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVERSE_ORACLE_CASES))
+def test_inverse_thin_against_mpmath(case):
+    x, alpha = INVERSE_ORACLE_CASES[case]
+    want = exact_inverse_thin(x.probs, alpha)
+    got = np.zeros(len(x))
+    star = inverse_thin(x, alpha).probs
+    got[:star.size] = star
+    with mpmath.workdps(60):
+        err = float(mpmath.fsum(abs(mpmath.mpf(g) - w)
+                                for g, w in zip(got.tolist(), want)))
+    assert err <= inverse_bound(x, alpha)
 
 
 @pytest.mark.parametrize("n, alpha", [(1000, 0.999), (2000, 0.9999),
                                       (4096, 0.99999)])
 def test_inverse_thin_round_trip_on_wide_support(n, alpha):
-    # the log-factorial term of the bound dominates at thousands of points;
-    # alpha near 1 keeps kappa small enough to certify
+    # alpha near 1 keeps kappa small enough to certify thousands of points
     x = construct(FamilySpec.binomial(n - 1, 0.3))
     y = thin(x, alpha)
     back = inverse_thin(y, alpha)
-    assert 2.0 * total_variation(back, x) <= roundtrip_bound(y, alpha)
+    assert 2.0 * total_variation(back, x) <= roundtrip_bound(x, y, alpha)
 
 
 def test_inverse_thin_overflowing_condition_number():
@@ -296,6 +317,19 @@ def test_inverse_thin_overflowing_condition_number():
     with pytest.raises(IllConditionedError) as info:
         inverse_thin(bern(0.5), 1e-310)
     assert info.value.kappa == math.inf
+
+
+def test_inverse_thin_condition_number_of_a_subnormal_tail():
+    # the top entry, 3 * 2^-1074, carries nearly all of kappa; Horner's rule
+    # on the unscaled entries rounds its first, subnormal steps to whole
+    # multiples of 2^-1074 and read kappa 0.34% low
+    probs = np.zeros(438)
+    probs[0], probs[437] = 1.0, 3 * 2.0 ** -1074
+    x = FinitePmf(probs)
+    with pytest.raises(IllConditionedError) as info:
+        inverse_thin(x, 0.3)
+    assert info.value.kappa == pytest.approx(pgf_at_inverse_point(x, 0.3),
+                                             rel=1e-9)
 
 
 @pytest.mark.parametrize("spec, alpha", [
@@ -313,7 +347,7 @@ def test_inverse_thin_refuses_ill_conditioned_round_trips(spec, alpha):
     assert info.value.alpha == alpha
     assert info.value.kappa == pytest.approx(pgf_at_inverse_point(y, alpha),
                                              rel=1e-9)
-    assert info.value.bound == pytest.approx(roundtrip_bound(y, alpha),
+    assert info.value.bound == pytest.approx(inverse_bound(y, alpha),
                                              rel=1e-9)
     assert info.value.bound > DEFAULT_TOLERANCES.tol_norm
 
