@@ -31,9 +31,11 @@ class EntropyValue:
 
 def entropy(p: FinitePmf) -> EntropyValue:
     """Shannon entropy -sum p log p in nats; zero terms are skipped."""
-    mass = p.probs[p.probs > 0.0]
-    nats = -fsum(mass * np.log(mass))
-    return EntropyValue(nats if nats > 0.0 else 0.0)
+    if "entropy" not in p._memo:
+        mass = p.probs[p.probs > 0.0]
+        nats = -fsum(mass * np.log(mass))
+        p._memo["entropy"] = EntropyValue(nats if nats > 0.0 else 0.0)
+    return p._memo["entropy"]
 
 
 def _poisson_entropy_pair(t: float, cfg: ToleranceConfig) -> tuple[float, float]:
@@ -73,12 +75,15 @@ def entropy_power(p: FinitePmf, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> fl
     Solved by numerics.solve_increasing on the concave E from max(mean, 1)
     to cfg.tol_root * t; E and E' share one Poisson log pmf per step.  It
     takes 5 to 8 steps, and hundreds for entropies near 1e-100 (bisecting).
+    The result is kept in p's memo per (tol_root, tail_eps).
     """
-    target = entropy(p).nats
-    if target <= 0.0:
-        return 0.0
-    return solve_increasing(lambda t: _poisson_entropy_pair(t, cfg), target,
-                            max(mean(p), 1.0), cfg.tol_root)
+    key = ("entropy_power", cfg.tol_root, cfg.tail_eps)
+    if key not in p._memo:
+        target = entropy(p).nats
+        p._memo[key] = (solve_increasing(
+            lambda t: _poisson_entropy_pair(t, cfg), target,
+            max(mean(p), 1.0), cfg.tol_root) if target > 0.0 else 0.0)
+    return p._memo[key]
 
 
 def rel_entropy_poisson(p: FinitePmf,

@@ -27,6 +27,8 @@ ALPHA_GRID = tuple(np.linspace(0.1, 0.9, 9))
 
 # check_epilike scans its feasible alpha window at this many equal steps
 EPILIKE_SCAN = 64
+# golden section's inner point, as a share of the interval
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 
 
 @dataclass(frozen=True)
@@ -106,11 +108,20 @@ def _bisect(gap, a0, d0, a1, tol):
 
 
 def _golden_min(gap, lo, hi, tol):
-    """(|gap(a)|, a) at the least |gap| golden section on [lo, hi] meets."""
-    c = lo + 0.5 * (3.0 - math.sqrt(5.0)) * (hi - lo)
+    """(|gap(a)|, a) at the least |gap| golden section on [lo, hi] meets.
+
+    Each step amplifies the rounding of the mirror d = lo + hi - c until c
+    nears the midpoint, where [lo, hi] shrinks by ulps a step; so c
+    restarts at the golden ratio once d leaves the middle half.
+    """
+    c = lo + _GOLDEN * (hi - lo)
     fc = abs(gap(c))
     while hi - lo > tol:
-        d = lo + hi - c  # the mirror keeps both points at golden ratios
+        d = lo + hi - c
+        if not lo + 0.25 * (hi - lo) <= d <= hi - 0.25 * (hi - lo):
+            c = lo + _GOLDEN * (hi - lo)
+            fc = abs(gap(c))
+            continue
         fd = abs(gap(d))
         if fd < fc:
             lo, hi, c, fc = (c, hi, d, fd) if d > c else (lo, c, d, fd)

@@ -71,9 +71,13 @@ class FinitePmf:
     Entries are nonnegative and sum to 1; negative noise above -tol_norm is
     clamped to zero and the vector renormalised.  Trailing zeros are trimmed,
     so the last entry is positive except for the point mass at 0.
+
+    probs is read-only, so what is computed from it stays valid: _memo
+    keeps H, V per (tol_root, tail_eps) and is_ulc per tol_norm, so that a
+    check sweeping one pmf over many alphas solves V and tests ULC once.
     """
 
-    __slots__ = ("probs",)
+    __slots__ = ("probs", "_memo")
 
     def __init__(self, probs, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
         try:
@@ -84,22 +88,27 @@ class FinitePmf:
             ) from None
         if arr.ndim != 1 or arr.size == 0:
             raise ParameterError("pmf requires a 1-D vector of length >= 1")
-        if not np.all(np.isfinite(arr)):
+        # nan and +-inf show in the extremes
+        lowest, highest = float(arr.min()), float(arr.max())
+        if not (math.isfinite(lowest) and math.isfinite(highest)):
             raise ParameterError("pmf entries must be finite")
-        lowest = float(arr.min())
         if lowest < -cfg.tol_norm:
             raise ParameterError(
                 f"pmf entry {lowest:.6e} is below -tol_norm = {-cfg.tol_norm:.1e}")
-        np.clip(arr, 0.0, None, out=arr)
+        # <=, not <: min may report +0.0 where a -0.0 is present too
+        if lowest <= 0.0:
+            np.clip(arr, 0.0, None, out=arr)
         total = fsum(arr)
         if abs(total - 1.0) > cfg.tol_norm:
             raise ParameterError(
                 f"pmf mass {total!r} differs from 1 by more than tol_norm")
         arr /= total
-        support = np.flatnonzero(arr)
-        arr = arr[:support[-1] + 1] if support.size else arr[:1]
+        if arr[-1] == 0.0:
+            support = np.flatnonzero(arr)
+            arr = arr[:support[-1] + 1] if support.size else arr[:1]
         arr.flags.writeable = False
         self.probs = arr
+        self._memo = {}
 
     def __len__(self) -> int:
         return self.probs.size
@@ -227,6 +236,13 @@ def _poisson_probs(rate: float, cfg: ToleranceConfig) -> np.ndarray:
     return np.exp(logp)
 
 
+def poisson_pmf(rate: float, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> FinitePmf:
+    """construct(FamilySpec.poisson(rate), cfg) without the spec."""
+    if rate < 0.0 or not math.isfinite(rate):
+        raise ParameterError(f"poisson rate {rate!r} must be >= 0")
+    return FinitePmf(_poisson_probs(rate, cfg), cfg)
+
+
 def construct(spec: FamilySpec, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> FinitePmf:
     """Build the pmf of a parametric family.
 
@@ -266,9 +282,7 @@ def construct(spec: FamilySpec, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Fi
             vec = np.convolve(vec, [1.0 - p, p])
         return FinitePmf(vec, cfg)
     if fam == "poisson":
-        if spec.rate < 0.0 or not math.isfinite(spec.rate):
-            raise ParameterError(f"poisson rate {spec.rate!r} must be >= 0")
-        return FinitePmf(_poisson_probs(spec.rate, cfg), cfg)
+        return poisson_pmf(spec.rate, cfg)
     if fam == "geometric":
         if spec.mean < 0.0 or not math.isfinite(spec.mean):
             raise ParameterError(f"geometric mean {spec.mean!r} must be >= 0")
@@ -312,16 +326,16 @@ def is_ulc(p: FinitePmf, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
     Comparison carries a -tol_norm slack so families that sit exactly on the
     boundary (Poisson) are not rejected for rounding.
     """
-    probs = p.probs
-    start = int(np.flatnonzero(probs)[0]) if probs.any() else 0
-    if np.any(probs[start:] == 0.0):
-        return False
-    if len(p) < 3:
-        return True
-    i = np.arange(1, len(p) - 1)
-    lhs = i * probs[1:-1] ** 2
-    rhs = (i + 1) * probs[2:] * probs[:-2]
-    return bool(np.all(lhs >= rhs - cfg.tol_norm))
+    key = ("is_ulc", cfg.tol_norm)
+    if key not in p._memo:
+        probs = p.probs
+        start = int(np.flatnonzero(probs)[0]) if probs.any() else 0
+        i = np.arange(1, len(p) - 1)
+        lhs = i * probs[1:-1] ** 2
+        rhs = (i + 1) * probs[2:] * probs[:-2]
+        p._memo[key] = bool(not np.any(probs[start:] == 0.0)
+                            and np.all(lhs >= rhs - cfg.tol_norm))
+    return p._memo[key]
 
 
 def size_bias(p: FinitePmf, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> FinitePmf:

@@ -13,8 +13,8 @@ from .entropy_functionals import (entropy, entropy_power, l_functional,
                                   poisson_entropy_derivative, u_functional)
 from .inequality_verdict import InequalityVerdict, make_verdict, ulc_note
 from .numerics import fsum, solve_increasing
-from .pmf_core import (DEFAULT_TOLERANCES, FamilySpec, FinitePmf,
-                       ToleranceConfig, construct, is_ulc, mean)
+from .pmf_core import (DEFAULT_TOLERANCES, FinitePmf, ToleranceConfig,
+                       is_ulc, mean, poisson_pmf)
 from .transforms import convolve, thin
 
 
@@ -60,7 +60,7 @@ def evolve(x: FinitePmf, t: float, f_val: float,
 def _add_poisson(p: FinitePmf, rate: float, cfg: ToleranceConfig) -> FinitePmf:
     if rate == 0.0:
         return p
-    return convolve(p, construct(FamilySpec.poisson(rate), cfg), cfg)
+    return convolve(p, poisson_pmf(rate, cfg), cfg)
 
 
 def _padded(p: FinitePmf, width: int) -> np.ndarray:
@@ -129,7 +129,8 @@ def _solve_rate_for_entropy(base: FinitePmf, h_target: float, rate0: float,
         h = entropy(q).nats
         evaluated[f] = q, h
         log_q = np.log(q.probs, out=np.zeros(len(q)), where=q.probs > 0.0)
-        dq = np.diff(q.probs, prepend=0.0)
+        dq = q.probs.copy()  # Q(z) - Q(z-1), Q(-1) = 0
+        dq[1:] -= q.probs[:-1]
         return h, fsum(dq * log_q)
 
     f = solve_increasing(pair, h_target, rate0, cfg.tol_root)

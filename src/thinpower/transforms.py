@@ -164,15 +164,23 @@ def inverse_thin(x: FinitePmf, alpha: float,
     # Horner's rule on x scaled by 2^52, exact, so that no step is
     # subnormal: kappa within gamma_2N, relative, and inf from 2^972 on,
     # where the bound is above any tol_norm
-    kappa = reduce(lambda acc, p: acc * t + p,
-                   reversed((x.probs * 2.0 ** 52).tolist())) * 2.0 ** -52
+    scaled = (x.probs * 2.0 ** 52).tolist()
+    kappa = scaled.pop()
+    for p in reversed(scaled):
+        kappa = kappa * t + p
+    kappa *= 2.0 ** -52
     rounds = 2 * min(width, _M) + (-(-width // _M) - 1) * (2 * _M + 3)
     bound = U * (2.0 * rounds + 5.0 * width + 2.0) * kappa
     if bound > cfg.tol_norm:
         raise IllConditionedError(alpha, kappa, bound)
-    solved = _taylor_shift(x.probs, 1.0 / alpha)
+    # (2/alpha)^i can overflow for tiny alpha where kappa is small
+    with np.errstate(over="ignore", invalid="ignore"):
+        solved = _taylor_shift(x.probs, 1.0 / alpha)
     try:
         return FinitePmf(solved, cfg)
     except ParameterError:
+        if not np.all(np.isfinite(solved)):
+            # the bound assumes no overflow
+            raise IllConditionedError(alpha, kappa, math.inf) from None
         worst = int(np.argmin(solved))
         raise NotThinnableError(alpha, worst, float(solved[worst])) from None

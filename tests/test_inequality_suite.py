@@ -12,6 +12,7 @@ from thinpower import (DomainError, FamilySpec, IllConditionedError,
                        check_dsub, check_epilike, check_hmon, check_rtepi,
                        check_teci, check_tepis, construct, convolve, entropy,
                        entropy_power, is_ulc, random_ulc, search, thin)
+from thinpower import inequality_suite
 from thinpower.inequality_suite import tepis_ratio_condition
 from thinpower.jsonio import dumps_canonical
 
@@ -120,6 +121,24 @@ class TestEpilike:
     def test_tol_norm_near_one_keeps_inner_slack_below_one(self):
         v = check_epilike(poi(2.0), poi(2.0), ToleranceConfig(tol_norm=0.9))
         assert v.inputs["alpha"] == pytest.approx(0.5, abs=1e-6)
+
+    def test_golden_section_restarts_instead_of_crawling(self, monkeypatch):
+        # X = T_a Z, Y = T_(1-a) Z from a bench input on which the mirrored
+        # golden section drifted to the midpoint and then moved by ulps a
+        # step: 1.25M inverse_thin calls and 65 s for the same verdict
+        z = convolve(construct(FamilySpec.bernoulli_sum(
+            0.6096416682045023, 0.2310182825681486, 0.14179614538352475)),
+            poi(0.22096324787402688))
+        a = 0.34355897230787036
+        calls = []
+        monkeypatch.setattr(inequality_suite, "inverse_thin",
+                            lambda *args, f=inequality_suite.inverse_thin:
+                            calls.append(1) or f(*args))
+        v = check_epilike(thin(z, a), thin(z, 1.0 - a))
+        assert v.inputs["alpha"] == 0.34355897232293897
+        assert v.margin == 0.09194969769789885
+        assert v.inputs["h_xstar"] == 1.2492375213248212
+        assert len(calls) < 3000
 
     def test_undecidable_poisson_pair_is_ill_conditioned(self):
         # Poisson(10) = T_a Poisson(10/a), but X* is certified only for

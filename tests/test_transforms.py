@@ -1,6 +1,7 @@
 """Thinning, convolution, and thinning inversion."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -330,6 +331,23 @@ def test_inverse_thin_condition_number_of_a_subnormal_tail():
         inverse_thin(x, 0.3)
     assert info.value.kappa == pytest.approx(pgf_at_inverse_point(x, 0.3),
                                              rel=1e-9)
+
+
+def test_inverse_thin_shift_overflow_is_ill_conditioned():
+    # kappa = 1 + 1e-25 (3 - 2 alpha)^60, about 4.2e3, passes the bound,
+    # but the shift by 1/alpha forms (2/alpha)^i, past the largest double
+    # within a block: the bound's no-overflow premise fails, and the
+    # refusal is IllConditionedError, without an overflow warning
+    v = np.zeros(61)
+    v[0], v[60] = 1.0 - 1e-25, 1e-25
+    x = thin(FinitePmf(v), 1.2e-5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IllConditionedError) as info:
+            inverse_thin(x, 1.2e-5)
+    assert info.value.kappa == pytest.approx(pgf_at_inverse_point(x, 1.2e-5),
+                                             rel=1e-9)
+    assert info.value.bound == math.inf
 
 
 @pytest.mark.parametrize("spec, alpha", [
