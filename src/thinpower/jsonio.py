@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -25,11 +26,22 @@ def _format_float(value: float) -> str:
 
 
 def dumps_canonical(obj) -> str:
-    """Deterministic JSON: sorted keys, floats at 17 significant digits."""
-    if obj is None or obj is True or obj is False:
-        return json.dumps(obj)
+    """Deterministic JSON: sorted keys, floats at 17 significant digits.
+
+    A list or tuple of exact floats is formatted by one %-format call,
+    whose "%.17g" gives the same text as format(v, ".17g"); nan and inf
+    ("nan", "inf": the only texts with an "n") take the per-element path,
+    which names them NaN and Infinity.  Strings are quoted by the function
+    json.dumps uses for them under its default ensure_ascii.
+    """
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return encode_basestring_ascii(obj)
     if isinstance(obj, (np.floating, float)):
         return _format_float(float(obj))
     if isinstance(obj, (np.integer, int)):
@@ -40,10 +52,14 @@ def dumps_canonical(obj) -> str:
         for key in obj:
             if not isinstance(key, str):
                 raise ParameterError("canonical JSON requires string keys")
-        items = (f"{json.dumps(k)}:{dumps_canonical(obj[k])}"
+        items = (f"{encode_basestring_ascii(k)}:{dumps_canonical(obj[k])}"
                  for k in sorted(obj))
         return "{" + ",".join(items) + "}"
     if isinstance(obj, (list, tuple)):
+        if set(map(type, obj)) == {float}:
+            text = ",".join(["%.17g"] * len(obj)) % tuple(obj)
+            if "n" not in text:
+                return "[" + text + "]"
         return "[" + ",".join(dumps_canonical(v) for v in obj) + "]"
     if hasattr(obj, "to_json"):
         return dumps_canonical(obj.to_json())

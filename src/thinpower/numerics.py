@@ -14,11 +14,14 @@ from .errors import NumericError, ParameterError
 
 # _LOG_FACT[k] = log(k!), grown on demand and only ever read afterwards.
 _LOG_FACT = gammaln(np.arange(128) + 1.0)
-# fsum splits arrays from this many entries on.  Measured: the split saves
-# time on wide-range arrays (pmfs with tails) from about 200 entries and
-# costs 5-15 us on narrow-range ones at any size; from 512 on it saves a pmf
-# sum several times what it costs a narrow one
-_FSUM_SPLIT = 512
+# fsum extracts from arrays of this many entries on.  Measured: extraction
+# beats math.fsum on wide-range arrays (pmfs with tails) from about 230
+# entries and on narrow-range ones from about 700; from 512 on it takes a
+# pmf-tail sum in a seventh of math.fsum's time or less, and a narrow one
+# in at most about 5 us more
+_FSUM_EXTRACT = 512
+# extraction levels before fsum falls back to math.fsum of the whole list
+_FSUM_LEVELS = 3
 
 
 def log_factorials(n: int) -> np.ndarray:
@@ -35,48 +38,72 @@ def fsum(a: np.ndarray) -> float:
 
     math.fsum pays one step per entry and partial, and entries spread over
     many binades (a pmf and its tails) keep about 20 partials.  From
-    _FSUM_SPLIT entries on, only the big entries, |v| >= max|a| 2^-100,
-    go to math.fsum, which gives r with few partials.  r is returned when
-    it is certified to be the correctly rounded sum S of all n entries:
+    _FSUM_EXTRACT entries on, fsum splits the array by error-free
+    extraction (Rump, Ogita and Oishi, "Accurate floating-point summation,
+    part I", SIAM J. Sci. Comput. 30, 2008, Algorithm 3.2 and Lemma 3.3)
+    and hands math.fsum only one sum per level.  With 2^k >= n + 2,
+    top = max|p| < 2^e and sigma = 2^(e + k), one level sets
+    q = (p + sigma) - sigma and p <- p - q:
 
-    - S = r + e + s exactly, with e = sum(big) - r and s = sum(small);
-    - rho = math.fsum(big + [-r]) is e correctly rounded, so e lies within
-      |rho| 2^-53 + 2^-1075 of rho;
-    - |s| <= sum|small| <= fl(sum|small|) (1 + n 2^-51), whatever the
-      order of the n - 1 additions;
+    - sigma + p lies in [sigma/2, 2 sigma], so the outer subtraction is
+      exact (Sterbenz) and q is a multiple of sigma 2^-53 with |q| <= 2^e;
+    - p - q is exact, so the entries still sum to S = sum(a) exactly;
+    - every partial sum of the q is a multiple of sigma 2^-53 (or of
+      2^-1074) below n 2^e < sigma in size, hence a double: tau = q.sum()
+      is exact in any order, numpy's pairwise one included.
+
+    After level j, S = T + s exactly, with T = tau_1 + ... + tau_j and s
+    the sum of the p left, each |p| <= sigma 2^-53.  One level leaves s
+    too large to certify anything; from the second level on,
+    r = math.fsum(taus) is T correctly rounded, and r is returned when it
+    is certified to be the correctly rounded S:
+
+    - rho = math.fsum(taus + [-r]) is T - r correctly rounded, so T - r
+      lies within |rho| 2^-53 + 2^-1075 of rho;
+    - |s| <= sum|p| <= fl(sum|p|) (1 + n 2^-51), whatever the order of
+      the n - 1 additions;
     - slack exceeds the sum of both bounds, its own rounding included.  If
       2 (rho - slack) and 2 (rho + slack) lie strictly between -(r - the
       double below r) and (the double above r) - r, S lies strictly inside
       the interval of reals that round to r, ties excluded, so the
       correctly rounded S, which math.fsum returns, is r.
 
-    If every small entry is zero, S = sum(big) and r needs no certificate.
-    Otherwise math.fsum sums the whole list: where max|a| n >= 2^1000
-    (also inf and nan entries), where r = 0 (the sign of a zero sum), and
-    where the certificate fails (S near a midpoint between doubles).  Below
-    2^1000 no partial sum of any of these calls can overflow, so the split
-    raises nothing that the whole sum would raise.  math.fsum always sums
-    a list: iterating the array would yield numpy scalars, twice as slow.
+    Otherwise math.fsum sums the whole list: where top n >= 2^1000 (also
+    inf and nan entries), where r = 0 (the sign of a zero sum), and where
+    the certificate still fails after _FSUM_LEVELS levels (S near a
+    midpoint between doubles).  Below 2^1000, sigma and every partial sum
+    stay finite, so extraction raises nothing that the whole sum would
+    raise.  math.fsum always sums a list: iterating the array would yield
+    numpy scalars, twice as slow.
     """
     n = a.size
-    if n >= _FSUM_SPLIT:
-        mag = np.abs(a)
+    if n >= _FSUM_EXTRACT:
+        p = np.array(a, dtype=float)    # extracted from in place
+        mag = np.abs(p)
         top = float(mag.max())
         if top * n < 2.0 ** 1000:
-            big = mag >= top * 2.0 ** -100
-            terms = a[big].tolist()
-            r = math.fsum(terms)
-            if r != 0.0:
-                small = float(mag[~big].sum()) if len(terms) < n else 0.0
-                if small == 0.0:
-                    return r
-                terms.append(-r)
-                rho = math.fsum(terms)
-                slack = (abs(rho) * 2.0 ** -50 + small * (1.0 + n * 2.0 ** -50)
-                         + (n + 1) * 2.0 ** -1074)
-                if (math.nextafter(r, -math.inf) - r < 2.0 * (rho - slack)
-                        and 2.0 * (rho + slack) < math.nextafter(r, math.inf) - r):
-                    return r
+            k = (n + 1).bit_length()
+            q = np.empty_like(p)
+            taus = []
+            for level in range(_FSUM_LEVELS):
+                sigma = math.ldexp(1.0, math.frexp(top)[1] + k)
+                np.add(p, sigma, out=q)
+                q -= sigma
+                taus.append(float(q.sum()))
+                p -= q
+                np.abs(p, out=mag)
+                if level:
+                    r = math.fsum(taus)
+                    if r != 0.0:
+                        rho = math.fsum(taus + [-r])
+                        slack = (abs(rho) * 2.0 ** -50
+                                 + float(mag.sum()) * (1.0 + n * 2.0 ** -50)
+                                 + (n + 1) * 2.0 ** -1074)
+                        if (math.nextafter(r, -math.inf) - r < 2.0 * (rho - slack)
+                                and 2.0 * (rho + slack)
+                                < math.nextafter(r, math.inf) - r):
+                            return r
+                top = float(mag.max())
     return math.fsum(a.tolist())
 
 

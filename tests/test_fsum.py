@@ -15,7 +15,7 @@ from thinpower import numerics
 from thinpower.jsonio import dumps_canonical, pmf_to_json
 from thinpower.numerics import fsum
 
-SPLIT = numerics._FSUM_SPLIT
+EXTRACT = numerics._FSUM_EXTRACT
 
 
 def _outcome(sum_fn, a):
@@ -44,7 +44,7 @@ def _pmf(family, n, p, seed):
 
 
 @given(family=st.sampled_from(["poisson", "binomial", "bernoulli_sum"]),
-       n=st.integers(SPLIT // 2, 4096), p=st.floats(0.01, 0.99),
+       n=st.integers(EXTRACT // 2, 4096), p=st.floats(0.01, 0.99),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_fsum_of_pmfs_and_entropy_terms(family, n, p, seed):
     x = _pmf(family, n, p, seed)
@@ -80,12 +80,24 @@ def test_fsum_of_cancelling_entries(half, extra, seed):
 @given(tie=st.sampled_from([2.0 ** -53, 2.0 ** -53 - 2.0 ** -106,
                             -(2.0 ** -54), -(2.0 ** -54 - 2.0 ** -107),
                             3 * 2.0 ** -53]),
-       n_tiny=st.integers(0, 2 * SPLIT), sign=st.sampled_from([-1.0, 0.0, 1.0]),
+       n_tiny=st.integers(0, 2 * EXTRACT), sign=st.sampled_from([-1.0, 0.0, 1.0]),
        exponent=st.integers(-1074, -101) | st.integers(-115, -101))
 def test_fsum_near_ties(tie, n_tiny, sign, exponent):
     # 1 + tie sits on or just inside a midpoint between two doubles: the
-    # tiny entries, all below the split's threshold, decide how it rounds
+    # tiny entries, 48 or more binades below the tie, decide how it rounds
     a = np.array([1.0, tie] + [sign * 2.0 ** exponent] * n_tiny)
+    assert_same_as_math_fsum(a)
+
+
+@given(n=st.integers(EXTRACT, 4096), spread=st.integers(1, 60),
+       negative=st.floats(0.0, 0.2), seed=st.integers(0, 2 ** 32 - 1))
+def test_fsum_of_entries_near_the_top(n, spread, negative, seed):
+    # the extracted parts of entries within 2^-spread of +-1 sum to nearly
+    # n max|a|, on the grid of the binade below sigma where an entry is
+    # negative: their partial sums are exact only because 2^k >= n + 2
+    rng = np.random.default_rng(seed)
+    a = ((1.0 - rng.random(n) * 2.0 ** -spread)
+         * np.where(rng.random(n) < negative, -1.0, 1.0))
     assert_same_as_math_fsum(a)
 
 
@@ -101,20 +113,20 @@ CERTIFICATE_EDGES = {
 
 @pytest.mark.parametrize("case", sorted(CERTIFICATE_EDGES))
 def test_fsum_certificate_edges(case):
-    a = np.zeros(SPLIT)
+    a = np.zeros(EXTRACT)
     entries = CERTIFICATE_EDGES[case]
     a[:len(entries)] = entries
     assert_same_as_math_fsum(a)
 
 
-@pytest.mark.parametrize("n", [1, SPLIT - 1, SPLIT, 4096])
+@pytest.mark.parametrize("n", [1, EXTRACT - 1, EXTRACT, 4096])
 @pytest.mark.parametrize("zero", [0.0, -0.0])
 def test_fsum_of_zeros_keeps_the_sign_of_math_fsum(n, zero):
     assert_same_as_math_fsum(np.full(n, zero))
 
 
-@given(n=st.integers(1, 2 * SPLIT),
-       specials=st.lists(st.tuples(st.integers(0, 2 * SPLIT - 1),
+@given(n=st.integers(1, 2 * EXTRACT),
+       specials=st.lists(st.tuples(st.integers(0, 2 * EXTRACT - 1),
                                    st.sampled_from([math.inf, -math.inf,
                                                     math.nan, 1e308, -1e308])),
                          min_size=1, max_size=4),
@@ -143,12 +155,88 @@ def _lengths_summed_by_math_fsum(monkeypatch, a):
 def test_fsum_sums_a_wide_pmf_in_part_and_a_tie_whole(monkeypatch):
     probs = construct(FamilySpec.poisson(1615.0)).probs
     assert probs.size >= 2048
-    assert max(_lengths_summed_by_math_fsum(monkeypatch, probs)) < probs.size
-    # 1 + 2^-53 is a midpoint that the tiny entries push up: only the whole
-    # sum decides it
+    # math.fsum sees only the level sums, and them with -r
+    lengths = _lengths_summed_by_math_fsum(monkeypatch, probs)
+    assert max(lengths) <= numerics._FSUM_LEVELS + 1
+    assert fsum(probs) == math.fsum(probs.tolist())
+    # 1 + 2^-53 is a midpoint that the tiny entries push up
     tie = np.array([1.0, 2.0 ** -53] + [2.0 ** -200] * (probs.size - 2))
-    assert _lengths_summed_by_math_fsum(monkeypatch, tie)[-1] == tie.size
     assert fsum(tie) == 1.0 + 2.0 ** -52
+    # the pair cancels at the third level, so only 2^-400, a fourth level
+    # down, leaves the midpoint: past the last level the whole list decides
+    deep = np.zeros(EXTRACT)
+    deep[:5] = [1.0, 2.0 ** -53, 2.0 ** -200, -(2.0 ** -200), 2.0 ** -400]
+    assert _lengths_summed_by_math_fsum(monkeypatch, deep)[-1] == deep.size
+    assert fsum(deep) == 1.0 + 2.0 ** -52
+
+
+def _entropy_terms(n):
+    """n terms p log p of a Poisson pmf, over its tails too."""
+    probs = construct(FamilySpec.poisson(n / 2.0)).probs
+    mass = probs[probs > 0.0]
+    a = np.zeros(n)
+    a[:mass.size] = (mass * np.log(mass))[:n]
+    return a
+
+
+def _span(n, tip):
+    """1 + 2^-53 and +-v pairs over 2^-54 .. 2^-230, then tip: the total
+    sits a tip away from a midpoint, more than 160 binades below it."""
+    v = 2.0 ** -np.random.default_rng(n).integers(54, 231, (n - 3) // 2)
+    return np.concatenate([[1.0, 2.0 ** -53, tip], v, -v])
+
+
+def _span_random_signs(n):
+    """1 + 2^-53 and n - 2 entries of random sign over 2^-60 .. 2^-230."""
+    rng = np.random.default_rng(n)
+    tail = rng.choice([-1.0, 1.0], n - 2) * 2.0 ** -rng.integers(60, 231, n - 2)
+    return np.concatenate([[1.0, 2.0 ** -53], tail])
+
+
+def _cancelling_pairs(n):
+    rng = np.random.default_rng(n)
+    v = rng.standard_normal(n // 2) * 2.0 ** -rng.integers(0, 300, n // 2)
+    return np.concatenate([v, -v[::-1]])
+
+
+def _near_overflow(n, top):
+    """Entries up to top, of both signs, over 200 binades."""
+    rng = np.random.default_rng(n)
+    a = top * rng.uniform(-1.0, 1.0, n) * 2.0 ** -rng.integers(0, 200, n)
+    a[n // 3] = top
+    return a
+
+
+def _subnormals(n, low):
+    return 5e-324 * np.random.default_rng(n).integers(low, 2 ** 52, n).astype(float)
+
+
+EXTRACTION_EDGES = {
+    "entropy_terms": _entropy_terms,
+    "uniform": lambda n: np.random.default_rng(n).random(n),
+    "span_above_midpoint": lambda n: _span(n, 2.0 ** -230),
+    "span_below_midpoint": lambda n: _span(n, -(2.0 ** -230)),
+    "span_on_midpoint": lambda n: _span(n, 0.0),
+    "span_random_signs": _span_random_signs,
+    "cancelling_pairs": _cancelling_pairs,
+    "one_nonzero": lambda n: np.where(np.arange(n) == n // 2, -0.3, 0.0),
+    "top_n_below_2^1000": lambda n: _near_overflow(
+        n, math.nextafter(2.0 ** 1000 / n, 0.0)),
+    "top_n_at_2^1000": lambda n: _near_overflow(n, 2.0 ** 1000 / n),
+    "top_n_above_2^1000": lambda n: _near_overflow(
+        n, math.nextafter(2.0 ** 1000 / n, math.inf)),
+    "subnormals": lambda n: _subnormals(n, -2 ** 52),
+    "positive_subnormals": lambda n: _subnormals(n, 1),
+}
+
+
+@pytest.mark.parametrize("n", [EXTRACT - 1, EXTRACT, EXTRACT + 1, 2087])
+@pytest.mark.parametrize("case", sorted(EXTRACTION_EDGES))
+def test_fsum_extraction_edges(case, n):
+    a = EXTRACTION_EDGES[case](n)
+    assert a.size in (n - 1, n)
+    assert_same_as_math_fsum(a)
+    assert_same_as_math_fsum(-a)
 
 
 # SHA-256 of the canonical JSON of each functional below, recorded when
