@@ -30,7 +30,8 @@ from .numerics import fsum
 from .pmf_core import (DEFAULT_TOLERANCES, FamilySpec, ToleranceConfig,
                        construct, total_variation)
 from .semigroup import default_t_grid, entropy_preserving_path, pde_residual
-from .transforms import convolve, inverse_thin, thin, thinned_sum
+from .transforms import (convolve, inverse_thin, leave_one_out, thin,
+                         thinned_sum)
 
 SUITE_SEED = 20260810
 
@@ -193,7 +194,7 @@ def criterion_6(cfg):
     grid = default_t_grid(40)
     while paths_done < 20:
         x = random_ulc(int(rng.integers(0, 2 ** 62)), 3, 2.0, cfg)
-        if not l_functional(x, cfg) > 0.0:
+        if not l_functional(x) > 0.0:
             continue
         report = entropy_preserving_path(x, grid, cfg)
         worst_f0 = max(worst_f0, abs(report.f0_extrapolated - report.v_target))
@@ -203,7 +204,7 @@ def criterion_6(cfg):
     l_gaps = {}
     for lam in (0.5, 1.0, 5.0, 20.0):
         pi = construct(FamilySpec.poisson(lam), cfg)
-        l_gaps[str(lam)] = abs(l_functional(pi, cfg)
+        l_gaps[str(lam)] = abs(l_functional(pi)
                                - lam * poisson_entropy_derivative(lam, cfg))
     passed = (worst_residual < 1e-6 and worst_f0 < 1e-3
               and worst_u_step <= 1e-8
@@ -250,7 +251,7 @@ def criterion_7(cfg):
         alphas = rng.dirichlet(np.full(size, 2.0))
         leave = int(rng.integers(0, size))
         t = float(rng.uniform(0.05, 0.95))
-        hes.positive_splitting(alphas, leave, t, lambdas, cfg)  # raises on failure
+        hes.positive_splitting(alphas, leave, t, lambdas)  # raises on failure
         witnesses += 1
 
     worst_quad = -math.inf
@@ -275,7 +276,8 @@ def criterion_7(cfg):
         alphas = rng.dirichlet(np.full(size, 2.0))
         alphas = alphas / fsum(alphas)
         margin_h = check_hmon(xs, alphas, cfg).margin
-        lam_lhs, lam_rhs = hes.lambda_monotonicity_sides(xs, alphas, cfg)
+        _, _, lam_lhs, lam_rhs = leave_one_out(xs, alphas, lambda_functional,
+                                               cfg)
         margin_lambda = lam_lhs - lam_rhs
         # the divergence inequality enters subtracted, i.e. with margin
         # oriented as n D(full) - sum_l a^(l) D(leave-one-out)
@@ -330,8 +332,8 @@ def criterion_8(cfg):
 
     worst_lam_identity = 0.0
     for x in battery:
-        gap = abs(lambda_functional(x, cfg) - entropy(x).nats
-                  - rel_entropy_poisson(x, cfg))
+        gap = abs(lambda_functional(x) - entropy(x).nats
+                  - rel_entropy_poisson(x))
         worst_lam_identity = max(worst_lam_identity, gap)
 
     worst_vpi = 0.0
@@ -343,7 +345,7 @@ def criterion_8(cfg):
     step = cfg.fd_step
     for x in (battery[0], battery[3], battery[4], battery[1]):
         fd = (entropy(x).nats - entropy(thin(x, 1.0 - step, cfg)).nats) / step
-        worst_l_fd = max(worst_l_fd, abs(fd - l_functional(x, cfg)))
+        worst_l_fd = max(worst_l_fd, abs(fd - l_functional(x)))
 
     passed = (worst_semigroup < 1e-12 and worst_closure < 1e-10
               and worst_roundtrip < 1e-10 and worst_lam_identity < 1e-10

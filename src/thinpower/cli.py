@@ -159,7 +159,7 @@ def _cmd_functional(args, cfg):
         raise ParameterError(f"functional {name} needs --pmf")
     table = {"L": l_functional, "Lambda": lambda_functional,
              "D": rel_entropy_poisson, "U": u_functional}
-    return table[name](_single_pmf(args, cfg), cfg), 0
+    return table[name](_single_pmf(args, cfg)), 0
 
 
 def _cmd_path(args, cfg):
@@ -237,7 +237,7 @@ def _cmd_hessian(args, cfg):
 def _cmd_splitting(args, cfg):
     alphas = _parse_numbers(args.alphas, "--alphas")
     lambdas = _parse_numbers(args.lambdas, "--lambdas")
-    witness = hes.positive_splitting(alphas, args.l, args.t, lambdas, cfg)
+    witness = hes.positive_splitting(alphas, args.l, args.t, lambdas)
     return witness.to_json(), 0
 
 

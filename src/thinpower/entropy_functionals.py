@@ -86,8 +86,7 @@ def entropy_power(p: FinitePmf, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> fl
     return p._memo[key]
 
 
-def rel_entropy_poisson(p: FinitePmf,
-                        cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
+def rel_entropy_poisson(p: FinitePmf) -> float:
     """Relative entropy from p to the Poisson with the same mean."""
     lam = mean(p)
     if lam == 0.0:
@@ -105,7 +104,7 @@ def rel_entropy_poisson(p: FinitePmf,
     return 0.0 if -slack < value < 0.0 else value
 
 
-def l_functional(p: FinitePmf, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
+def l_functional(p: FinitePmf) -> float:
     """sum_z (z+1) p(z+1) log(p(z)/p(z+1)); the thinning derivative of H at 1.
 
     May be negative.  Needs a support contiguous from its minimum; a gap
@@ -124,8 +123,7 @@ def l_functional(p: FinitePmf, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> flo
     return fsum(z1 * probs[1:] * (np.log(probs[:-1]) - np.log(probs[1:])))
 
 
-def lambda_functional(p: FinitePmf,
-                      cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
+def lambda_functional(p: FinitePmf) -> float:
     """Poisson cross-entropy: mean + E[log X!] - mean*log(mean)."""
     lam = mean(p)
     if lam == 0.0:
@@ -134,7 +132,7 @@ def lambda_functional(p: FinitePmf,
     return lam + fsum(p.probs * log_fact) - lam * math.log(lam)
 
 
-def u_functional(p: FinitePmf, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
+def u_functional(p: FinitePmf) -> float:
     """H(p) - sum_z p(z+1) log (z+1)! - mean + sum_z (z+1) p(z+1) log(z+1)."""
     h = entropy(p).nats
     if len(p) == 1:

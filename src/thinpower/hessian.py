@@ -5,7 +5,6 @@ the negativity of the interpolation quadratic form."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -16,7 +15,7 @@ from .entropy_functionals import lambda_functional
 from .inequality_verdict import make_verdict
 from .numerics import fsum
 from .pmf_core import DEFAULT_TOLERANCES, ToleranceConfig, is_ulc, mean
-from .transforms import leave_one_out, thin, thinned_sum
+from .transforms import _left_out, leave_one_out, thin, thinned_sum
 
 # relative tolerance of the splitting identities re-verified in
 # positive_splitting
@@ -46,7 +45,7 @@ class SplittingWitness:
 
 def phi(xs, alphas, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
     """Cross-entropy functional of the thinned sum, via direct convolution."""
-    return lambda_functional(thinned_sum(xs, alphas, cfg), cfg)
+    return lambda_functional(thinned_sum(xs, alphas, cfg))
 
 
 def hessian_analytic(xs, alphas,
@@ -136,20 +135,14 @@ def interpolation_point(alphas, leave_out: int, t: float):
     m = alphas.size
     if not 0 <= leave_out < m:
         raise ParameterError(f"leave_out index {leave_out} outside 0..{m - 1}")
-    loo = alphas.copy()
-    loo[leave_out] = 0.0
-    comp = fsum(loo)
-    if comp <= 0.0:
-        raise ParameterError("leave-one-out weight vanished")
-    loo /= comp
+    _, loo = _left_out(alphas, leave_out)
     unit = np.zeros(m)
     unit[leave_out] = 1.0
     return (1.0 - t) * loo + t * unit, unit - loo
 
 
-def positive_splitting(alphas, leave_out: int, t: float, lambdas,
-                       cfg: ToleranceConfig = DEFAULT_TOLERANCES
-                       ) -> SplittingWitness:
+def positive_splitting(alphas, leave_out: int, t: float,
+                       lambdas) -> SplittingWitness:
     """Construct and verify the explicit splitting along an interpolation path.
 
     The path is interpolation_point(alphas, leave_out, t): beta = A_l(t) and
@@ -158,10 +151,12 @@ def positive_splitting(alphas, leave_out: int, t: float, lambdas,
     quadratic-mean identity are re-verified numerically; any failure raises
     ConsistencyError naming the violated equation (these are algebraic
     identities, so a failure is an implementation bug, not an input
-    problem).
+    problem).  Non-finite alphas or lambdas raise ParameterError.
     """
-    beta, mu = interpolation_point(alphas, leave_out, t)
     lambdas = np.asarray(lambdas, dtype=float)
+    if not (np.all(np.isfinite(alphas)) and np.all(np.isfinite(lambdas))):
+        raise ParameterError("alphas and lambdas must be finite")
+    beta, mu = interpolation_point(alphas, leave_out, t)
     m = beta.size
     # interpolation_point has already refused fewer than two alphas
     if lambdas.size != m:
@@ -194,36 +189,25 @@ def positive_splitting(alphas, leave_out: int, t: float, lambdas,
     for i in range(m):
         for j in range(i):
             gap = abs(u[i, j] + u[j, i] - coupling(i, j))
-            if gap > tol:
+            if not gap <= tol:
                 raise ConsistencyError(
                     f"splitting part 1 failed at ({i},{j}): "
                     f"u_ij + u_ji deviates from v_ij by {gap:.3e}")
     for j in range(m):
         col = fsum(np.delete(u[:, j], j))
         gap = abs(col / (beta[j] * lambdas[j]) - scale)
-        if gap > tol:
+        if not gap <= tol:
             raise ConsistencyError(
                 f"splitting part 2 failed at column {j}: "
                 f"scaled column sum deviates from S by {gap:.3e}")
     lhs = fsum(mu * mu * lambdas / beta) - scale
     rhs = fsum(mu * lambdas) ** 2 / lam_t
-    if abs(lhs - rhs) > tol:
+    if not abs(lhs - rhs) <= tol:
         raise ConsistencyError(
             f"quadratic-mean identity failed: residual {abs(lhs - rhs):.3e}")
 
     return SplittingWitness(u=u, S=float(scale), beta=beta, mu=mu,
                             lambdas=lambdas)
-
-
-def lambda_monotonicity_sides(xs, alphas,
-                              cfg: ToleranceConfig = DEFAULT_TOLERANCES):
-    """(n * Lambda(full thinned sum), sum_l a^(l) * Lambda(leave-one-out sum)).
-
-    The alphas must be a strictly positive simplex vector, one per pmf.
-    """
-    full, loo, comp = leave_one_out(
-        xs, alphas, lambda p: lambda_functional(p, cfg), cfg)
-    return (len(xs) - 1) * full, math.fsum(c * v for c, v in zip(comp, loo))
 
 
 def check_quadratic_form(xs, alphas, leave_out: int, t_grid,
@@ -235,8 +219,8 @@ def check_quadratic_form(xs, alphas, leave_out: int, t_grid,
     what the negative quadratic forms certify through the Taylor step.
     """
     alphas = np.asarray(alphas, dtype=float)
-    if np.any(alphas <= 0.0) or abs(fsum(alphas) - 1.0) > 1e-12:
-        raise PreconditionError("alphas must be a strictly positive simplex vector")
+    # leave_one_out checks the simplex, before the ULC check
+    _, _, lhs, rhs = leave_one_out(xs, alphas, lambda_functional, cfg)
     for p in xs:
         if not is_ulc(p, cfg):
             raise PreconditionError("quadratic form check requires ULC inputs")
@@ -254,7 +238,6 @@ def check_quadratic_form(xs, alphas, leave_out: int, t_grid,
             inputs={"t": float(t), "leave_out": leave_out,
                     "alphas": alphas.tolist()},
             units="nats"))
-    lhs, rhs = lambda_monotonicity_sides(xs, alphas, cfg)
     verdicts.append(make_verdict(
         "lambda-monotonicity", lhs=lhs, rhs=rhs, margin=lhs - rhs, cfg=cfg,
         inputs={"alphas": alphas.tolist()}, units="nats"))

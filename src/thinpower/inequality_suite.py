@@ -16,7 +16,7 @@ from .entropy_functionals import entropy, entropy_power, rel_entropy_poisson
 from .inequality_verdict import InequalityVerdict, make_verdict, ulc_note
 from .numerics import fsum
 from .pmf_core import (DEFAULT_TOLERANCES, FamilySpec, FinitePmf,
-                       ToleranceConfig, construct, is_ulc, mean,
+                       ToleranceConfig, _check_prob, construct, is_ulc, mean,
                        total_variation)
 from .semigroup import isoperimetric_check
 from .transforms import (convolve, inverse_thin, leave_one_out, thin,
@@ -45,11 +45,6 @@ class SearchReport:
         return dict(vars(self))
 
 
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 <= alpha <= 1.0:
-        raise ParameterError(f"alpha = {alpha!r} outside [0, 1]")
-
-
 def _echo(p: FinitePmf) -> list:
     return p.probs.tolist()
 
@@ -63,7 +58,7 @@ def check_teci(x: FinitePmf, y: FinitePmf, alpha: float,
                cfg: ToleranceConfig = DEFAULT_TOLERANCES,
                allow_non_ulc: bool = False) -> InequalityVerdict:
     """H(T_a X + T_(1-a) Y) >= a H(X) + (1-a) H(Y) for ULC X, Y."""
-    _check_alpha(alpha)
+    _check_prob(alpha, "alpha")
     note = ulc_note(cfg, allow_non_ulc, x, y)
     lhs = entropy(thinned_sum((x, y), (alpha, 1.0 - alpha), cfg)).nats
     rhs = alpha * entropy(x).nats + (1.0 - alpha) * entropy(y).nats
@@ -76,7 +71,7 @@ def check_rtepi(x: FinitePmf, alpha: float,
                 cfg: ToleranceConfig = DEFAULT_TOLERANCES,
                 allow_non_ulc: bool = False) -> InequalityVerdict:
     """V(T_a X) >= a V(X) for ULC X."""
-    _check_alpha(alpha)
+    _check_prob(alpha, "alpha")
     note = ulc_note(cfg, allow_non_ulc, x)
     lhs = entropy_power(thin(x, alpha, cfg), cfg)
     rhs = alpha * entropy_power(x, cfg)
@@ -194,12 +189,9 @@ def check_epilike(x: FinitePmf, y: FinitePmf,
 def check_hmon(xs, alphas, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
                allow_non_ulc: bool = False) -> InequalityVerdict:
     """n H(sum_i T_(a_i) X_i) >= sum_l a^(l) H(leave-one-out sum), ULC X_i."""
-    full, loo, comp = leave_one_out(
-        xs, alphas, lambda p: entropy(p).nats, cfg)
+    _, _, lhs, rhs = leave_one_out(xs, alphas, lambda p: entropy(p).nats, cfg)
     # gated after leave_one_out, whose simplex errors take precedence
     note = ulc_note(cfg, allow_non_ulc, *xs)
-    lhs = (len(xs) - 1) * full
-    rhs = math.fsum(c * h for c, h in zip(comp, loo))
     return make_verdict("hmon", lhs, rhs, lhs - rhs, cfg,
                         inputs=_simplex_inputs(alphas, xs),
                         units="nats", note=note)
@@ -208,10 +200,7 @@ def check_hmon(xs, alphas, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
 def check_dsub(xs, alphas,
                cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> InequalityVerdict:
     """sum_l a^(l) D(leave-one-out sum) >= n D(full sum); no ULC needed."""
-    full, loo, comp = leave_one_out(
-        xs, alphas, lambda p: rel_entropy_poisson(p, cfg), cfg)
-    rhs = (len(xs) - 1) * full
-    lhs = math.fsum(c * d for c, d in zip(comp, loo))
+    _, _, rhs, lhs = leave_one_out(xs, alphas, rel_entropy_poisson, cfg)
     return make_verdict("dsub", lhs, rhs, lhs - rhs, cfg,
                         inputs=_simplex_inputs(alphas, xs), units="nats")
 
@@ -224,7 +213,7 @@ def check_discepilike(ystars, alphas,
     Precondition: the n+1 leave-one-out entropies agree within tol_ineq;
     their mean is used as H*.
     """
-    lhs, h_loo, _ = leave_one_out(
+    lhs, h_loo, _, _ = leave_one_out(
         ystars, alphas, lambda p: entropy(p).nats, cfg)
     # gated after leave_one_out, whose simplex errors take precedence
     note = ulc_note(cfg, allow_non_ulc, *ystars)
@@ -254,7 +243,7 @@ def check_conjecture_tepi(x: FinitePmf, y: FinitePmf, alpha: float,
                           cfg: ToleranceConfig = DEFAULT_TOLERANCES,
                           allow_non_ulc: bool = False) -> InequalityVerdict:
     """V(T_a X + T_(1-a) Y) >= a V(X) + (1-a) V(Y); refuted in general."""
-    _check_alpha(alpha)
+    _check_prob(alpha, "alpha")
     note = ulc_note(cfg, allow_non_ulc, x, y)
     lhs = entropy_power(thinned_sum((x, y), (alpha, 1.0 - alpha), cfg), cfg)
     rhs = alpha * entropy_power(x, cfg) + (1.0 - alpha) * entropy_power(y, cfg)
@@ -280,8 +269,8 @@ def check_tepis(x: FinitePmf, y: FinitePmf, beta: float, gamma: float,
     `poisson-leg`: beta + gamma = 1 and Y is Poisson with rate <= V(X).
     At least one must hold; the verdict records which.
     """
-    _check_alpha(beta)
-    _check_alpha(gamma)
+    _check_prob(beta, "beta")
+    _check_prob(gamma, "gamma")
     note = ulc_note(cfg, allow_non_ulc, x, y)
     v_x, v_y = entropy_power(x, cfg), entropy_power(y, cfg)
     tol = cfg.tol_ineq * max(1.0, v_x, v_y)

@@ -22,6 +22,9 @@ _LOG_FACT = gammaln(np.arange(128) + 1.0)
 _FSUM_EXTRACT = 512
 # extraction levels before fsum falls back to math.fsum of the whole list
 _FSUM_LEVELS = 3
+# check_support asks the host for supports from this many points on: an
+# empty array costs about 0.5 us, too much for every Poisson cut of V's solve
+_PROBE_FROM = 2 ** 24
 
 
 def log_factorials(n: int) -> np.ndarray:
@@ -121,8 +124,16 @@ def poisson_log_terms(rate: float, n_top: int):
 
 def check_support(top: int, name: str, value) -> int:
     """top, the last support point that `name` = `value` sets, if it fits."""
-    # callers allocate up to 2 top + 4 doubles; numpy refuses 2**63 bytes
-    if top >= 2 ** 58:
+    # callers allocate up to 2 top + 4 doubles; numpy refuses 2**63 bytes,
+    # the host often far fewer: from _PROBE_FROM points on, an untouched
+    # np.empty of that size asks for them without using the memory
+    fits = top < 2 ** 58
+    if fits and top >= _PROBE_FROM:
+        try:
+            np.empty(2 * top + 4)
+        except MemoryError:
+            fits = False
+    if not fits:
         raise ParameterError(f"{name} = {value:g} needs {float(top) + 1:.3g} "
                              "support points, more than one array can hold")
     return top

@@ -223,9 +223,9 @@ class FamilySpec:
         return doc
 
 
-def _check_prob(p: float, what: str) -> None:
-    if not 0.0 <= p <= 1.0:
-        raise ParameterError(f"{what} = {p!r} outside [0, 1]")
+def _check_prob(value: float, name: str) -> None:
+    if not 0.0 <= value <= 1.0:
+        raise ParameterError(f"{name} = {value!r} outside [0, 1]")
 
 
 def _poisson_probs(rate: float, cfg: ToleranceConfig) -> np.ndarray:
@@ -350,8 +350,10 @@ def size_bias(p: FinitePmf, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Finite
 def total_variation(p: FinitePmf, q: FinitePmf) -> float:
     """0.5 * sum |p[k] - q[k]| over the union support."""
     width = max(len(p), len(q))
-    a = np.zeros(width)
-    b = np.zeros(width)
-    a[:len(p)] = p.probs
-    b[:len(q)] = q.probs
-    return 0.5 * fsum(np.abs(a - b))
+    return 0.5 * fsum(np.abs(_padded(p, width) - _padded(q, width)))
+
+
+def _padded(p: FinitePmf, width: int) -> np.ndarray:
+    out = np.zeros(width)
+    out[:len(p)] = p.probs
+    return out

@@ -14,7 +14,7 @@ from .entropy_functionals import (entropy, entropy_power, l_functional,
 from .inequality_verdict import InequalityVerdict, make_verdict, ulc_note
 from .numerics import fsum, solve_increasing
 from .pmf_core import (DEFAULT_TOLERANCES, FinitePmf, ToleranceConfig,
-                       is_ulc, mean, poisson_pmf)
+                       _padded, is_ulc, mean, poisson_pmf)
 from .transforms import convolve, thin
 
 
@@ -61,12 +61,6 @@ def _add_poisson(p: FinitePmf, rate: float, cfg: ToleranceConfig) -> FinitePmf:
     if rate == 0.0:
         return p
     return convolve(p, poisson_pmf(rate, cfg), cfg)
-
-
-def _padded(p: FinitePmf, width: int) -> np.ndarray:
-    out = np.zeros(width)
-    out[:len(p)] = p.probs
-    return out
 
 
 def pde_residual(x: FinitePmf, t: float, r_val: float, f_val: float,
@@ -157,7 +151,7 @@ def entropy_preserving_path(x: FinitePmf, t_grid=None,
         raise ParameterError("t grid must sit in (0, 1] and end at 1")
     if not is_ulc(x, cfg):
         raise PreconditionError("entropy-preserving path requires a ULC input")
-    if not l_functional(x, cfg) > 0.0:
+    if not l_functional(x) > 0.0:
         raise DomainError("path undefined (L <= 0)")
 
     h_target = entropy(x).nats
@@ -174,7 +168,7 @@ def entropy_preserving_path(x: FinitePmf, t_grid=None,
         rate0 = mean(base) / t * (1.0 - t) or mean(x) * (1.0 - t)
         f_vals[i], state, h_vals[i] = _solve_rate_for_entropy(
             base, h_target, rate0, cfg)
-        u_vals[i] = u_functional(state, cfg)
+        u_vals[i] = u_functional(state)
 
     # second-order central differences inside, one-sided at the ends
     f_prime = np.gradient(f_vals, t_grid)
@@ -190,7 +184,7 @@ def isoperimetric_check(x: FinitePmf,
                         allow_non_ulc: bool = False) -> InequalityVerdict:
     """Verdict for L(X) <= V(X) * J(V(X)); equality at Poisson inputs."""
     note = ulc_note(cfg, allow_non_ulc, x)
-    lhs = l_functional(x, cfg)
+    lhs = l_functional(x)
     v = entropy_power(x, cfg)
     rhs = v * poisson_entropy_derivative(v, cfg) if v > 0.0 else 0.0
     return make_verdict("isop", lhs=lhs, rhs=rhs, margin=rhs - lhs, cfg=cfg,

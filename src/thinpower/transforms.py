@@ -102,27 +102,42 @@ def thinned_sum(xs, alphas,
                   (thin(p, float(a), cfg) for p, a in zip(xs, alphas)))
 
 
+def _left_out(alphas: np.ndarray, l: int):
+    """(a^(l), alpha^(l)): the weight a^(l) = sum_(i != l) alphas[i] and
+    the alphas renormalised by it, entry l set to 0."""
+    rest = alphas.copy()
+    rest[l] = 0.0
+    comp = fsum(rest)
+    if not comp > 0.0:
+        raise ParameterError("leave-one-out weight vanished")
+    return comp, rest / comp
+
+
 def leave_one_out(xs, alphas, functional,
                   cfg: ToleranceConfig = DEFAULT_TOLERANCES):
-    """(f(full), [f(loo_l)], [a^(l)]) for a functional f of a thinned sum.
+    """(f(full), [f(loo_l)], n f(full), sum_l a^(l) f(loo_l)) for a
+    functional f of a thinned sum of n + 1 terms.
 
     The full sum is thinned_sum(xs, alphas); loo_l drops term l and
     renormalises the other weights by a^(l) = sum_(i != l) alphas[i].  The
-    alphas must be a strictly positive simplex vector, one per pmf.
+    last two entries are the sides the monotonicity statements for H,
+    Lambda and D compare.  The alphas must be a finite, strictly positive
+    simplex vector, one per pmf, else PreconditionError.
     """
     alphas = np.asarray(alphas, dtype=float)
     if len(xs) != alphas.size or len(xs) < 2:
         raise PreconditionError("need n+1 >= 2 pmfs with one alpha each")
-    if np.any(alphas <= 0.0):
-        raise PreconditionError("every alpha_i must be strictly positive")
-    if abs(fsum(alphas) - 1.0) > 1e-12:
+    if not np.all(np.isfinite(alphas) & (alphas > 0.0)):
+        raise PreconditionError("every alpha_i must be finite and strictly positive")
+    if not abs(fsum(alphas) - 1.0) <= 1e-12:
         raise PreconditionError("alphas must sum to 1 within 1e-12")
     full = functional(thinned_sum(xs, alphas, cfg))
-    comp = [fsum(np.delete(alphas, l)) for l in range(len(xs))]
+    parts = [_left_out(alphas, l) for l in range(len(xs))]
     loo = [functional(thinned_sum([p for i, p in enumerate(xs) if i != l],
-                                  np.delete(alphas, l) / comp[l], cfg))
-           for l in range(len(xs))]
-    return full, loo, comp
+                                  np.delete(weights, l), cfg))
+           for l, (_, weights) in enumerate(parts)]
+    return (full, loo, (len(xs) - 1) * full,
+            math.fsum(c * v for (c, _), v in zip(parts, loo)))
 
 
 def inverse_thin(x: FinitePmf, alpha: float,

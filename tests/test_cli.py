@@ -1,5 +1,6 @@
 """Command-line behaviour: dispatch, JSON formats, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -117,6 +118,13 @@ def test_path_with_tol_root_below_double_resolution():
     (["construct", "--spec", '{"family": "binomial", "n": 1e30, "p": 0.5}'],
      "binomial n = 1e+30"),
     (["functional", "--name", "E", "--t", "1e30"], "Poisson rate t = 1e+30"),
+    # under 2**58 points, but far more than numpy can allocate
+    (["construct", "--spec", '{"family": "poisson", "rate": 1e17}'],
+     "Poisson rate t = 1e+17"),
+    (["construct", "--spec", '{"family": "binomial", "n": 1e17, "p": 0.5}'],
+     "binomial n = 1e+17"),
+    (["construct", "--spec", '{"family": "delta", "k": 1e17}'],
+     "delta offset k = 1e+17"),
 ])
 def test_oversized_family_parameters_are_input_errors(capsys, argv, name):
     code, out = run(capsys, *argv)
@@ -267,6 +275,31 @@ def test_splitting_command(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["S"] == pytest.approx(4.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("alphas, lambdas", [
+    ("0.5,nan", "1,1"), ("0.5,0.5", "inf,1")])
+def test_splitting_refuses_non_finite_inputs(capsys, alphas, lambdas):
+    code, out = run(capsys, "splitting", "--l", "0", "--t", "0.5",
+                    "--lambdas", lambdas, "--alphas", alphas)
+    assert code == 2
+    assert json.loads(out) == {"error": "ParameterError",
+                               "message": "alphas and lambdas must be finite"}
+
+
+def test_check_refuses_a_nan_alpha_by_its_name(capsys):
+    pmf = '{"family": "poisson", "rate": 1}'
+    code, out = run(capsys, "check", "--name", "tepis", "--pmf", pmf,
+                    "--pmf", pmf, "--beta", "0.5", "--gamma", "nan")
+    assert code == 2
+    assert json.loads(out) == {"error": "ParameterError",
+                               "message": "gamma = nan outside [0, 1]"}
+    code, out = run(capsys, "check", "--name", "hmon", "--pmf", pmf,
+                    "--pmf", pmf, "--alphas", "0.5,nan")
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "PreconditionError",
+        "message": "every alpha_i must be finite and strictly positive"}
 
 
 def test_verify_subset(capsys):
@@ -559,3 +592,64 @@ def test_single_pmf_commands_reject_extra_pmf(capsys, argv):
     assert json.loads(out) == {
         "error": "ParameterError",
         "message": f"{argv[0]} needs exactly 1 --pmf input"}
+
+
+_BIN2 = '{"family": "binomial", "n": 2, "p": 0.4}'
+_BE3 = '{"family": "bernoulli", "p": 0.3}'
+_PO = '{"family": "poisson", "rate": 1.5}'
+_SIMPLEX = ["--pmf", _BE3, "--pmf", _BIN2, "--pmf", _PO, "--alphas", "0.2,0.3,0.5"]
+_THIRD = "0.3333333333333333"
+# the SHA-256 of stdout of each command, recorded before the leave-one-out
+# simplex got one home: any change to how these outputs round fails here
+PINNED_OUTPUTS = [
+    (("verify", "--criteria", "1,2,4,5,6,7,8"),
+     "6dda2d1a5cf59113e3d8ad781200c80e30a0a1aa521bd1eecb4a2a71bf72ddea"),
+] + [
+    (("search", "--name", name, "--trials", "40", "--seed", "5"), digest)
+    for name, digest in (
+        ("firstepi", "c9a3d089c2bd23d342e8a3f2de8c4cb75ece8a3b45b025672c739afa4bffb1cd"),
+        ("tepi", "4845a554d9e0204be9ada86df96a5e4fc347fbbbad89fd6794b1de663ddc052d"),
+        ("teci", "29d94120d78faa82f36659f6237c766a839136f0fab402cf9aff79a8b7c67ab1"),
+        ("rtepi", "34d05cc6cda3cd27c8d2b75a33953f16464b9b85d0816595f12a2f295bb83305"),
+        ("hmon", "fc020bf275a27cf588e6410434f4a852b8ccbdb8b8cf0cbc9105e3f12f7f0a6e"),
+        ("dsub", "ddef8b8476e82b83fbbbe930b18b292429a8f390db714a3003b7e30d231a1881"),
+        ("isop", "f7376ad50a173ec7963b6e96100833151a5db807c65c2d6929fe1df8cbb00f82"))
+] + [
+    (("reproduce", "--example", example), digest)
+    for example, digest in (
+        ("fail1", "b343517183f75ef8d8c8b479702241b4910890231313007fec17da8807b5322c"),
+        ("fail2", "9602fd8ced1b7066f1e6ce33722bf8012b1f3d1b283d2a6be3547a439d036f0d"),
+        ("binoineq", "e9ff3f8fed91a09d34e4d51bf2d951dcb87543d6960f57a31b025b27c8d18133"))
+] + [
+    (("splitting", "--l", "1", "--t", "0.3", "--lambdas", "0.5,2,1.25",
+      "--alphas", "0.2,0.3,0.5"),
+     "3627bbc5afbaa2547ef40d662f8590a1a97ba1c631a2537de6a13607f8df2db3"),
+    (("hessian", "--specs", f"[{_BE3}, {_BIN2}, {_PO}]",
+      "--alphas", "0.2,0.3,0.5", "--fd-check"),
+     "ab158290ac04a19d86f1de8623b25ec0385ba9dd893cd538c8d92142e8e8cf60"),
+] + [
+    (("functional", "--name", name, "--pmf", _BIN2), digest)
+    for name, digest in (
+        ("L", "1b272b1945f729f34ee2e2f4687becbbb7d4cb5d6dd590957ce92e048a5e74fc"),
+        ("Lambda", "53c7b1d8efa3ce8fb961c17bf5841b503d6763bf022b2bc25272bf78c1bd69ed"),
+        ("D", "85fbc396b99031ea4f1ae59478b1459b0c5fe7cea504e3182643e0d499d68e3b"),
+        ("U", "efcb290b01c4ee15f06e8e09da3f7eb189ed1430ed2bb8fc5b6faf9e844d4b25"))
+] + [
+    (("check", "--name", "hmon", *_SIMPLEX),
+     "e0ac0eaa86ed57feac9dd20848a1a2c2ba17f0f80c4bc65914b55c70cfeb1f35"),
+    (("check", "--name", "dsub", *_SIMPLEX),
+     "89bcf8503752b9ea34c97532e0d7fed80791cb38e71ebb288a7045695c88ee1d"),
+    (("check", "--name", "discepilike", "--pmf", _BIN2, "--pmf", _BIN2,
+      "--pmf", _BIN2, "--alphas", ",".join([_THIRD] * 3)),
+     "79f6d6a198163acc83dedd6d6088e17b725ad01472c62277ce9d495270c4d3d0"),
+]
+
+
+def test_pinned_output_digests(capsys, recorded_platform):
+    changed = []
+    for argv, digest in PINNED_OUTPUTS:
+        code, out = run(capsys, *argv)
+        assert code == 0, argv
+        if hashlib.sha256(out.encode()).hexdigest() != digest:
+            changed.append(" ".join(argv[:3]))
+    assert changed == []

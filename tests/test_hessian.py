@@ -14,7 +14,9 @@ from thinpower import (FamilySpec, ParameterError, PreconditionError,
                        mean, thin)
 from thinpower import hessian as apb
 from thinpower.numerics import log_factorials
-from thinpower.transforms import thinned_sum
+from thinpower.transforms import _left_out, leave_one_out, thinned_sum
+
+from test_transforms import SIMPLEX_ERRORS
 
 bern = lambda p: construct(FamilySpec.bernoulli(p))
 poi = lambda r: construct(FamilySpec.poisson(r))
@@ -179,6 +181,10 @@ def test_splitting_witnesses_on_random_instances():
     ([0.5, 0.5], 1, 1.5, [1.0, 1.0], r"interpolation time 1.5 outside"),
     ([0.5, 0.5], 1, 0.5, [1.0, -1.0], "every lambda_i must be"),
     ([0.0, 0.5, 0.5], 1, 0.5, [1.0, 1.0, 1.0], "every beta_i must be"),
+    ([0.5, math.nan], 0, 0.5, [1.0, 1.0], "alphas and lambdas must be finite"),
+    ([math.inf, 0.5], 0, 0.5, [1.0, 1.0], "alphas and lambdas must be finite"),
+    ([0.5, 0.5], 0, 0.5, [math.nan, 1.0], "alphas and lambdas must be finite"),
+    ([0.5, 0.5], 0, 0.5, [1.0, math.inf], "alphas and lambdas must be finite"),
 ])
 def test_splitting_input_errors(alphas, leave, t, lambdas, message):
     with pytest.raises(ParameterError, match=message):
@@ -195,9 +201,31 @@ def test_quadratic_form_along_interpolation():
     assert monotonicity.holds
 
 
+@pytest.mark.parametrize("xs, alphas, message", SIMPLEX_ERRORS)
+def test_quadratic_form_raises_the_simplex_messages(xs, alphas, message):
+    with pytest.raises(PreconditionError, match=message):
+        apb.check_quadratic_form(xs, alphas, 0, [0.5])
+
+
+def test_quadratic_form_simplex_error_comes_before_the_ulc_error():
+    non_ulc = construct(FamilySpec.raw([0.5, 0.0, 0.5]))
+    with pytest.raises(PreconditionError, match="finite and strictly"):
+        apb.check_quadratic_form([non_ulc] * 2, [math.nan, 1.0], 0, [0.5])
+    with pytest.raises(PreconditionError, match="requires ULC inputs"):
+        apb.check_quadratic_form([non_ulc] * 2, [0.5, 0.5], 0, [0.5])
+
+
+def test_interpolation_point_uses_the_left_out_weights():
+    alphas = np.array([0.2, 0.3, 0.5])
+    beta, mu = apb.interpolation_point(alphas, 2, 0.25)
+    _, weights = _left_out(alphas, 2)
+    assert beta.tolist() == (0.75 * weights + 0.25 * np.eye(3)[2]).tolist()
+    assert mu.tolist() == (np.eye(3)[2] - weights).tolist()
+
+
 def test_lambda_monotonicity_tight_on_poissons():
-    lhs, rhs = apb.lambda_monotonicity_sides([poi(1.0)] * 3,
-                                             [1 / 3, 1 / 3, 1 / 3])
+    _, _, lhs, rhs = leave_one_out([poi(1.0)] * 3, [1 / 3, 1 / 3, 1 / 3],
+                                   lambda_functional)
     assert abs(lhs - rhs) < 1e-8
 
 
@@ -208,7 +236,7 @@ def test_lambda_monotonicity_tight_on_poissons():
 ])
 def test_lambda_monotonicity_sides_rejects_non_simplex_inputs(xs, alphas):
     with pytest.raises(PreconditionError):
-        apb.lambda_monotonicity_sides(xs, alphas)
+        leave_one_out(xs, alphas, lambda_functional)
 
 
 def test_margin_bookkeeping_between_the_three_statements():
@@ -218,7 +246,7 @@ def test_margin_bookkeeping_between_the_three_statements():
         alphas = rng.dirichlet(np.full(3, 2.0))
         alphas = alphas / math.fsum(alphas)
         margin_h = check_hmon(xs, alphas).margin
-        lam_lhs, lam_rhs = apb.lambda_monotonicity_sides(xs, alphas)
+        _, _, lam_lhs, lam_rhs = leave_one_out(xs, alphas, lambda_functional)
         # divergence margin oriented as it enters the subtraction
         margin_d = -check_dsub(xs, alphas).margin
         assert abs(margin_h - ((lam_lhs - lam_rhs) - margin_d)) < 1e-10

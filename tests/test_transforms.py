@@ -13,7 +13,7 @@ from thinpower import (DEFAULT_TOLERANCES, FamilySpec, FinitePmf,
                        ParameterError, PreconditionError, construct, convolve,
                        inverse_thin, is_ulc, mean, random_ulc, thin,
                        total_variation)
-from thinpower.transforms import leave_one_out, thinned_sum
+from thinpower.transforms import _left_out, leave_one_out, thinned_sum
 
 bern = lambda p: construct(FamilySpec.bernoulli(p))
 poi = lambda r: construct(FamilySpec.poisson(r))
@@ -385,18 +385,39 @@ def test_thinned_sum_needs_one_alpha_per_pmf(xs, alphas):
 def test_leave_one_out_means_of_poisson_terms():
     # the mean of a thinned sum is sum_i alpha_i * mean_i
     xs, alphas = [poi(1.0), poi(2.0), poi(3.0)], [0.2, 0.3, 0.5]
-    full, loo, comp = leave_one_out(xs, alphas, mean)
+    full, loo, n_full, weighted = leave_one_out(xs, alphas, mean)
+    comp = [_left_out(np.asarray(alphas), l)[0] for l in range(3)]
     assert full == pytest.approx(0.2 + 0.6 + 1.5, abs=1e-9)
     assert comp == pytest.approx([0.8, 0.7, 0.5], abs=1e-15)
     assert loo == pytest.approx([(0.6 + 1.5) / 0.8, (0.2 + 1.5) / 0.7,
                                  (0.2 + 0.6) / 0.5], abs=1e-9)
+    # the sides the monotonicity statements compare
+    assert n_full == 2 * full
+    assert weighted == math.fsum(c * v for c, v in zip(comp, loo))
 
 
-@pytest.mark.parametrize("xs, alphas, message", [
+def test_left_out_weights_zero_the_left_out_entry():
+    alphas = np.array([0.2, 0.3, 0.5])
+    comp, weights = _left_out(alphas, 1)
+    assert comp == math.fsum([0.2, 0.5])
+    assert weights.tolist() == [0.2 / comp, 0.0, 0.5 / comp]
+    with pytest.raises(ParameterError, match="vanished"):
+        _left_out(np.array([1.0, 0.0]), 0)
+
+
+# simplex inputs leave_one_out refuses, and the message it gives
+SIMPLEX_ERRORS = [
     ([poi(1.0)], [1.0], r"need n\+1 >= 2 pmfs"),
     ([poi(1.0)] * 2, [0.0, 1.0], "strictly positive"),
     ([poi(1.0)] * 2, [0.5, 0.6], "sum to 1"),
-])
+    ([poi(1.0)] * 2, [math.nan, 1.0], "finite and strictly positive"),
+    ([poi(1.0)] * 2, [0.5, math.nan], "finite and strictly positive"),
+    ([poi(1.0)] * 2, [math.inf, 0.5], "finite and strictly positive"),
+    ([poi(1.0)] * 2, [0.5, -math.inf], "finite and strictly positive"),
+]
+
+
+@pytest.mark.parametrize("xs, alphas, message", SIMPLEX_ERRORS)
 def test_leave_one_out_validates_the_simplex(xs, alphas, message):
     with pytest.raises(PreconditionError, match=message):
         leave_one_out(xs, alphas, mean)
