@@ -347,8 +347,9 @@ def random_ulc(seed: int, max_bernoullis: int = 3, max_poisson_rate: float = 2.0
     Poisson factor.  Deterministic for a given seed."""
     if seed < 0:
         raise ParameterError("seed must be >= 0")
-    if max_bernoullis < 1 or max_poisson_rate < 0.0:
-        raise ParameterError("need max_bernoullis >= 1 and max_poisson_rate >= 0")
+    if max_bernoullis < 1 or not 0.0 <= max_poisson_rate < math.inf:
+        raise ParameterError(
+            "need max_bernoullis >= 1 and a finite max_poisson_rate >= 0")
     rng = np.random.default_rng(seed)
     count = int(rng.integers(1, max_bernoullis + 1))
     ps = rng.uniform(0.05, 0.95, size=count)

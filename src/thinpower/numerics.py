@@ -1,19 +1,25 @@
 """Shared numerics: log-factorials, support cuts, root solves and the
 correctly rounded sum.
 
-The binomial and Poisson terms work in log space via scipy's gammaln so
-that supports of a few thousand points do not overflow.
+The binomial and Poisson terms work in log space so that supports of a
+few thousand points do not overflow.  Their log(k!) values are scipy's
+gammaln(k + 1): for k < 4096 read from the table shipped beside this
+module, so importing the package does not import scipy, and computed by
+gammaln only past it.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import NumericError, ParameterError
 
-# _LOG_FACT[k] = log(k!), grown on demand and only ever read afterwards.
-_LOG_FACT = gammaln(np.arange(128) + 1.0)
+# _LOG_FACT[k] = log(k!), read-only: the shipped table holds
+# scipy.special.gammaln(np.arange(4096) + 1.0), written with np.save, and
+# log_factorials appends past it on demand
+_LOG_FACT = np.load(Path(__file__).with_name("log_factorials.npy"))
+_LOG_FACT.flags.writeable = False
 # fsum extracts from arrays of this many entries on.  Measured: extraction
 # beats math.fsum on wide-range arrays (pmfs with tails) from about 230
 # entries and on narrow-range ones from about 700; from 512 on it takes a
@@ -31,7 +37,11 @@ def log_factorials(n: int) -> np.ndarray:
     """Return a read-only view holding log(k!) for k = 0..n."""
     global _LOG_FACT
     if n >= _LOG_FACT.size:
-        _LOG_FACT = gammaln(np.arange(max(n + 1, 2 * _LOG_FACT.size)) + 1.0)
+        # the one use of scipy: entries already handed out never change
+        from scipy.special import gammaln
+        k = np.arange(_LOG_FACT.size, max(n + 1, 2 * _LOG_FACT.size))
+        _LOG_FACT = np.concatenate([_LOG_FACT, gammaln(k + 1.0)])
+        _LOG_FACT.flags.writeable = False
     return _LOG_FACT[:n + 1]
 
 

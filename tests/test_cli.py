@@ -443,6 +443,17 @@ def test_negative_search_seed_is_an_input_error(capsys):
     assert json.loads(out)["message"] == "seed must be >= 0"
 
 
+@pytest.mark.parametrize("rate", ["nan", "inf"])
+def test_non_finite_max_poisson_rate_is_an_input_error(capsys, rate):
+    # nan used to drop the Poisson factor silently, inf to overflow the draw
+    code, out = run(capsys, "search", "--name", "teci", "--trials", "2",
+                    "--seed", "1", "--max-poisson-rate", rate)
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "ParameterError",
+        "message": "need max_bernoullis >= 1 and a finite max_poisson_rate >= 0"}
+
+
 @pytest.mark.parametrize("criteria, message", [
     ("1,a", "--criteria needs comma-separated integers, got '1,a'"),
     ("0", "no acceptance criterion number 0"),

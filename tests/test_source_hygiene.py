@@ -1,11 +1,16 @@
 """Source hygiene of the package: every function parameter is read by its
-body and every import is used.
+body, every import is used, and scipy is imported only when log k! is
+needed past the shipped table.
 
 The command handlers of the cli (``_cmd_*``) all take ``(args, cfg)``,
 the signature the dispatch calls them with, and are exempt.
 """
 
 import ast
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -79,3 +84,27 @@ def test_the_checks_see_an_unread_parameter_and_an_unused_import():
     assert _unread_parameters(tree) == ["f(cfg) at line 3",
                                         "<lambda>(y) at line 4"]
     assert _unused_imports(tree) == ["os at line 1"]
+
+
+def test_scipy_loads_only_past_the_shipped_table():
+    # a fresh interpreter, since the suite itself imports scipy; a
+    # Poisson(2000) V solve reads log k! up to k = 2479
+    script = textwrap.dedent("""
+        import contextlib, io, sys
+        from thinpower.cli import main
+        from thinpower.numerics import log_factorials
+        print("scipy" in sys.modules)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["vpower", "--pmf",
+                         '{"family": "poisson", "rate": 2000}'])
+        print(code, "scipy" in sys.modules)
+        log_factorials(5000)
+        print("scipy" in sys.modules)
+    """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "0", "False", "True"]

@@ -50,8 +50,9 @@ def test_thinning_preserves_poisson(lam, alpha):
 
 @pytest.fixture
 def cold_log_factorials(monkeypatch):
-    """Shrink the shared log-factorial table back to its import-time size."""
-    monkeypatch.setattr(numerics, "_LOG_FACT", numerics._LOG_FACT[:128].copy())
+    """Shrink the shared log-factorial table to 128 entries, so that a
+    Poisson(3000) grows it through log_factorials."""
+    monkeypatch.setattr(numerics, "_LOG_FACT", numerics._LOG_FACT[:128])
 
 
 @pytest.mark.parametrize("width", [2829, 4096])
