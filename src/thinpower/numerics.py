@@ -5,7 +5,8 @@ The binomial and Poisson terms work in log space so that supports of a
 few thousand points do not overflow.  Their log(k!) values are scipy's
 gammaln(k + 1): for k < 4096 read from the table shipped beside this
 module, so importing the package does not import scipy, and computed by
-gammaln only past it.
+gammaln only past it.  Tables of k and log(k + 1) of the same size spare
+the Poisson terms an np.arange and an np.log on each call.
 """
 
 import math
@@ -15,11 +16,16 @@ import numpy as np
 
 from .errors import NumericError, ParameterError
 
-# _LOG_FACT[k] = log(k!), read-only: the shipped table holds
+# read-only tables over k = 0, 1, ...: _Z[k] = k, _LOG_Z1[k] = log(k + 1)
+# and _LOG_FACT[k] = log(k!).  The shipped table holds
 # scipy.special.gammaln(np.arange(4096) + 1.0), written with np.save, and
-# log_factorials appends past it on demand
+# tables() grows all three past it on demand
 _LOG_FACT = np.load(Path(__file__).with_name("log_factorials.npy"))
+_Z = np.arange(_LOG_FACT.size, dtype=float)
+_LOG_Z1 = np.log(_Z + 1.0)
 _LOG_FACT.flags.writeable = False
+_Z.flags.writeable = False
+_LOG_Z1.flags.writeable = False
 # fsum extracts from arrays of this many entries on.  Measured: extraction
 # beats math.fsum on wide-range arrays (pmfs with tails) from about 230
 # entries and on narrow-range ones from about 700; from 512 on it takes a
@@ -33,16 +39,36 @@ _FSUM_LEVELS = 3
 _PROBE_FROM = 2 ** 24
 
 
+def _grown(table: np.ndarray, size: int, values) -> np.ndarray:
+    """table extended to size entries by values(k) for its new k, read-only."""
+    k = np.arange(table.size, size, dtype=float)
+    grown = np.concatenate([table, values(k)])
+    grown.flags.writeable = False
+    return grown
+
+
+def tables(n: int):
+    """Read-only views (z, log(z + 1), log(z!)) over z = 0..n, as floats.
+
+    Past the tables' size all three grow together, at least doubling; the
+    one use of scipy is gammaln for the new log(z!), and entries already
+    handed out never change.  np.log is elementwise, so a slice of the
+    log(z + 1) table holds the bits np.log(z + 1.0) gives for the same z.
+    """
+    global _Z, _LOG_Z1, _LOG_FACT
+    # the three grow together, and _LOG_FACT is never the longest
+    if n >= _LOG_FACT.size:
+        from scipy.special import gammaln
+        size = max(n + 1, 2 * _LOG_FACT.size)
+        _Z = _grown(_Z, size, lambda k: k)
+        _LOG_Z1 = _grown(_LOG_Z1, size, lambda k: np.log(k + 1.0))
+        _LOG_FACT = _grown(_LOG_FACT, size, lambda k: gammaln(k + 1.0))
+    return _Z[:n + 1], _LOG_Z1[:n + 1], _LOG_FACT[:n + 1]
+
+
 def log_factorials(n: int) -> np.ndarray:
     """Return a read-only view holding log(k!) for k = 0..n."""
-    global _LOG_FACT
-    if n >= _LOG_FACT.size:
-        # the one use of scipy: entries already handed out never change
-        from scipy.special import gammaln
-        k = np.arange(_LOG_FACT.size, max(n + 1, 2 * _LOG_FACT.size))
-        _LOG_FACT = np.concatenate([_LOG_FACT, gammaln(k + 1.0)])
-        _LOG_FACT.flags.writeable = False
-    return _LOG_FACT[:n + 1]
+    return tables(n)[2]
 
 
 def fsum(a: np.ndarray) -> float:
@@ -71,15 +97,23 @@ def fsum(a: np.ndarray) -> float:
     r = math.fsum(taus) is T correctly rounded, and r is returned when it
     is certified to be the correctly rounded S:
 
-    - rho = math.fsum(taus + [-r]) is T - r correctly rounded, so T - r
-      lies within |rho| 2^-53 + 2^-1075 of rho;
+    - rho = math.fsum(taus + [-r]) is T - r correctly rounded, and its
+      own residual rest = math.fsum(taus + [-r, -rho]) is T - r - rho
+      correctly rounded, so T - r - rho lies within |rest| 2^-53 + 2^-1075
+      of rest.  rho alone would not do: where T is within |T - r| 2^-53
+      of a midpoint, rho rounds away the part that decides the side;
     - |s| <= sum|p| <= fl(sum|p|) (1 + n 2^-51), whatever the order of
       the n - 1 additions;
-    - slack exceeds the sum of both bounds, its own rounding included.  If
-      2 (rho - slack) and 2 (rho + slack) lie strictly between -(r - the
-      double below r) and (the double above r) - r, S lies strictly inside
-      the interval of reals that round to r, ties excluded, so the
-      correctly rounded S, which math.fsum returns, is r.
+    - slack exceeds the sum of both bounds, its own rounding and that of
+      rest - slack and rest + slack included, so that
+      2 (rest - slack) <= 2 (S - r - rho) <= 2 (rest + slack);
+    - lo = (the double below r) - r and hi = (the double above r) - r are
+      exact, and lo - 2 rho and hi - 2 rho round once.  Rounding is
+      monotone: for a double y, fl(x) < y implies x < y, and y < fl(x)
+      implies y < x.  So if fl(lo - 2 rho) < 2 (rest - slack) and
+      2 (rest + slack) < fl(hi - 2 rho), then lo < 2 (S - r) < hi: S lies
+      strictly inside the interval of reals that round to r, ties
+      excluded, and the correctly rounded S, which math.fsum returns, is r.
 
     Otherwise math.fsum sums the whole list: where top n >= 2^1000 (also
     inf and nan entries), where r = 0 (the sign of a zero sum), and where
@@ -109,12 +143,14 @@ def fsum(a: np.ndarray) -> float:
                     r = math.fsum(taus)
                     if r != 0.0:
                         rho = math.fsum(taus + [-r])
-                        slack = (abs(rho) * 2.0 ** -50
+                        rest = math.fsum(taus + [-r, -rho])
+                        slack = (abs(rest) * 2.0 ** -50
                                  + float(mag.sum()) * (1.0 + n * 2.0 ** -50)
                                  + (n + 1) * 2.0 ** -1074)
-                        if (math.nextafter(r, -math.inf) - r < 2.0 * (rho - slack)
-                                and 2.0 * (rho + slack)
-                                < math.nextafter(r, math.inf) - r):
+                        if (math.nextafter(r, -math.inf) - r - 2.0 * rho
+                                < 2.0 * (rest - slack)
+                                and 2.0 * (rest + slack)
+                                < math.nextafter(r, math.inf) - r - 2.0 * rho):
                             return r
                 top = float(mag.max())
     return math.fsum(a.tolist())
@@ -127,9 +163,8 @@ def poisson_log_terms(rate: float, n_top: int):
     as logarithm; that single evaluation is what keeps entropy sums and the
     entropy of constructed Poisson pmfs mutually consistent near 1e-12.
     """
-    z = np.arange(n_top + 1)
-    logp = z * math.log(rate) - rate - log_factorials(n_top)
-    return z, logp
+    z, _, log_fact = tables(n_top)
+    return z, z * math.log(rate) - rate - log_fact
 
 
 def check_support(top: int, name: str, value) -> int:

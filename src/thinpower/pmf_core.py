@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import DomainError, ParameterError
 from .numerics import (check_support, fsum, log_factorials, poisson_log_terms,
-                       poisson_support_top)
+                       poisson_support_top, tables)
 
 
 @dataclass(frozen=True)
@@ -315,7 +315,7 @@ def construct(spec: FamilySpec, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Fi
 
 def mean(p: FinitePmf) -> float:
     """First moment, with compensated summation."""
-    return fsum(np.arange(len(p)) * p.probs)
+    return fsum(tables(len(p) - 1)[0] * p.probs)
 
 
 def is_ulc(p: FinitePmf, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:

@@ -4,6 +4,7 @@ plus the thinned sums and leave-one-out sums built from them."""
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from functools import reduce
 
 import numpy as np
@@ -19,8 +20,41 @@ _M = 64
 # C(i, k) for i, k <= _M, each exact integer rounded once (zero for k > i)
 _COMB = np.array([[math.comb(i, k) for k in range(_M + 1)]
                   for i in range(_M + 1)], dtype=float)
-_I_MINUS_K = np.maximum(np.subtract.outer(np.arange(_M + 1),
-                                          np.arange(_M + 1)), 0)
+# Pascal blocks by a, least recently used first; at most 64 blocks of at
+# most 65 x 65 entries, 2.2 MB
+_BLOCKS = OrderedDict()
+_BLOCKS_MAX = 64
+
+
+def _pascal(a: float, size: int) -> np.ndarray:
+    """The read-only Pascal block K[i, k] = C(i, k) a^k b^(i-k), b = 1 - a,
+    for i, k < size.
+
+    K's entries do not depend on size, so a block kept in _BLOCKS serves
+    every size up to its own as a slice; a miss, or a larger size, builds
+    the block at this size and keeps it, evicting the least recently used
+    one past _BLOCKS_MAX.  The running products of the rows (1, ..., 1,
+    1, a, ..., a) and (1, ..., 1, 1, b, ..., b), size - 1 ones first, give
+    the powers of a and b after the ones; b^(i-k) is read through a
+    Toeplitz view of the second row, with 1 above the diagonal, where
+    _COMB is 0.
+    """
+    block = _BLOCKS.pop(a, None)
+    if block is None or block.shape[0] < size:
+        powers = np.ones((2, 2 * size - 1))
+        powers[0, size:] = a
+        powers[1, size:] = 1.0 - a
+        np.multiply.accumulate(powers, axis=1, out=powers)
+        block = _COMB[:size, :size] * powers[0, size - 1:]
+        # b_powers[i, k] = powers[1, size - 1 + i - k]
+        b_powers = np.ndarray((size, size), float, powers,
+                              8 * (3 * size - 2), (8, -8))
+        block *= b_powers
+        block.flags.writeable = False
+        if len(_BLOCKS) >= _BLOCKS_MAX:
+            _BLOCKS.popitem(last=False)
+    _BLOCKS[a] = block
+    return block[:size, :size]
 
 
 def _taylor_shift(probs: np.ndarray, a: float) -> np.ndarray:
@@ -30,23 +64,20 @@ def _taylor_shift(probs: np.ndarray, a: float) -> np.ndarray:
     von zur Gathen and Gerhard, "Fast algorithms for Taylor shifts", ISSAC
     1997: probs is cut into J = ceil(N/m) blocks of m = _M coefficients, all
     shifted by one product with the Pascal block K[i, k] = C(i, k) a^k
-    b^(i-k), and Horner's rule in q = (b + a s)^m, row m of K, adds them up,
-    one np.convolve a step.  For N <= m the result is probs @ K.  A term
-    x[n] C(n, k) a^k b^(n-k) of the result is rounded at most D = 2 min(N, m)
-    + (J - 1)(2m + 3) times, whatever its sign: a K entry i + 1 times
-    (C(i, k) once, the cumprod powers k - 1 and i - k - 1 times, two
-    products), a block product min(N, m) times in any summation order, a
-    Horner step 2m + 3 times (q's entry, one product, m + 1 additions).
+    b^(i-k) (see _pascal), and Horner's rule in q = (b + a s)^m, row m of
+    K, adds them up, one np.convolve a step.  For N <= m the result is
+    probs @ K.  A term x[n] C(n, k) a^k b^(n-k) of the result is rounded at
+    most D = 2 min(N, m) + (J - 1)(2m + 3) times, whatever its sign: a K
+    entry i + 1 times (C(i, k) once, the running products of the powers
+    k - 1 and i - k - 1 times, two products), a block product min(N, m)
+    times in any summation order, a Horner step 2m + 3 times (q's entry,
+    one product, m + 1 additions).  Keeping K in _pascal's cache leaves D
+    as it is: a kept block and a fresh one hold the same two products of
+    the same running powers, in the same order, and a is read as a
+    double, so that b = fl(1 - a) rounds once in double precision.
     """
     width = probs.size
-    size = min(width, _M + 1)
-    powers = np.empty((2, size))
-    powers[:, 0] = 1.0
-    powers[0, 1:] = a
-    powers[1, 1:] = 1.0 - a
-    np.cumprod(powers, axis=1, out=powers)
-    pascal = (_COMB[:size, :size] * powers[0]
-              * powers[1][_I_MINUS_K[:size, :size]])
+    pascal = _pascal(float(a), min(width, _M + 1))
     if width <= _M:
         return probs @ pascal
     padded = np.zeros(width + -width % _M)

@@ -155,12 +155,16 @@ def _lengths_summed_by_math_fsum(monkeypatch, a):
 def test_fsum_sums_a_wide_pmf_in_part_and_a_tie_whole(monkeypatch):
     probs = construct(FamilySpec.poisson(1615.0)).probs
     assert probs.size >= 2048
-    # math.fsum sees only the level sums, and them with -r
+    # math.fsum sees only the level sums, and them with -r and -rho
     lengths = _lengths_summed_by_math_fsum(monkeypatch, probs)
     assert max(lengths) <= numerics._FSUM_LEVELS + 1
     assert fsum(probs) == math.fsum(probs.tolist())
-    # 1 + 2^-53 is a midpoint that the tiny entries push up
+    # 1 + 2^-53 is a midpoint that the tiny entries push up.  The third
+    # level sums them exactly: rho = fl(T - r) rounds their 2^-189 away,
+    # and rho's own residual keeps it, so the whole list is never summed
     tie = np.array([1.0, 2.0 ** -53] + [2.0 ** -200] * (probs.size - 2))
+    lengths = _lengths_summed_by_math_fsum(monkeypatch, tie)
+    assert max(lengths) <= numerics._FSUM_LEVELS + 2
     assert fsum(tie) == 1.0 + 2.0 ** -52
     # the pair cancels at the third level, so only 2^-400, a fourth level
     # down, leaves the midpoint: past the last level the whole list decides

@@ -1,29 +1,52 @@
-"""The log-factorial table: the shipped entries are scipy's gammaln bit for
-bit, growth past them leaves them as they are, and no caller can write
-into the table."""
+"""The shared tables of numerics: the shipped log-factorials are scipy's
+gammaln bit for bit, growth past them leaves them as they are, and no caller
+can write into a table.  The Poisson terms read z and log(z + 1) from tables
+kept beside the log-factorials and give the bits of arrays built fresh on
+each call: below the shipped 4096 entries, at the last one and past it,
+where all three tables grow.  And V(Poisson(t)) = t within its documented
+error.
 
+Tier-1 draws rates up to 200; the thorough profile
+(--hypothesis-profile thorough) draws them up to 2000.
+"""
+
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import gammaln
 
 import thinpower
-from thinpower import numerics
+from thinpower import DEFAULT_TOLERANCES, entropy_power, mean, numerics
+from thinpower.entropy_functionals import _poisson_entropy_pair
+from thinpower.numerics import fsum, poisson_log_terms, poisson_support_top
+from thinpower.pmf_core import FinitePmf, poisson_pmf
 
 SHIPPED = Path(thinpower.__file__).with_name("log_factorials.npy")
+THOROUGH = (settings().max_examples
+            >= settings.get_profile("thorough").max_examples)
+V_RATE = 2000.0 if THOROUGH else 200.0
+# E(t), and so the entropy of a Poisson pmf, is documented to within 1e-11
+# absolute for t up to 2000
+E_BOUND = 1e-11
 
 
-def _bits(a: np.ndarray) -> np.ndarray:
-    return a.view(np.uint64)
+def _bits(a) -> np.ndarray:
+    return np.asarray(a, dtype=float).view(np.uint64)
 
 
 @pytest.fixture
 def shipped_table(monkeypatch):
-    """The table as numerics loads it, before any growth."""
+    """The three tables as numerics builds them at import, before any
+    growth; returns the log-factorials."""
     table = np.load(SHIPPED)
-    table.flags.writeable = False
-    monkeypatch.setattr(numerics, "_LOG_FACT", table)
+    z = np.arange(table.size, dtype=float)
+    for name, values in (("_LOG_FACT", table), ("_Z", z),
+                         ("_LOG_Z1", np.log(z + 1.0))):
+        values.flags.writeable = False
+        monkeypatch.setattr(numerics, name, values)
     return table
 
 
@@ -48,3 +71,75 @@ def test_views_are_read_only_before_and_after_growth(shipped_table):
             view[-1] = 0.0
     assert np.array_equal(_bits(numerics.log_factorials(4095)),
                           _bits(np.load(SHIPPED)))
+
+
+def fresh_log_terms(rate, top):
+    z = np.arange(top + 1)
+    return z, z * math.log(rate) - rate - numerics.log_factorials(top)
+
+
+def fresh_entropy_pair(t):
+    top = poisson_support_top(t, DEFAULT_TOLERANCES.tail_eps)
+    z, logp = fresh_log_terms(t, top)
+    pmf = np.exp(logp)
+    return -fsum(pmf * logp), fsum(pmf * (np.log(z + 1.0) - math.log(t)))
+
+
+def test_the_log_table_is_np_log_at_every_length():
+    # np.log is elementwise: a prefix of the table is the whole array's log
+    z, log_z1, _ = numerics.tables(4095)
+    assert np.array_equal(_bits(z), _bits(np.arange(4096)))
+    for n in range(1, 4097):
+        assert np.array_equal(_bits(log_z1[:n]),
+                              _bits(np.log(np.arange(n) + 1.0)))
+
+
+# 3475 puts the support top at 4095, the shipped tables' last entry; from
+# 3476 on it is past them
+RATES = [0.25, 3.0, 40.0, 2000.0, 3400.0, 3475.0, 3476.0, 3500.0]
+
+
+@pytest.mark.parametrize("rate", RATES)
+def test_poisson_terms_match_fresh_arrays(shipped_table, rate):
+    top = poisson_support_top(rate, DEFAULT_TOLERANCES.tail_eps)
+    assert (top < 4095, top == 4095) == (rate < 3475.0, rate == 3475.0)
+    z, logp = poisson_log_terms(rate, top)
+    fresh_z, fresh_logp = fresh_log_terms(rate, top)
+    assert np.array_equal(_bits(z), _bits(fresh_z))
+    assert np.array_equal(_bits(logp), _bits(fresh_logp))
+    assert np.array_equal(_bits(poisson_pmf(rate).probs),
+                          _bits(FinitePmf(np.exp(fresh_logp)).probs))
+    assert np.array_equal(_bits(_poisson_entropy_pair(rate, DEFAULT_TOLERANCES)),
+                          _bits(fresh_entropy_pair(rate)))
+    # poisson_support_top reads log((top + 1)!): from top 4095 on, all
+    # three tables grew together
+    assert numerics._Z.size == numerics._LOG_Z1.size == numerics._LOG_FACT.size
+    assert numerics._Z.size == (4096 if top < 4095 else 8192)
+
+
+def test_grown_tables_keep_their_entries_and_stay_read_only(shipped_table):
+    before = [t.copy() for t in numerics.tables(4095)]
+    grown = numerics.tables(5000)
+    assert [t.size for t in grown] == [5001] * 3
+    for old, new in zip(before, grown):
+        assert np.array_equal(_bits(new[:4096]), _bits(old))
+        with pytest.raises(ValueError, match="read-only"):
+            new[0] = 1.0
+    assert np.array_equal(_bits(grown[0]), _bits(np.arange(5001)))
+    assert np.array_equal(_bits(grown[1]), _bits(np.log(np.arange(5001) + 1.0)))
+
+
+@pytest.mark.parametrize("width", [2, 64, 4096, 4097, 6000])
+def test_mean_matches_a_fresh_support(width):
+    probs = np.random.default_rng(width).random(width)
+    x = FinitePmf(probs / probs.sum())
+    assert _bits(mean(x)) == _bits(fsum(np.arange(len(x)) * x.probs))
+
+
+@given(st.floats(1e-6, V_RATE))
+def test_entropy_power_of_a_poisson_is_its_rate(t):
+    # E(V) = H(Poisson(t)) and E(t) each within E_BOUND, E concave, and the
+    # root solve stops within tol_root V
+    v = entropy_power(poisson_pmf(t))
+    slope = thinpower.poisson_entropy_derivative(max(t, v))
+    assert abs(v - t) <= DEFAULT_TOLERANCES.tol_root * t + 2.0 * E_BOUND / slope
