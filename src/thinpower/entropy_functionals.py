@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import DomainError, ParameterError
 from .numerics import (fsum, log_factorials, poisson_log_terms,
-                       poisson_support_top, solve_increasing, tables)
+                       poisson_support_top, solve_increasing)
 from .pmf_core import DEFAULT_TOLERANCES, FinitePmf, ToleranceConfig, mean
 
 LN2 = math.log(2.0)
@@ -41,10 +41,9 @@ def entropy(p: FinitePmf) -> EntropyValue:
 def _poisson_entropy_pair(t: float, cfg: ToleranceConfig) -> tuple[float, float]:
     """(E(t), E'(t)) for t > 0 from one truncated Poisson(t) log pmf."""
     top = poisson_support_top(t, cfg.tail_eps)
-    _, logp = poisson_log_terms(t, top)
+    _, logp, log_z1 = poisson_log_terms(t, top)
     pmf = np.exp(logp)
-    return (-fsum(pmf * logp),
-            fsum(pmf * (tables(top)[1] - math.log(t))))
+    return -fsum(pmf * logp), fsum(pmf * (log_z1 - math.log(t)))
 
 
 def poisson_entropy(t: float, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:

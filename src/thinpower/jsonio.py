@@ -17,6 +17,214 @@ from .pmf_core import (DEFAULT_TOLERANCES, FamilySpec, FinitePmf,
                        ToleranceConfig, construct)
 
 
+# dumps_canonical formats an all-float list of this many entries or more
+# with _format_floats.  Measured on pmfs against one %-format call, the
+# kernel's median speed-up is 0.61 at 64 entries, 1.0 at 112, 1.09 at 128,
+# 1.8 at 256 and 2.3 at 512: it pays a fixed cost of about 50 us
+_FORMAT_FROM = 128
+
+# exponents X = floor(log10 |x|) of finite nonzero doubles, and the
+# estimate one off on either side: the kernel's tables are indexed by
+# X - _X_MIN
+_X_MIN, _X_MAX = -325, 309
+
+
+def _pow10_table():
+    """10^(16 - X) = (hi + lo) 2^s for X = _X_MIN.._X_MAX, from exact
+    integers: hi in [1, 2) is 10^(16 - X) 2^-s correctly rounded and lo
+    the rest correctly rounded, so hi + lo is within 2^-106 of it."""
+    size = _X_MAX - _X_MIN + 1
+    hi, lo = np.empty(size), np.empty(size)
+    shift = np.empty(size, dtype=np.int64)
+    for i in range(size):
+        k = 16 - _X_MIN - i
+        num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+        s = num.bit_length() - den.bit_length()
+        num, den = num << max(-s, 0), den << max(s, 0)
+        if num < den:
+            num, s = num << 1, s - 1
+        h = num / den                   # int / int is correctly rounded
+        rest = (num << 52) - int(h * 2.0 ** 52) * den
+        hi[i], lo[i], shift[i] = h, rest / (den << 52), s
+    return hi, lo, shift
+
+
+_POW10_HI, _POW10_LO, _POW10_SHIFT = _pow10_table()
+# hi split into 26 and 27 bits (Veltkamp) for Dekker's product
+_VELTKAMP = 2.0 ** 27 + 1.0
+_HI_HI = _POW10_HI * _VELTKAMP
+_HI_HI -= _HI_HI - _POW10_HI
+_HI_LO = _POW10_HI - _HI_HI
+# a row word: little-endian on any host, so that d0 << 48 is its byte 6
+_WORD = np.dtype("<u8")
+
+
+def _group_tables():
+    """Per 4-digit group g = 0..9999: its word "d.d.d.d.", and in row j
+    the significant digits of a number whose last nonzero digit is in g at
+    place j of d1..d16, 0 if g is 0, and 1 in row 0 for g = 0 (d0 is
+    always written)."""
+    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T
+    words = np.full((10000, 8), ord("."), dtype=np.uint8)
+    words[:, ::2] = digits + ord("0")
+    last = ((digits != 0) * np.arange(1, 5, dtype=np.uint8)).max(1)
+    place = 4 * np.arange(4, dtype=np.uint8)[:, None]
+    nsig = np.where(last > 0, place + 1 + last, 0)
+    nsig[0, 0] = 1
+    return words.view(_WORD).ravel(), nsig.astype(np.uint8)
+
+
+# The row an element's text is cut from: six little-endian 8-byte words,
+#   "-0.000" d0 "."  |  "d.d.d.d." x 4, d1..d16  |  "e+ddd," 0 0
+# _GROUP[g] is the word of the 4-digit group g, _SUFFIX[X - _X_MIN] the
+# last word for exponent X
+_GROUP, _NSIG = _group_tables()
+_FIRST_WORD = int(np.frombuffer(b"-0.0000.", dtype=_WORD)[0])
+_EXPONENTS = np.arange(_X_MIN, _X_MAX + 1)
+_SUFFIX = np.zeros((_EXPONENTS.size, 8), dtype=np.uint8)
+_SUFFIX[:, :6] = np.frombuffer(b"e+000,", dtype=np.uint8)
+_SUFFIX[_EXPONENTS < 0, 1] = ord("-")
+_SUFFIX[:, 2:5] += (np.abs(_EXPONENTS)[:, None] // np.array([100, 10, 1])
+                    % 10).astype(np.uint8)
+_SUFFIX = _SUFFIX.view(_WORD).ravel()
+
+
+def _keep_masks():
+    """(783, 48) bool: the bytes of a row that each layout keeps.
+
+    Layout (sign * 23 + style) * 17 + nsig - 1 for a sign, nsig significant
+    digits and a style: X + 4 for %f at X = -4..16, and 21 and 22 for %e
+    with a two- and a three-digit exponent.  Layout 782 keeps the comma
+    alone.
+    """
+    # axes: sign, style, nsig, and last the byte or the digit i
+    sign, style, nsig, i = np.ix_(range(2), range(23), range(1, 18), range(17))
+    x = style - 4
+    fixed = style < 21
+    keep = np.zeros((2, 23, 17, 48), dtype=bool)
+    keep[..., :1] = sign == 1
+    keep[..., 1:3] = style < 4
+    keep[..., 3:6] = np.arange(3) < 3 - style
+    # %f writes the digits up to X, %e only the significant ones; the
+    # point follows digit X, or d0 in %e, if a significant digit follows
+    keep[..., 6:40:2] = (i < nsig) | (fixed & (i <= x))
+    point = np.where(fixed, x, 0)
+    keep[..., 7:41:2] = (i == point) & (nsig > point + 1)
+    keep[..., 40:45] = ~fixed
+    keep[..., 42:43] &= style == 22
+    keep[..., 45] = True
+    return np.vstack([keep.reshape(-1, 48), np.arange(48) == 45])
+
+
+_KEEP = _keep_masks()
+# np.compress builds an index of every byte it keeps (8 bytes each): by
+# blocks of this many rows, that index and the masks stay under 110 KB
+_BLOCK = 512
+_FALLBACK = _KEEP.shape[0] - 1
+_KEPT = _KEEP.sum(1)
+# per exponent X, the layout of a positive number less nsig
+_LAYOUT_BASE = 17 * np.where((_EXPONENTS >= -4) & (_EXPONENTS <= 16),
+                             _EXPONENTS + 4,
+                             21 + (np.abs(_EXPONENTS) >= 100)) - 1
+
+
+def _digits(values: np.ndarray):
+    """(D, X - _X_MIN, certified) per element; see _format_floats.  Its
+    float temporaries are freed on return, before the rows are built."""
+    magnitude = np.abs(values)
+    zero = magnitude == 0.0
+    has_zero = zero.any()
+    if has_zero:
+        magnitude[zero] = 1.0
+    exponent = np.floor(np.log10(magnitude)).astype(np.int64)
+    f, e = np.frexp(magnitude)
+    at = exponent - _X_MIN
+    scale = ((_POW10_SHIFT.take(at) + e + 1023) << 52).view(np.float64)
+    hi = _POW10_HI.take(at)
+    split = f * _VELTKAMP
+    f_hi = split - (split - f)
+    f_lo = f - f_hi
+    p = f * hi
+    hi_hi, hi_lo = _HI_HI.take(at), _HI_LO.take(at)
+    t = (((f_hi * hi_hi - p) + f_hi * hi_lo + f_lo * hi_hi) + f_lo * hi_lo
+         + f * _POW10_LO.take(at)) * scale
+    p *= scale
+    rounded = np.rint(t)
+    r = t - rounded
+    digits = p.astype(np.int64) + rounded.astype(np.int64)
+    ok = ((np.abs(r) < 0.5 - 2.0 ** -40) & (digits < 10 ** 17)
+          & ((digits - 10 ** 16) + r > 2.0 ** -40))
+    if has_zero:
+        digits[zero] = 0            # and X = log10(1) = 0
+        ok[zero] = True
+    return digits, at, ok
+
+
+def _format_floats(values: np.ndarray) -> str:
+    """",".join(format(v, ".17g") for v in values) for a 1-D float64
+    array of finite values, byte for byte, in one pass of array operations.
+
+    Digits.  For x = f 2^e != 0 (np.frexp, f in [1/2, 1)) and X, the
+    estimate of floor(log10 |x|) from np.log10, y = |x| 10^(16 - X) =
+    f (hi + lo) 2^(s + e) with hi, lo and s from the table.  Dekker's
+    product of f and hi, both split by Veltkamp, is exact; f lo and its
+    sum with the product's error term round once each, and the power of
+    two is exact.  So y = p + t with |y - (p + t)| < 5 * 2^-106 y, below
+    2^-46 wherever y < 10^17, and p holds an integer wherever y >= 2^53.
+    D = p + rint(t), in int64, and r = t - rint(t) are exact, and D is
+    taken, with exponent X, where
+    - |r| < 1/2 - 2^-40: y is more than 2^-40 from a tie, so D is y
+      rounded to the nearest integer;
+    - 10^16 + 2^-40 < D + r and D < 10^17: with the first condition,
+      10^16 < y < 10^17 - 1/2, so D has 17 digits and X is the exponent
+      of x rounded to 17 significant digits.
+    An estimate of X that is off by one puts y below 10^16, where a p
+    that is not an integer is truncated and only lowers D + r, or at
+    10^17 and above: it fails the second condition.  An exact tie fails
+    the first.  Each element that fails is formatted by format(x, ".17g")
+    alone and spliced in before its comma.  Zeros are written with D = 0
+    and X = 0.
+
+    Text.  The C99 %g rules at precision 17: style e when X < -4 or
+    X >= 17, style f otherwise; trailing zeros dropped, and the point with
+    them; an exponent of at least two digits.  Each element fills one
+    48-byte row, laid out above _GROUP: its sign, "0.000", its 17 digits
+    with a point after each, "e", the exponent's sign and three digits,
+    and a comma.  Its layout (sign, style, exponent width, significant
+    digits) selects a keep mask from _KEEP, and np.compress of the rows by
+    their masks, _BLOCK rows at a time, leaves the text.
+    """
+    digits, at, ok = _digits(values)
+    top = digits // 10 ** 8
+    low = digits - top * 10 ** 8
+    groups = (top // 10 ** 4 % 10 ** 4, top % 10 ** 4,
+              low // 10 ** 4, low % 10 ** 4)
+    rows = np.empty((values.size, 6), dtype=_WORD)
+    rows[:, 0] = (top // 10 ** 8 << 48) + _FIRST_WORD
+    for j, g in enumerate(groups):
+        rows[:, j + 1] = _GROUP.take(g)
+    rows[:, 5] = _SUFFIX.take(at)
+    nsig = np.maximum.reduce([_NSIG[j].take(g) for j, g in enumerate(groups)])
+    layout = _LAYOUT_BASE.take(at) + nsig + np.signbit(values) * (23 * 17)
+    fallback = np.flatnonzero(~ok)
+    layout[fallback] = _FALLBACK
+    rows = rows.view(np.uint8)
+    text = b"".join([
+        np.compress(_KEEP.take(layout[i:i + _BLOCK], axis=0).ravel(),
+                    rows[i:i + _BLOCK].ravel()).tobytes()
+        for i in range(0, values.size, _BLOCK)]).decode("ascii")
+    if fallback.size:
+        ends = np.cumsum(_KEPT.take(layout))
+        pieces, start = [], 0
+        for i in fallback.tolist():
+            end = int(ends[i]) - 1
+            pieces += [text[start:end], format(float(values[i]), ".17g")]
+            start = end
+        pieces.append(text[start:])
+        text = "".join(pieces)
+    return text[:-1]
+
+
 def _format_float(value: float) -> str:
     if math.isnan(value):
         return "NaN"
@@ -28,10 +236,12 @@ def _format_float(value: float) -> str:
 def dumps_canonical(obj) -> str:
     """Deterministic JSON: sorted keys, floats at 17 significant digits.
 
-    A list or tuple of exact floats is formatted by one %-format call,
-    whose "%.17g" gives the same text as format(v, ".17g"); nan and inf
-    ("nan", "inf": the only texts with an "n") take the per-element path,
-    which names them NaN and Infinity.  Strings are quoted by the function
+    A list or tuple of exact floats is formatted as a whole, with the same
+    text as format(v, ".17g") per element: from _FORMAT_FROM entries on,
+    if all are finite, by _format_floats, and otherwise by one %-format
+    call.  nan and inf ("nan", "inf": the only texts with an "n") take
+    the per-element path, which names them NaN and Infinity.  Strings are
+    quoted by the function
     json.dumps uses for them under its default ensure_ascii.
     """
     if obj is None:
@@ -57,6 +267,10 @@ def dumps_canonical(obj) -> str:
         return "{" + ",".join(items) + "}"
     if isinstance(obj, (list, tuple)):
         if set(map(type, obj)) == {float}:
+            if len(obj) >= _FORMAT_FROM:
+                values = np.array(obj)
+                if np.isfinite(values).all():
+                    return "[" + _format_floats(values) + "]"
             text = ",".join(["%.17g"] * len(obj)) % tuple(obj)
             if "n" not in text:
                 return "[" + text + "]"

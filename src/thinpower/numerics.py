@@ -19,7 +19,7 @@ from .errors import NumericError, ParameterError
 # read-only tables over k = 0, 1, ...: _Z[k] = k, _LOG_Z1[k] = log(k + 1)
 # and _LOG_FACT[k] = log(k!).  The shipped table holds
 # scipy.special.gammaln(np.arange(4096) + 1.0), written with np.save, and
-# tables() grows all three past it on demand
+# _grow() grows all three past it on demand
 _LOG_FACT = np.load(Path(__file__).with_name("log_factorials.npy"))
 _Z = np.arange(_LOG_FACT.size, dtype=float)
 _LOG_Z1 = np.log(_Z + 1.0)
@@ -47,28 +47,35 @@ def _grown(table: np.ndarray, size: int, values) -> np.ndarray:
     return grown
 
 
+def _grow(n: int) -> None:
+    """Grow the three tables together past z = n, at least doubling; the
+    one use of scipy is gammaln for the new log(z!), and entries already
+    handed out never change."""
+    global _Z, _LOG_Z1, _LOG_FACT
+    from scipy.special import gammaln
+    size = max(n + 1, 2 * _LOG_FACT.size)
+    _Z = _grown(_Z, size, lambda k: k)
+    _LOG_Z1 = _grown(_LOG_Z1, size, lambda k: np.log(k + 1.0))
+    _LOG_FACT = _grown(_LOG_FACT, size, lambda k: gammaln(k + 1.0))
+
+
 def tables(n: int):
     """Read-only views (z, log(z + 1), log(z!)) over z = 0..n, as floats.
 
-    Past the tables' size all three grow together, at least doubling; the
-    one use of scipy is gammaln for the new log(z!), and entries already
-    handed out never change.  np.log is elementwise, so a slice of the
-    log(z + 1) table holds the bits np.log(z + 1.0) gives for the same z.
+    np.log is elementwise, so a slice of the log(z + 1) table holds the
+    bits np.log(z + 1.0) gives for the same z.
     """
-    global _Z, _LOG_Z1, _LOG_FACT
-    # the three grow together, and _LOG_FACT is never the longest
+    # the three grow together, so one size check serves all
     if n >= _LOG_FACT.size:
-        from scipy.special import gammaln
-        size = max(n + 1, 2 * _LOG_FACT.size)
-        _Z = _grown(_Z, size, lambda k: k)
-        _LOG_Z1 = _grown(_LOG_Z1, size, lambda k: np.log(k + 1.0))
-        _LOG_FACT = _grown(_LOG_FACT, size, lambda k: gammaln(k + 1.0))
+        _grow(n)
     return _Z[:n + 1], _LOG_Z1[:n + 1], _LOG_FACT[:n + 1]
 
 
 def log_factorials(n: int) -> np.ndarray:
     """Return a read-only view holding log(k!) for k = 0..n."""
-    return tables(n)[2]
+    if n >= _LOG_FACT.size:
+        _grow(n)
+    return _LOG_FACT[:n + 1]
 
 
 def fsum(a: np.ndarray) -> float:
@@ -157,14 +164,16 @@ def fsum(a: np.ndarray) -> float:
 
 
 def poisson_log_terms(rate: float, n_top: int):
-    """Arrays (z, log pmf) of a Poisson(rate) over z = 0..n_top.
+    """Arrays (z, log pmf, log(z + 1)) of a Poisson(rate) over z = 0..n_top.
 
     The log pmf is evaluated once and reused by callers both as exponent and
     as logarithm; that single evaluation is what keeps entropy sums and the
     entropy of constructed Poisson pmfs mutually consistent near 1e-12.
+    z and log(z + 1) are read-only views of the tables; E'(t) reads the
+    latter.
     """
-    z, _, log_fact = tables(n_top)
-    return z, z * math.log(rate) - rate - log_fact
+    z, log_z1, log_fact = tables(n_top)
+    return z, z * math.log(rate) - rate - log_fact, log_z1
 
 
 def check_support(top: int, name: str, value) -> int:

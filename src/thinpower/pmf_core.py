@@ -129,20 +129,34 @@ def _first_non_number(probs) -> str:
     return reprlib.repr(probs)
 
 
+def _real(value) -> float:
+    if isinstance(value, bool):     # float(True) would read it as 1.0
+        raise TypeError("expected a number")
+    return float(value)
+
+
+def _integer(value) -> int:
+    # int(3.5) would truncate; an integral float such as 1e30 is kept
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ValueError("expected an integer")
+    return int(value)
+
+
 def _float_tuple(values) -> tuple:
     if not isinstance(values, (list, tuple)):  # a string is iterable too
         raise TypeError("expected a list")
-    return tuple(float(v) for v in values)
+    return tuple(_real(v) for v in values)
 
 
 # each family's parameters as (name, coercion) pairs, in document order
 FAMILY_PARAMS = {
-    "delta": (("k", int),),
-    "bernoulli": (("p", float),),
-    "binomial": (("n", int), ("p", float)),
+    "delta": (("k", _integer),),
+    "bernoulli": (("p", _real),),
+    "binomial": (("n", _integer), ("p", _real)),
     "bernoulli_sum": (("ps", _float_tuple),),
-    "poisson": (("rate", float),),
-    "geometric": (("mean", float),),
+    "poisson": (("rate", _real),),
+    "geometric": (("mean", _real),),
     "raw": (("probs", _float_tuple),),
 }
 
@@ -232,8 +246,7 @@ def _poisson_probs(rate: float, cfg: ToleranceConfig) -> np.ndarray:
     if rate == 0.0:
         return np.array([1.0])
     top = poisson_support_top(rate, cfg.tail_eps)
-    _, logp = poisson_log_terms(rate, top)
-    return np.exp(logp)
+    return np.exp(poisson_log_terms(rate, top)[1])
 
 
 def poisson_pmf(rate: float, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> FinitePmf:

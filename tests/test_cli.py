@@ -656,6 +656,21 @@ PINNED_OUTPUTS = [
 ]
 
 
+# pmfs of 1919, 1313 and 1802 points, printed by dumps_canonical's
+# long-list kernel: Poisson(1500) opens with 286 zeros, and the thinned
+# binomial and the convolution reach subnormals with three-digit exponents
+_BIN = '{"family": "binomial", "n": %d, "p": %s}'
+LONG_OUTPUTS = [
+    (("construct", "--spec", '{"family": "poisson", "rate": 1500}'),
+     "913c11c70d9e2cb6cdcc36547279937003d3c3c2972fc3ebbb4f3dd48ca1d396"),
+    (("thin", "--alpha", "0.3", "--pmf", _BIN % (2047, "0.8")),
+     "b8974476874d76dae24988aacc2d839d92e88906c8ca0a773e5f46a3d3575e1a"),
+    (("conv", "--pmf", _BIN % (1000, "0.5"), "--pmf", _BIN % (1000, "0.5")),
+     "38b6841f7cee96f730446bf04103ec986bdb501dfa205bc4988bf21f8d10599a"),
+]
+PINNED_OUTPUTS += LONG_OUTPUTS
+
+
 def test_pinned_output_digests(capsys, recorded_platform):
     changed = []
     for argv, digest in PINNED_OUTPUTS:
@@ -664,3 +679,64 @@ def test_pinned_output_digests(capsys, recorded_platform):
         if hashlib.sha256(out.encode()).hexdigest() != digest:
             changed.append(" ".join(argv[:3]))
     assert changed == []
+
+
+@pytest.mark.parametrize("argv, size, zeros", [
+    (LONG_OUTPUTS[0][0], 1919, 286),
+    (LONG_OUTPUTS[1][0], 1313, 0),
+    (LONG_OUTPUTS[2][0], 1802, 199),
+], ids=["construct", "thin", "conv"])
+def test_long_outputs_match_the_per_element_serialiser(capsys, argv, size, zeros):
+    # on any platform: the bytes are those of format(v, ".17g") per float
+    # of the printed values, which parse back to the same doubles
+    code, out = run(capsys, *argv)
+    assert code == 0
+    probs = json.loads(out)["probs"]
+    assert len(probs) == size
+    assert probs[zeros] > 0.0 and not any(probs[:zeros])
+    assert "e-3" in out
+    text = ",".join(format(v, ".17g") for v in probs)
+    assert out == '{"probs":[' + text + ']}\n'
+
+
+# (spec, parameter, its value as the message shows it)
+FLAWED_SPECS = [
+    ('{"family": "binomial", "n": 3.5, "p": 0.5}', "n", "3.5"),
+    ('{"family": "binomial", "n": true, "p": 0.5}', "n", "True"),
+    ('{"family": "binomial", "n": 3, "p": true}', "p", "True"),
+    ('{"family": "delta", "k": true}', "k", "True"),
+    ('{"family": "delta", "k": 2.5}', "k", "2.5"),
+    ('{"family": "delta", "k": false}', "k", "False"),
+    ('{"family": "bernoulli", "p": true}', "p", "True"),
+    ('{"family": "poisson", "rate": true}', "rate", "True"),
+    ('{"family": "geometric", "mean": false}', "mean", "False"),
+    ('{"family": "bernoulli_sum", "ps": [0.5, true]}', "ps", "[0.5, True]"),
+    ('{"family": "raw", "probs": [false, true]}', "probs", "[False, True]"),
+]
+
+
+@pytest.mark.parametrize("spec, name, shown", FLAWED_SPECS,
+                         ids=[f"{json.loads(s)['family']}-{n}-{v}"
+                              for s, n, v in FLAWED_SPECS])
+def test_family_specs_refuse_booleans_and_fractional_counts(
+        capsys, spec, name, shown):
+    # bare int() and float() read true as 1 and truncate 3.5 to 3
+    code, out = run(capsys, "construct", "--spec", spec)
+    assert code == 2
+    family = json.loads(spec)["family"]
+    assert json.loads(out) == {
+        "error": "ParameterError",
+        "message": f"family {family!r} parameter {name!r} "
+                   f"has invalid value {shown}"}
+
+
+@pytest.mark.parametrize("spec, same", [
+    ('{"family": "binomial", "n": 3.0, "p": 0.5}',
+     '{"family": "binomial", "n": 3, "p": 0.5}'),
+    ('{"family": "delta", "k": 2.0}', '{"family": "delta", "k": 2}'),
+    ('{"family": "bernoulli", "p": 1}', '{"family": "bernoulli", "p": 1.0}'),
+])
+def test_family_specs_keep_integral_numbers(capsys, spec, same):
+    code, out = run(capsys, "construct", "--spec", spec)
+    assert code == 0
+    assert (code, out) == run(capsys, "construct", "--spec", same)

@@ -1,16 +1,20 @@
 """dumps_canonical writes the same bytes as the element-by-element
-serialiser it replaced, kept here as the oracle."""
+serialiser it replaced, kept here as the oracle: for short float lists,
+formatted by one %-format call, and for long ones, formatted by the array
+kernel _format_floats and its per-element fallback."""
 
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from thinpower import jsonio
 from thinpower.errors import ParameterError
-from thinpower.jsonio import dumps_canonical
+from thinpower.jsonio import _FORMAT_FROM, dumps_canonical
 
 
 def _oracle_float(value: float) -> str:
@@ -100,3 +104,157 @@ def test_known_texts(doc, text):
 def test_non_string_key_raises(key):
     with pytest.raises(ParameterError, match="string keys"):
         dumps_canonical({"a": [1.0], key: 2.0})
+
+
+# ---------------------------------------------------------------- long lists
+
+def _per_element(values) -> str:
+    return "[" + ",".join(_oracle_float(v) for v in values) + "]"
+
+
+def _assert_long_list(values):
+    """dumps_canonical of values as a list, a tuple and an array, against
+    the per-element text."""
+    values = [float(v) for v in values]
+    expected = _per_element(values)
+    assert dumps_canonical(values) == expected
+    assert dumps_canonical(tuple(values)) == expected
+    assert dumps_canonical(np.array(values)) == expected
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The sizes of the arrays the long-list kernel is called on."""
+    calls = []
+    kernel = jsonio._format_floats
+
+    def counted(values):
+        calls.append(values.size)
+        return kernel(values)
+    monkeypatch.setattr(jsonio, "_format_floats", counted)
+    return calls
+
+
+def _from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+finite_floats = (st.floats(allow_nan=False, allow_infinity=False)
+                 | st.integers(0, 2 ** 64 - 1).map(_from_bits).filter(math.isfinite)
+                 | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, 1e17, 0.001,
+                                    2.2250738585072009e-308, 1.7976931348623157e308]))
+
+
+def _mixed_doubles(rng, size: int) -> np.ndarray:
+    """Finite doubles of four kinds, mixed: random bit patterns, log-uniform
+    magnitudes from 1e-320 to 1e300, short decimals and dyadic rationals."""
+    bits = rng.integers(0, 2 ** 63, size, dtype=np.int64).view(float)
+    kinds = [
+        np.where(np.isfinite(bits), bits, 0.5),
+        np.exp(rng.uniform(math.log(1e-320), math.log(1e300), size)),
+        np.array([round(v, int(d)) for v, d in
+                  zip(rng.uniform(-1e3, 1e3, size), rng.integers(0, 7, size))]),
+        np.ldexp(rng.integers(-2 ** 20, 2 ** 20, size).astype(float),
+                 rng.integers(-1074, 1000, size)),
+    ]
+    pick = rng.integers(0, len(kinds), size)
+    values = np.choose(pick, kinds)
+    return np.where(rng.random(size) < 0.5, -values, values)
+
+
+@given(st.lists(finite_floats, max_size=40), st.integers(0, 2 ** 32 - 1),
+       st.integers(_FORMAT_FROM, 4 * _FORMAT_FROM))
+def test_long_float_lists_match_per_element(picked, seed, size):
+    # the drawn floats land at random places of a long list of mixed doubles
+    rng = np.random.default_rng(seed)
+    values = _mixed_doubles(rng, size)
+    values[rng.choice(size, len(picked), replace=False)] = picked
+    _assert_long_list(values)
+
+
+@pytest.mark.parametrize("size", [jsonio._BLOCK - 1, jsonio._BLOCK,
+                                  jsonio._BLOCK + 1, 2 * jsonio._BLOCK + 1])
+def test_lists_across_compress_blocks(size):
+    # the text is cut _BLOCK rows at a time: the joins lose no element
+    _assert_long_list(_mixed_doubles(np.random.default_rng(size), size))
+
+
+def _ulps_around(centre: float, ulps: int = 3) -> list:
+    below = [centre]
+    for _ in range(ulps):
+        below.append(math.nextafter(below[-1], 0.0))
+    above = [centre]
+    for _ in range(ulps):
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[::-1] + above[1:]
+
+
+def test_values_near_powers_of_ten_match_per_element(kernel_calls):
+    # within 3 ulps of 10^k and of 9.9999999999999995e k, every k: where
+    # the decimal exponent and the digit count change
+    values = []
+    for k in range(-324, 309):
+        for centre in (float(f"1e{k}"), float(f"9.9999999999999995e{k}")):
+            if 0.0 < centre < math.inf:
+                values += _ulps_around(centre)
+    assert len(values) > 8000
+    _assert_long_list(values)
+    _assert_long_list([-v for v in values])
+    assert kernel_calls == [len(values)] * 6
+
+
+@pytest.mark.parametrize("shift", [-1.0, 1.0])
+def test_an_exponent_estimate_one_off_fails_the_certificate(monkeypatch, shift):
+    # every element's estimate of floor(log10 |x|) one off: none may be
+    # taken, and all go the per-element way
+    values = [v for k in range(-324, 309, 7)
+              for v in _ulps_around(float(f"1e{k}")) if 0.0 < v < math.inf]
+    values += _mixed_doubles(np.random.default_rng(4), 500).tolist()
+    floor = np.floor
+    monkeypatch.setattr(np, "floor", lambda a: floor(a) + shift)
+    assert jsonio._format_floats(np.array(values)) == \
+        ",".join(format(v, ".17g") for v in values)
+
+
+@pytest.mark.parametrize("values", [
+    [2.0 ** -25] * 600,
+    [0.5, 80074350687810.56] * 300,
+    [80074350687810.56] + [0.25] * (_FORMAT_FROM - 1),
+    [0.25] * (_FORMAT_FROM - 1) + [-80074350687810.56],
+], ids=["2^-25", "interleaved", "first", "last"])
+def test_ties_take_the_per_element_fallback(values):
+    # 2^-25 = 2.98023223876953125e-08 and 80074350687810.5625 lie half way
+    # between two 17-digit decimals: the kernel leaves them to format()
+    assert format(2.0 ** -25, ".17g") == "2.9802322387695312e-08"
+    assert format(80074350687810.56, ".17g") == "80074350687810.562"
+    _assert_long_list(values)
+
+
+def test_signed_zeros_and_subnormals_in_long_lists():
+    values = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.0] * 100
+    _assert_long_list(values)
+    assert dumps_canonical([-0.0] * _FORMAT_FROM) == \
+        "[" + ",".join(["-0"] * _FORMAT_FROM) + "]"
+
+
+@pytest.mark.parametrize("special, name", [
+    (math.nan, "NaN"), (math.inf, "Infinity"), (-math.inf, "-Infinity")])
+@pytest.mark.parametrize("at", [0, _FORMAT_FROM, 2 * _FORMAT_FROM - 1])
+def test_long_lists_with_nan_or_inf_keep_their_names(kernel_calls, special, name, at):
+    values = [0.1 * i for i in range(2 * _FORMAT_FROM)]
+    values[at] = special
+    text = dumps_canonical(values)
+    assert text == _per_element(values)
+    assert text.count(name) == 1 and "nan" not in text and "inf" not in text
+    assert dumps_canonical(np.array(values)) == text
+    assert kernel_calls == []
+
+
+def test_the_kernel_runs_from_the_cut_on(kernel_calls):
+    values = [1.0 / 3.0] * _FORMAT_FROM
+    assert dumps_canonical(values[1:]) == _per_element(values[1:])
+    assert kernel_calls == []
+    assert dumps_canonical(values) == _per_element(values)
+    assert dumps_canonical({"probs": np.array(values)}) == \
+        '{"probs":' + _per_element(values) + "}"
+    assert kernel_calls == [_FORMAT_FROM] * 2

@@ -103,10 +103,11 @@ RATES = [0.25, 3.0, 40.0, 2000.0, 3400.0, 3475.0, 3476.0, 3500.0]
 def test_poisson_terms_match_fresh_arrays(shipped_table, rate):
     top = poisson_support_top(rate, DEFAULT_TOLERANCES.tail_eps)
     assert (top < 4095, top == 4095) == (rate < 3475.0, rate == 3475.0)
-    z, logp = poisson_log_terms(rate, top)
+    z, logp, log_z1 = poisson_log_terms(rate, top)
     fresh_z, fresh_logp = fresh_log_terms(rate, top)
     assert np.array_equal(_bits(z), _bits(fresh_z))
     assert np.array_equal(_bits(logp), _bits(fresh_logp))
+    assert np.array_equal(_bits(log_z1), _bits(np.log(fresh_z + 1.0)))
     assert np.array_equal(_bits(poisson_pmf(rate).probs),
                           _bits(FinitePmf(np.exp(fresh_logp)).probs))
     assert np.array_equal(_bits(_poisson_entropy_pair(rate, DEFAULT_TOLERANCES)),
@@ -115,6 +116,24 @@ def test_poisson_terms_match_fresh_arrays(shipped_table, rate):
     # three tables grew together
     assert numerics._Z.size == numerics._LOG_Z1.size == numerics._LOG_FACT.size
     assert numerics._Z.size == (4096 if top < 4095 else 8192)
+
+
+@pytest.mark.parametrize("rate", [3.0, 2000.0, 3500.0])
+def test_one_entropy_pair_slices_the_tables_once(monkeypatch, shipped_table, rate):
+    # the support cut's tail probes read log k! alone; growth past the
+    # shipped size still grows all three tables
+    calls = []
+    tables = numerics.tables
+
+    def counted(n):
+        calls.append(n)
+        return tables(n)
+    monkeypatch.setattr(numerics, "tables", counted)
+    pair = _poisson_entropy_pair(rate, DEFAULT_TOLERANCES)
+    top = poisson_support_top(rate, DEFAULT_TOLERANCES.tail_eps)
+    assert calls == [top]
+    assert np.array_equal(_bits(pair), _bits(fresh_entropy_pair(rate)))
+    assert numerics._Z.size == numerics._LOG_Z1.size == numerics._LOG_FACT.size
 
 
 def test_grown_tables_keep_their_entries_and_stay_read_only(shipped_table):
