@@ -53,7 +53,7 @@ def _build_config(args) -> ToleranceConfig:
     if env:
         try:
             overrides = json.loads(env)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ParameterError(f"invalid {TOLERANCE_ENV}: {exc}") from None
         if not isinstance(overrides, dict):
             raise ParameterError(f"{TOLERANCE_ENV} needs a JSON object")
@@ -360,18 +360,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error_doc(exc: Exception) -> dict:
+    return {"error": type(exc).__name__, "message": str(exc)}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _build_config(args)
         payload, code = args.handler(args, cfg)
     except INPUT_ERRORS as exc:
-        _emit({"error": type(exc).__name__, "message": str(exc)}, args)
-        return 2
+        payload, code = _error_doc(exc), 2
     except (NumericError, ConsistencyError) as exc:
-        _emit({"error": type(exc).__name__, "message": str(exc)}, args)
-        return 1
-    _emit(payload, args)
+        payload, code = _error_doc(exc), 1
+    try:
+        _emit(payload, args)
+    except OSError as exc:
+        if not args.out:    # stdout itself failed
+            raise
+        # --out cannot be written: the error goes to stdout instead
+        error = ParameterError(f"cannot write {args.out!r}: {exc}")
+        args.out = None
+        _emit(_error_doc(error), args)
+        return 2
     return code
 
 

@@ -1,13 +1,13 @@
 """Canonical JSON serialisation and the pmf/spec file formats.
 
 Machine output must be byte-identical across runs, so floats are always
-printed with 17 significant digits and object keys are sorted.
+printed with 17 significant digits and object keys are sorted.  A float
+list, tuple or 1-D float64 array is printed as a whole by _join_floats.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -17,8 +17,8 @@ from .pmf_core import (DEFAULT_TOLERANCES, FamilySpec, FinitePmf,
                        ToleranceConfig, construct)
 
 
-# dumps_canonical formats an all-float list of this many entries or more
-# with _format_floats.  Measured on pmfs against one %-format call, the
+# _join_floats tries the kernel _format_floats on a float sequence of this
+# many entries or more.  Measured on pmfs against one %-format call, the
 # kernel's median speed-up is 0.61 at 64 entries, 1.0 at 112, 1.09 at 128,
 # 1.8 at 256 and 2.3 at 512: it pays a fixed cost of about 50 us
 _FORMAT_FROM = 128
@@ -90,12 +90,11 @@ _SUFFIX = _SUFFIX.view(_WORD).ravel()
 
 
 def _keep_masks():
-    """(783, 48) bool: the bytes of a row that each layout keeps.
+    """(782, 48) bool: the bytes of a row that each layout keeps.
 
     Layout (sign * 23 + style) * 17 + nsig - 1 for a sign, nsig significant
     digits and a style: X + 4 for %f at X = -4..16, and 21 and 22 for %e
-    with a two- and a three-digit exponent.  Layout 782 keeps the comma
-    alone.
+    with a two- and a three-digit exponent.
     """
     # axes: sign, style, nsig, and last the byte or the digit i
     sign, style, nsig, i = np.ix_(range(2), range(23), range(1, 18), range(17))
@@ -113,15 +112,13 @@ def _keep_masks():
     keep[..., 40:45] = ~fixed
     keep[..., 42:43] &= style == 22
     keep[..., 45] = True
-    return np.vstack([keep.reshape(-1, 48), np.arange(48) == 45])
+    return keep.reshape(-1, 48)
 
 
 _KEEP = _keep_masks()
 # np.compress builds an index of every byte it keeps (8 bytes each): by
 # blocks of this many rows, that index and the masks stay under 110 KB
 _BLOCK = 512
-_FALLBACK = _KEEP.shape[0] - 1
-_KEPT = _KEEP.sum(1)
 # per exponent X, the layout of a positive number less nsig
 _LAYOUT_BASE = 17 * np.where((_EXPONENTS >= -4) & (_EXPONENTS <= 16),
                              _EXPONENTS + 4,
@@ -130,7 +127,8 @@ _LAYOUT_BASE = 17 * np.where((_EXPONENTS >= -4) & (_EXPONENTS <= 16),
 
 def _digits(values: np.ndarray):
     """(D, X - _X_MIN, certified) per element; see _format_floats.  Its
-    float temporaries are freed on return, before the rows are built."""
+    float temporaries are freed on return, before the rows are built, and
+    it never writes to values."""
     magnitude = np.abs(values)
     zero = magnitude == 0.0
     has_zero = zero.any()
@@ -153,16 +151,17 @@ def _digits(values: np.ndarray):
     r = t - rounded
     digits = p.astype(np.int64) + rounded.astype(np.int64)
     ok = ((np.abs(r) < 0.5 - 2.0 ** -40) & (digits < 10 ** 17)
-          & ((digits - 10 ** 16) + r > 2.0 ** -40))
+          & ((digits - 10 ** 16) + r > -2.0 ** -40))
     if has_zero:
         digits[zero] = 0            # and X = log10(1) = 0
         ok[zero] = True
     return digits, at, ok
 
 
-def _format_floats(values: np.ndarray) -> str:
+def _format_floats(values: np.ndarray) -> str | None:
     """",".join(format(v, ".17g") for v in values) for a 1-D float64
-    array of finite values, byte for byte, in one pass of array operations.
+    array of finite values, byte for byte, in one pass of array operations,
+    or None if the digits of some element are not certified.
 
     Digits.  For x = f 2^e != 0 (np.frexp, f in [1/2, 1)) and X, the
     estimate of floor(log10 |x|) from np.log10, y = |x| 10^(16 - X) =
@@ -175,15 +174,16 @@ def _format_floats(values: np.ndarray) -> str:
     taken, with exponent X, where
     - |r| < 1/2 - 2^-40: y is more than 2^-40 from a tie, so D is y
       rounded to the nearest integer;
-    - 10^16 + 2^-40 < D + r and D < 10^17: with the first condition,
-      10^16 < y < 10^17 - 1/2, so D has 17 digits and X is the exponent
-      of x rounded to 17 significant digits.
-    An estimate of X that is off by one puts y below 10^16, where a p
-    that is not an integer is truncated and only lowers D + r, or at
-    10^17 and above: it fails the second condition.  An exact tie fails
-    the first.  Each element that fails is formatted by format(x, ".17g")
-    alone and spliced in before its comma.  Zeros are written with D = 0
-    and X = 0.
+    - 10^16 - 2^-40 < D + r and D < 10^17: with the first condition,
+      10^16 - 2^-39 < y < 10^17 - 1/2, so D has 17 digits and X is the
+      exponent of x rounded to 17 significant digits.  Where y < 10^16,
+      D = 10^16 and x rounded to 17 digits is 10^X too, so an exact
+      power of ten such as 1.0 is taken.
+    An estimate of X that is off by one puts y below 10^16 - 2^-39,
+    where a p that is not an integer is truncated and only lowers D + r,
+    or at 10^17 and above, unless x is within that distance of 10^X:
+    it fails the second condition.  An exact tie fails the first.  If any element fails, the kernel declines the whole array
+    and returns None.  Zeros are written with D = 0 and X = 0.
 
     Text.  The C99 %g rules at precision 17: style e when X < -4 or
     X >= 17, style f otherwise; trailing zeros dropped, and the point with
@@ -195,6 +195,8 @@ def _format_floats(values: np.ndarray) -> str:
     their masks, _BLOCK rows at a time, leaves the text.
     """
     digits, at, ok = _digits(values)
+    if not ok.all():
+        return None
     top = digits // 10 ** 8
     low = digits - top * 10 ** 8
     groups = (top // 10 ** 4 % 10 ** 4, top % 10 ** 4,
@@ -206,44 +208,43 @@ def _format_floats(values: np.ndarray) -> str:
     rows[:, 5] = _SUFFIX.take(at)
     nsig = np.maximum.reduce([_NSIG[j].take(g) for j, g in enumerate(groups)])
     layout = _LAYOUT_BASE.take(at) + nsig + np.signbit(values) * (23 * 17)
-    fallback = np.flatnonzero(~ok)
-    layout[fallback] = _FALLBACK
     rows = rows.view(np.uint8)
-    text = b"".join([
+    return b"".join([
         np.compress(_KEEP.take(layout[i:i + _BLOCK], axis=0).ravel(),
                     rows[i:i + _BLOCK].ravel()).tobytes()
-        for i in range(0, values.size, _BLOCK)]).decode("ascii")
-    if fallback.size:
-        ends = np.cumsum(_KEPT.take(layout))
-        pieces, start = [], 0
-        for i in fallback.tolist():
-            end = int(ends[i]) - 1
-            pieces += [text[start:end], format(float(values[i]), ".17g")]
-            start = end
-        pieces.append(text[start:])
-        text = "".join(pieces)
-    return text[:-1]
+        for i in range(0, values.size, _BLOCK)])[:-1].decode("ascii")
 
 
-def _format_float(value: float) -> str:
-    if math.isnan(value):
-        return "NaN"
-    if math.isinf(value):
-        return "Infinity" if value > 0 else "-Infinity"
-    return format(value, ".17g")
+# the %.17g texts of nan (of either sign) and inf, as JSON readers name them
+_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _join_floats(values) -> str:
+    """",".join of the canonical text of each float in a list or tuple of
+    floats or a 1-D float64 array.  From _FORMAT_FROM entries on, if all
+    are finite, the kernel _format_floats prints them; otherwise, or if it
+    declines, one %-format call does, and its "nan" and "inf" (the only
+    float texts with an "n") are renamed."""
+    if len(values) >= _FORMAT_FROM:
+        array = np.asarray(values, dtype=float)
+        if np.isfinite(array).all():
+            text = _format_floats(array)
+            if text is not None:
+                return text
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    text = ",".join(["%.17g"] * len(values)) % tuple(values)
+    if "n" in text:
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    return text
 
 
 def dumps_canonical(obj) -> str:
-    """Deterministic JSON: sorted keys, floats at 17 significant digits.
-
-    A list or tuple of exact floats is formatted as a whole, with the same
-    text as format(v, ".17g") per element: from _FORMAT_FROM entries on,
-    if all are finite, by _format_floats, and otherwise by one %-format
-    call.  nan and inf ("nan", "inf": the only texts with an "n") take
-    the per-element path, which names them NaN and Infinity.  Strings are
-    quoted by the function
-    json.dumps uses for them under its default ensure_ascii.
-    """
+    """Deterministic JSON: sorted keys, floats as "%.17g" % v, and nan
+    and inf as NaN and Infinity.  A list or tuple of exact floats, or a 1-D
+    float64 array (itself, not a copy), goes whole to _join_floats.
+    Strings are quoted by the function json.dumps uses for them under its
+    default ensure_ascii."""
     if obj is None:
         return "null"
     if obj is True:
@@ -253,10 +254,13 @@ def dumps_canonical(obj) -> str:
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if isinstance(obj, (np.floating, float)):
-        return _format_float(float(obj))
+        text = "%.17g" % obj
+        return _NAMES.get(text, text)
     if isinstance(obj, (np.integer, int)):
         return str(int(obj))
     if isinstance(obj, np.ndarray):
+        if obj.ndim == 1 and obj.dtype == np.float64:
+            return "[" + _join_floats(obj) + "]"
         return dumps_canonical(obj.tolist())
     if isinstance(obj, dict):
         for key in obj:
@@ -267,13 +271,7 @@ def dumps_canonical(obj) -> str:
         return "{" + ",".join(items) + "}"
     if isinstance(obj, (list, tuple)):
         if set(map(type, obj)) == {float}:
-            if len(obj) >= _FORMAT_FROM:
-                values = np.array(obj)
-                if np.isfinite(values).all():
-                    return "[" + _format_floats(values) + "]"
-            text = ",".join(["%.17g"] * len(obj)) % tuple(obj)
-            if "n" not in text:
-                return "[" + text + "]"
+            return "[" + _join_floats(obj) + "]"
         return "[" + ",".join(dumps_canonical(v) for v in obj) + "]"
     if hasattr(obj, "to_json"):
         return dumps_canonical(obj.to_json())
@@ -281,7 +279,8 @@ def dumps_canonical(obj) -> str:
 
 
 def pmf_to_json(p: FinitePmf) -> dict:
-    return {"probs": p.probs.tolist()}
+    """{"probs": p.probs}: the pmf's own read-only array, not a copy."""
+    return {"probs": p.probs}
 
 
 def pmf_from_json(doc, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> FinitePmf:
@@ -300,18 +299,18 @@ def pmf_from_doc(doc, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> FinitePmf:
 def load_json_argument(text: str):
     """Parse a CLI argument that is either inline JSON or a path to a file."""
     stripped = text.strip()
-    if stripped.startswith("{") or stripped.startswith("["):
-        try:
-            return json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            raise ParameterError(f"invalid inline JSON: {exc}") from None
+    inline = stripped.startswith(("{", "["))
     try:
+        if inline:
+            return json.loads(stripped)
         with open(text, "r", encoding="utf-8") as handle:
             return json.load(handle)
     except OSError as exc:
         raise ParameterError(f"cannot read {text!r}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ParameterError(f"invalid JSON in {text!r}: {exc}") from None
+    except (ValueError, RecursionError) as exc:
+        # not JSON, nested too deep for the parser, or bytes not UTF-8
+        where = "inline JSON" if inline else f"JSON in {text!r}"
+        raise ParameterError(f"invalid {where}: {exc}") from None
 
 
 def load_pmf(text: str, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> FinitePmf:

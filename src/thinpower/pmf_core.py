@@ -130,15 +130,15 @@ def _first_non_number(probs) -> str:
 
 
 def _real(value) -> float:
-    if isinstance(value, bool):     # float(True) would read it as 1.0
+    if isinstance(value, (bool, np.bool_)):  # float(True) would read 1.0
         raise TypeError("expected a number")
     return float(value)
 
 
 def _integer(value) -> int:
     # int(3.5) would truncate; an integral float such as 1e30 is kept
-    if isinstance(value, bool) or (isinstance(value, float)
-                                   and not value.is_integer()):
+    if isinstance(value, (bool, np.bool_)) or (isinstance(value, float)
+                                               and not value.is_integer()):
         raise ValueError("expected an integer")
     return int(value)
 
@@ -161,6 +161,12 @@ FAMILY_PARAMS = {
 }
 
 
+def _family_params(family) -> tuple:
+    if not isinstance(family, str) or family not in FAMILY_PARAMS:
+        raise ParameterError(f"unknown family {family!r}")
+    return FAMILY_PARAMS[family]
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """Tagged parametric family used by construct().
@@ -179,6 +185,18 @@ class FamilySpec:
     mean: float = 0.0
     probs: tuple = ()
 
+    def __post_init__(self):
+        """Coerce the family's parameters by FAMILY_PARAMS, so that every
+        way of building a spec checks them alike."""
+        for name, coerce in _family_params(self.family):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, coerce(value))
+            except (TypeError, ValueError, OverflowError):
+                raise ParameterError(f"family {self.family!r} parameter "
+                                     f"{name!r} has invalid value {value!r}"
+                                     ) from None
+
     @classmethod
     def delta(cls, k: int) -> "FamilySpec":
         return cls("delta", k=k)
@@ -193,7 +211,7 @@ class FamilySpec:
 
     @classmethod
     def bernoulli_sum(cls, *ps: float) -> "FamilySpec":
-        return cls("bernoulli_sum", ps=tuple(ps))
+        return cls("bernoulli_sum", ps=ps)
 
     @classmethod
     def poisson(cls, rate: float) -> "FamilySpec":
@@ -205,7 +223,7 @@ class FamilySpec:
 
     @classmethod
     def raw(cls, probs) -> "FamilySpec":
-        return cls("raw", probs=tuple(float(v) for v in probs))
+        return cls("raw", probs=tuple(probs))
 
     @classmethod
     def from_json(cls, doc: dict) -> "FamilySpec":
@@ -214,19 +232,13 @@ class FamilySpec:
         fam = doc["family"]
         if fam == "mixture":
             fam = "raw"
-        if not isinstance(fam, str) or fam not in FAMILY_PARAMS:
-            raise ParameterError(f"unknown family {fam!r}")
         values = {}
-        for name, coerce in FAMILY_PARAMS[fam]:
+        for name, _ in _family_params(fam):
             # "lam" is accepted as an older spelling of the Poisson rate
             key = "lam" if name == "rate" and name not in doc else name
             if key not in doc:
                 raise ParameterError(f"family {fam!r} misses parameter {name!r}")
-            try:
-                values[name] = coerce(doc[key])
-            except (TypeError, ValueError, OverflowError):
-                raise ParameterError(f"family {fam!r} parameter {name!r} "
-                                     f"has invalid value {doc[key]!r}") from None
+            values[name] = doc[key]
         return cls(fam, **values)
 
     def to_json(self) -> dict:
@@ -311,19 +323,18 @@ def construct(spec: FamilySpec, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Fi
         k = np.arange(check_support(top, "geometric mean", spec.mean) + 1)
         block = np.exp(log_succ + k * log_fail)
         return FinitePmf(block / fsum(block), cfg)
-    if fam == "raw":
-        arr = np.asarray(spec.probs, dtype=float)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ParameterError("raw pmf requires a nonempty vector")
-        if not np.all(np.isfinite(arr)):
-            raise ParameterError("raw pmf entries must be finite")
-        total = fsum(np.clip(arr, 0.0, None))
-        if total <= 0.0:
-            raise ParameterError("raw pmf has no positive mass")
-        if float(arr.min()) < -cfg.tol_norm * total:
-            raise ParameterError("raw pmf has a significantly negative entry")
-        return FinitePmf(np.clip(arr, 0.0, None) / total, cfg)
-    raise ParameterError(f"unknown family {fam!r}")
+    # raw: FamilySpec admits no other family
+    arr = np.asarray(spec.probs, dtype=float)
+    if arr.size == 0:
+        raise ParameterError("raw pmf requires a nonempty vector")
+    if not np.all(np.isfinite(arr)):
+        raise ParameterError("raw pmf entries must be finite")
+    total = fsum(np.clip(arr, 0.0, None))
+    if total <= 0.0:
+        raise ParameterError("raw pmf has no positive mass")
+    if float(arr.min()) < -cfg.tol_norm * total:
+        raise ParameterError("raw pmf has a significantly negative entry")
+    return FinitePmf(np.clip(arr, 0.0, None) / total, cfg)
 
 
 def mean(p: FinitePmf) -> float:

@@ -740,3 +740,36 @@ def test_family_specs_keep_integral_numbers(capsys, spec, same):
     code, out = run(capsys, "construct", "--spec", spec)
     assert code == 0
     assert (code, out) == run(capsys, "construct", "--spec", same)
+
+
+DEEP = "[" * 100_000
+
+
+@pytest.mark.parametrize("case", ["out-missing-dir", "out-is-a-dir",
+                                  "pmf-not-utf8", "pmf-file-too-deep",
+                                  "pmf-inline-too-deep", "env-too-deep"])
+def test_unreadable_input_and_unwritable_output_are_input_errors(
+        capsys, monkeypatch, tmp_path, case):
+    # each used to end in a traceback and exit 1: FileNotFoundError,
+    # IsADirectoryError, UnicodeDecodeError or RecursionError
+    pmf, argv = '{"probs": [0.5, 0.5]}', []
+    if case == "out-missing-dir":
+        argv = ["--out", str(tmp_path / "missing" / "x.json")]
+    elif case == "out-is-a-dir":
+        argv = ["--out", str(tmp_path)]
+    elif case == "pmf-not-utf8":
+        pmf = tmp_path / "pmf.json"
+        pmf.write_bytes(b"\xff\xfe")
+    elif case == "pmf-file-too-deep":
+        pmf = tmp_path / "pmf.json"
+        pmf.write_text(DEEP)
+    elif case == "pmf-inline-too-deep":
+        pmf = DEEP
+    else:
+        monkeypatch.setenv("THINPOWER_TOLERANCES", DEEP)
+    code, out = run(capsys, "entropy", "--pmf", str(pmf), *argv)
+    assert code == 2
+    error = json.loads(out)
+    assert error["error"] == "ParameterError"
+    assert error["message"].startswith(
+        "cannot write" if case.startswith("out") else "invalid ")

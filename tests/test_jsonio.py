@@ -1,7 +1,7 @@
 """dumps_canonical writes the same bytes as the element-by-element
 serialiser it replaced, kept here as the oracle: for short float lists,
 formatted by one %-format call, and for long ones, formatted by the array
-kernel _format_floats and its per-element fallback."""
+kernel _format_floats or, where it declines, by the same %-format call."""
 
 import json
 import math
@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from thinpower import jsonio
 from thinpower.errors import ParameterError
-from thinpower.jsonio import _FORMAT_FROM, dumps_canonical
+from thinpower.jsonio import _FORMAT_FROM, dumps_canonical, pmf_to_json
+from thinpower.pmf_core import FamilySpec, construct
 
 
 def _oracle_float(value: float) -> str:
@@ -95,6 +96,10 @@ def test_float_lists_and_tuples_match_per_element(values):
     ([0.5, True, 2 ** 70], "[0.5,true,1180591620717411303424]"),
     ([-0.0, 5e-324], "[-0,4.9406564584124654e-324]"),
     ({"bé": [0.25], 'a"\\': None}, '{"a\\"\\\\":null,"b\\u00e9":[0.25]}'),
+    # arrays other than 1-D float64 go by their lists
+    (np.array([True, False]), "[true,false]"),
+    (np.array([2 ** 62 + 1, -1]), "[4611686018427387905,-1]"),
+    (np.array([[0.5], [1.0]]), "[[0.5],[1]]"),
 ])
 def test_known_texts(doc, text):
     assert dumps_canonical(doc) == text == oracle(doc)
@@ -124,15 +129,21 @@ def _assert_long_list(values):
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """The sizes of the arrays the long-list kernel is called on."""
+    """(array, text) per call of the long-list kernel: the array it was
+    given and what it returned, None where it declined."""
     calls = []
     kernel = jsonio._format_floats
 
     def counted(values):
-        calls.append(values.size)
-        return kernel(values)
+        calls.append((values, kernel(values)))
+        return calls[-1][1]
     monkeypatch.setattr(jsonio, "_format_floats", counted)
     return calls
+
+
+def _sizes(calls) -> list:
+    """(size, declined) per kernel call."""
+    return [(values.size, text is None) for values, text in calls]
 
 
 def _from_bits(bits: int) -> float:
@@ -200,20 +211,28 @@ def test_values_near_powers_of_ten_match_per_element(kernel_calls):
     assert len(values) > 8000
     _assert_long_list(values)
     _assert_long_list([-v for v in values])
-    assert kernel_calls == [len(values)] * 6
+    # exact powers of ten such as 1.0 fail the certificate, so the kernel
+    # declines these lists; it must print the elements it certifies
+    assert _sizes(kernel_calls) == [(len(values), True)] * 6
+    for signed in (np.array(values), -np.array(values)):
+        taken = signed[jsonio._digits(signed)[2]]
+        assert taken.size > len(values) // 3
+        assert jsonio._format_floats(taken) == \
+            ",".join(format(v, ".17g") for v in taken.tolist())
 
 
 @pytest.mark.parametrize("shift", [-1.0, 1.0])
-def test_an_exponent_estimate_one_off_fails_the_certificate(monkeypatch, shift):
-    # every element's estimate of floor(log10 |x|) one off: none may be
-    # taken, and all go the per-element way
+def test_an_exponent_estimate_one_off_fails_the_certificate(
+        monkeypatch, kernel_calls, shift):
+    # every element's estimate of floor(log10 |x|) one off: the kernel must
+    # decline the list, and the %-format call print it
     values = [v for k in range(-324, 309, 7)
               for v in _ulps_around(float(f"1e{k}")) if 0.0 < v < math.inf]
     values += _mixed_doubles(np.random.default_rng(4), 500).tolist()
     floor = np.floor
     monkeypatch.setattr(np, "floor", lambda a: floor(a) + shift)
-    assert jsonio._format_floats(np.array(values)) == \
-        ",".join(format(v, ".17g") for v in values)
+    assert dumps_canonical(values) == _per_element(values)
+    assert _sizes(kernel_calls) == [(len(values), True)]
 
 
 @pytest.mark.parametrize("values", [
@@ -224,7 +243,8 @@ def test_an_exponent_estimate_one_off_fails_the_certificate(monkeypatch, shift):
 ], ids=["2^-25", "interleaved", "first", "last"])
 def test_ties_take_the_per_element_fallback(values):
     # 2^-25 = 2.98023223876953125e-08 and 80074350687810.5625 lie half way
-    # between two 17-digit decimals: the kernel leaves them to format()
+    # between two 17-digit decimals: the kernel leaves their lists to the
+    # %-format call
     assert format(2.0 ** -25, ".17g") == "2.9802322387695312e-08"
     assert format(80074350687810.56, ".17g") == "80074350687810.562"
     _assert_long_list(values)
@@ -257,4 +277,41 @@ def test_the_kernel_runs_from_the_cut_on(kernel_calls):
     assert dumps_canonical(values) == _per_element(values)
     assert dumps_canonical({"probs": np.array(values)}) == \
         '{"probs":' + _per_element(values) + "}"
-    assert kernel_calls == [_FORMAT_FROM] * 2
+    assert _sizes(kernel_calls) == [(_FORMAT_FROM, False)] * 2
+
+
+def test_exact_powers_of_ten_take_the_kernel(kernel_calls):
+    # y = 10^16 exactly: x rounded to 17 digits is 10^X from either side
+    values = [float(10 ** k) for k in range(23)] * 6
+    values += [-v for v in values] + [0.5, 0.0]
+    _assert_long_list(values)
+    assert _sizes(kernel_calls) == [(len(values), False)] * 3
+
+
+def test_one_tie_sends_the_whole_list_to_the_percent_call(kernel_calls):
+    values = [1.0 / 3.0 + i for i in range(300)]
+    assert dumps_canonical(values) == _per_element(values)
+    values[150] = 2.0 ** -25
+    assert dumps_canonical(values) == _per_element(values)
+    assert _sizes(kernel_calls) == [(300, False), (300, True)]
+
+
+@pytest.mark.parametrize("special", [None, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("size", [0, 1, 127, 128, 129, 512, 513])
+def test_arrays_print_as_their_lists(size, special):
+    values = _mixed_doubles(np.random.default_rng(size), size).tolist()
+    if special is not None and size:
+        values[size // 2] = special
+    expected = oracle(values)
+    assert dumps_canonical(values) == expected
+    assert dumps_canonical(np.array(values)) == expected
+    assert dumps_canonical({"a": np.array(values)}) == '{"a":' + expected + "}"
+
+
+def test_a_pmf_reaches_the_kernel_as_its_own_array(kernel_calls):
+    p = construct(FamilySpec.binomial(2047, 0.8))
+    doc = pmf_to_json(p)
+    assert doc["probs"] is p.probs
+    assert dumps_canonical(doc) == oracle({"probs": p.probs.tolist()})
+    [(values, text)] = kernel_calls
+    assert values is p.probs and text is not None

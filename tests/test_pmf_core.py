@@ -268,3 +268,40 @@ def test_pmf_is_immutable():
     p = bern(0.4)
     with pytest.raises(ValueError):
         p.probs[0] = 0.9
+
+
+@pytest.mark.parametrize("build, family, name, shown", [
+    (lambda: FamilySpec.binomial(3.5, 0.5), "binomial", "n", "3.5"),
+    (lambda: FamilySpec.binomial(True, 0.5), "binomial", "n", "True"),
+    (lambda: FamilySpec.binomial(3, np.True_), "binomial", "p", repr(np.True_)),
+    (lambda: FamilySpec.delta(2.5), "delta", "k", "2.5"),
+    (lambda: FamilySpec.bernoulli(False), "bernoulli", "p", "False"),
+    (lambda: FamilySpec.poisson("x"), "poisson", "rate", "'x'"),
+    (lambda: FamilySpec.bernoulli_sum(0.5, True), "bernoulli_sum", "ps",
+     "(0.5, True)"),
+    (lambda: FamilySpec.raw([True, False]), "raw", "probs", "(True, False)"),
+    (lambda: FamilySpec.raw("ab"), "raw", "probs", "('a', 'b')"),
+], ids=["binomial-n-3.5", "binomial-n-True", "binomial-p-np.True_",
+        "delta-k-2.5", "bernoulli-p-False", "poisson-rate-str",
+        "bernoulli_sum-ps-True", "raw-probs-True", "raw-probs-str"])
+def test_family_spec_classmethods_check_their_parameters(
+        build, family, name, shown):
+    # the same checks as a spec document: int() truncates 3.5 and float()
+    # reads True as 1.0
+    with pytest.raises(ParameterError) as info:
+        build()
+    assert str(info.value) == \
+        f"family {family!r} parameter {name!r} has invalid value {shown}"
+
+
+def test_family_spec_documents_and_classmethods_agree():
+    assert FamilySpec.binomial(np.int64(4), np.float64(0.25)) == \
+        FamilySpec.from_json({"family": "binomial", "n": 4.0, "p": 0.25})
+    assert FamilySpec.raw(np.array([0.25, 0.75])) == FamilySpec.raw([0.25, 0.75]) \
+        == FamilySpec.from_json({"family": "mixture", "probs": [0.25, 0.75]})
+    assert FamilySpec.bernoulli_sum(*np.array([0.5, 0.25])).ps == (0.5, 0.25)
+    assert type(FamilySpec.delta(np.int64(2)).k) is int
+    assert FamilySpec.binomial(3.0, 0.5) == FamilySpec.binomial(3, 0.5)
+    with pytest.raises(ParameterError, match="unknown family 'beta'"):
+        FamilySpec("beta")
+
