@@ -26,12 +26,26 @@ _LOG_Z1 = np.log(_Z + 1.0)
 _LOG_FACT.flags.writeable = False
 _Z.flags.writeable = False
 _LOG_Z1.flags.writeable = False
-# fsum extracts from arrays of this many entries on.  Measured: extraction
-# beats math.fsum on wide-range arrays (pmfs with tails) from about 230
-# entries and on narrow-range ones from about 700; from 512 on it takes a
-# pmf-tail sum in a seventh of math.fsum's time or less, and a narrow one
-# in at most about 5 us more
+# fsum extracts from arrays of _FSUM_EXTRACT entries on, and from _FSUM_WIDE
+# entries on where max|a| >= min|a| * _FSUM_SPREAD (a zero entry counts).
+# Extraction takes 13-25 us at any size; math.fsum grows with its partials,
+# which a pmf's tail piles up.  math.fsum against extraction, in us, on a
+# shared 2-core x86-64 host (Python 3.11, numpy 2.4):
+#
+#   entries   Poisson pmf (binades)   its p log p   random, 1-63 binades
+#       160   8.8 / 13.5 (95)         9.4 / 13.5
+#       176   12.9 / 13.6 (93)        12.5 / 13.4
+#       192   15.6 / 13.7 (103)       14.3 / 14.1   7 / 14
+#       224   33.6 / 23.3 (133)       32.7 / 23.9
+#       256   42.8 / 24.6 (164)       42.9 / 22.8   9 / 14
+#       384   110 / 14.5 (296)        88 / 14.1     14 / 14
+#       511   174 / 15.4 (435)        179 / 16.0    18-19 / 15-17
+#
+# Random arrays over 64-400 binades also keep few partials (6-10 us at
+# 192-256 entries), so the spread rule costs them up to 8 us there
 _FSUM_EXTRACT = 512
+_FSUM_WIDE = 192
+_FSUM_SPREAD = 2.0 ** 64
 # extraction levels before fsum falls back to math.fsum of the whole list
 _FSUM_LEVELS = 3
 # check_support asks the host for supports from this many points on: an
@@ -82,12 +96,14 @@ def fsum(a: np.ndarray) -> float:
     """The correctly rounded sum of a 1-D float array: math.fsum(a.tolist())
     bit for bit, with its nan, inf and overflow behaviour.
 
-    math.fsum pays one step per entry and partial, and entries spread over
-    many binades (a pmf and its tails) keep about 20 partials.  From
-    _FSUM_EXTRACT entries on, fsum splits the array by error-free
-    extraction (Rump, Ogita and Oishi, "Accurate floating-point summation,
-    part I", SIAM J. Sci. Comput. 30, 2008, Algorithm 3.2 and Lemma 3.3)
-    and hands math.fsum only one sum per level.  With 2^k >= n + 2,
+    math.fsum pays one step per entry and partial, and a pmf's tail keeps
+    dozens of partials (80 over the 440 entries of Poisson(250)).  From
+    _FSUM_EXTRACT entries on, and from _FSUM_WIDE entries on where
+    max|a| >= min|a| * _FSUM_SPREAD (which holds where an entry is zero),
+    fsum splits the array by error-free extraction (Rump, Ogita and Oishi,
+    "Accurate floating-point summation, part I", SIAM J. Sci. Comput. 30,
+    2008, Algorithm 3.2 and Lemma 3.3) and hands math.fsum only one sum
+    per level.  With 2^k >= n + 2,
     top = max|p| < 2^e and sigma = 2^(e + k), one level sets
     q = (p + sigma) - sigma and p <- p - q:
 
@@ -131,11 +147,12 @@ def fsum(a: np.ndarray) -> float:
     numpy scalars, twice as slow.
     """
     n = a.size
-    if n >= _FSUM_EXTRACT:
+    if n >= _FSUM_WIDE:
         p = np.array(a, dtype=float)    # extracted from in place
         mag = np.abs(p)
         top = float(mag.max())
-        if top * n < 2.0 ** 1000:
+        if ((n >= _FSUM_EXTRACT or top >= float(mag.min()) * _FSUM_SPREAD)
+                and top * n < 2.0 ** 1000):
             k = (n + 1).bit_length()
             q = np.empty_like(p)
             taus = []
@@ -161,6 +178,15 @@ def fsum(a: np.ndarray) -> float:
                             return r
                 top = float(mag.max())
     return math.fsum(a.tolist())
+
+
+def fsum_nonneg(a: np.ndarray) -> float:
+    """fsum of an array of nonnegative entries, or inf where their sum
+    passes the largest double, which math.fsum reports as OverflowError."""
+    try:
+        return fsum(a)
+    except OverflowError:
+        return math.inf
 
 
 def poisson_log_terms(rate: float, n_top: int):

@@ -11,8 +11,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .numerics import (check_support, fsum, log_factorials, poisson_log_terms,
-                       poisson_support_top, tables)
+from .numerics import (check_support, fsum, fsum_nonneg, log_factorials,
+                       poisson_log_terms, poisson_support_top, tables)
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ class FinitePmf:
         # <=, not <: min may report +0.0 where a -0.0 is present too
         if lowest <= 0.0:
             np.clip(arr, 0.0, None, out=arr)
-        total = fsum(arr)
+        total = fsum_nonneg(arr)
         if abs(total - 1.0) > cfg.tol_norm:
             raise ParameterError(
                 f"pmf mass {total!r} differs from 1 by more than tol_norm")
@@ -329,9 +329,11 @@ def construct(spec: FamilySpec, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Fi
         raise ParameterError("raw pmf requires a nonempty vector")
     if not np.all(np.isfinite(arr)):
         raise ParameterError("raw pmf entries must be finite")
-    total = fsum(np.clip(arr, 0.0, None))
+    total = fsum_nonneg(np.clip(arr, 0.0, None))
     if total <= 0.0:
         raise ParameterError("raw pmf has no positive mass")
+    if total == math.inf:
+        raise ParameterError("raw pmf mass overflows a double")
     if float(arr.min()) < -cfg.tol_norm * total:
         raise ParameterError("raw pmf has a significantly negative entry")
     return FinitePmf(np.clip(arr, 0.0, None) / total, cfg)

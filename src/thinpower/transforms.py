@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import (IllConditionedError, NotThinnableError, ParameterError,
                      PreconditionError)
-from .numerics import fsum
+from .numerics import fsum_nonneg
 from .pmf_core import DEFAULT_TOLERANCES, FinitePmf, ToleranceConfig
 
 U = 0.5 * np.finfo(float).eps  # unit roundoff
@@ -138,9 +138,11 @@ def _left_out(alphas: np.ndarray, l: int):
     the alphas renormalised by it, entry l set to 0."""
     rest = alphas.copy()
     rest[l] = 0.0
-    comp = fsum(rest)
+    comp = fsum_nonneg(rest)
     if not comp > 0.0:
         raise ParameterError("leave-one-out weight vanished")
+    if comp == math.inf:
+        raise ParameterError("leave-one-out weight overflows a double")
     return comp, rest / comp
 
 
@@ -160,7 +162,7 @@ def leave_one_out(xs, alphas, functional,
         raise PreconditionError("need n+1 >= 2 pmfs with one alpha each")
     if not np.all(np.isfinite(alphas) & (alphas > 0.0)):
         raise PreconditionError("every alpha_i must be finite and strictly positive")
-    if not abs(fsum(alphas) - 1.0) <= 1e-12:
+    if not abs(fsum_nonneg(alphas) - 1.0) <= 1e-12:
         raise PreconditionError("alphas must sum to 1 within 1e-12")
     full = functional(thinned_sum(xs, alphas, cfg))
     parts = [_left_out(alphas, l) for l in range(len(xs))]

@@ -302,6 +302,34 @@ def test_check_refuses_a_nan_alpha_by_its_name(capsys):
         "message": "every alpha_i must be finite and strictly positive"}
 
 
+_HUGE = '{"probs": [1e308, 1e308]}'
+_POISSON_1 = '{"family": "poisson", "rate": 1}'
+
+
+@pytest.mark.parametrize("argv, error, message", [
+    (["entropy", "--pmf", _HUGE], "ParameterError",
+     "pmf mass inf differs from 1 by more than tol_norm"),
+    (["construct", "--spec", '{"family": "raw", "probs": [1e308, 1e308]}'],
+     "ParameterError", "raw pmf mass overflows a double"),
+] + [
+    (["check", "--name", name, "--pmf", _POISSON_1, "--pmf", _POISSON_1,
+      "--alphas", "1e308,1e308"],
+     "PreconditionError", "alphas must sum to 1 within 1e-12")
+    for name in ("hmon", "dsub")
+] + [
+    (["splitting", "--l", "0", "--t", "0.5", "--lambdas", "1,1,1",
+      "--alphas", "1e308,1e308,1e308"],
+     "ParameterError", "leave-one-out weight overflows a double"),
+], ids=["entropy", "construct", "hmon", "dsub", "splitting"])
+def test_sums_past_the_largest_double_are_input_errors(capsys, argv, error,
+                                                       message):
+    # math.fsum raises OverflowError on these sums: each used to end in a
+    # traceback and exit 1
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert json.loads(out) == {"error": error, "message": message}
+
+
 def test_verify_subset(capsys):
     code, out = run(capsys, "verify", "--criteria", "2")
     assert code == 0

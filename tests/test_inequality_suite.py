@@ -165,6 +165,8 @@ class TestHmon:
     def test_simplex_validation(self):
         with pytest.raises(PreconditionError):
             check_hmon([bern(0.3), bern(0.5)], [0.4, 0.7])
+        with pytest.raises(PreconditionError, match="sum to 1"):
+            check_hmon([bern(0.3), bern(0.5)], [1e308, 1e308])
 
 
 class TestDsub:
@@ -178,6 +180,10 @@ class TestDsub:
     def test_no_ulc_requirement(self):
         geo = construct(FamilySpec.geometric(1.0))
         assert check_dsub([geo, bern(0.5)], [0.3, 0.7]).holds
+
+    def test_simplex_validation(self):
+        with pytest.raises(PreconditionError, match="sum to 1"):
+            check_dsub([bern(0.3), bern(0.5)], [1e308, 1e308])
 
 
 class TestDiscepilike:

@@ -191,6 +191,16 @@ def test_constructor_rejects_bad_mass():
         FinitePmf([])
 
 
+def test_a_mass_past_the_largest_double_is_a_parameter_error():
+    # math.fsum raises OverflowError on these sums; each used to escape
+    with pytest.raises(ParameterError, match="pmf mass inf differs from 1"):
+        FinitePmf([1e308, 1e308])
+    with pytest.raises(ParameterError, match="raw pmf mass overflows"):
+        construct(FamilySpec.raw([1e308, 1e308]))
+    # a large mass that still fits is normalised as before
+    assert construct(FamilySpec.raw([1e308, 3e307])).probs[0] == pytest.approx(1 / 1.3)
+
+
 def test_family_parameter_validation():
     with pytest.raises(ParameterError):
         construct(FamilySpec.bernoulli(1.2))

@@ -404,6 +404,8 @@ def test_left_out_weights_zero_the_left_out_entry():
     assert weights.tolist() == [0.2 / comp, 0.0, 0.5 / comp]
     with pytest.raises(ParameterError, match="vanished"):
         _left_out(np.array([1.0, 0.0]), 0)
+    with pytest.raises(ParameterError, match="overflows a double"):
+        _left_out(np.array([1e308, 1e308, 1e308]), 0)
 
 
 # simplex inputs leave_one_out refuses, and the message it gives
@@ -415,6 +417,8 @@ SIMPLEX_ERRORS = [
     ([poi(1.0)] * 2, [0.5, math.nan], "finite and strictly positive"),
     ([poi(1.0)] * 2, [math.inf, 0.5], "finite and strictly positive"),
     ([poi(1.0)] * 2, [0.5, -math.inf], "finite and strictly positive"),
+    # a sum past the largest double, which math.fsum reports as overflow
+    ([poi(1.0)] * 2, [1e308, 1e308], "sum to 1"),
 ]
 
 
