@@ -135,6 +135,8 @@ def interpolation_point(alphas, leave_out: int, t: float):
     m = alphas.size
     if not 0 <= leave_out < m:
         raise ParameterError(f"leave_out index {leave_out} outside 0..{m - 1}")
+    if not np.all(np.isfinite(alphas) & (alphas >= 0.0)):
+        raise ParameterError("every alpha_i must be finite and nonnegative")
     _, loo = _left_out(alphas, leave_out)
     unit = np.zeros(m)
     unit[leave_out] = 1.0

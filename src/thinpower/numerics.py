@@ -26,11 +26,10 @@ _LOG_Z1 = np.log(_Z + 1.0)
 _LOG_FACT.flags.writeable = False
 _Z.flags.writeable = False
 _LOG_Z1.flags.writeable = False
-# fsum extracts from arrays of _FSUM_EXTRACT entries on, and from _FSUM_WIDE
-# entries on where max|a| >= min|a| * _FSUM_SPREAD (a zero entry counts).
-# Extraction takes 13-25 us at any size; math.fsum grows with its partials,
-# which a pmf's tail piles up.  math.fsum against extraction, in us, on a
-# shared 2-core x86-64 host (Python 3.11, numpy 2.4):
+# fsum extracts from arrays of this many entries on.  Extraction takes
+# 13-25 us at any size; math.fsum grows with its partials, which a pmf's
+# tail piles up.  math.fsum against extraction, in us, on a shared 2-core
+# x86-64 host (Python 3.11, numpy 2.4):
 #
 #   entries   Poisson pmf (binades)   its p log p   random, 1-63 binades
 #       160   8.8 / 13.5 (95)         9.4 / 13.5
@@ -41,11 +40,11 @@ _LOG_Z1.flags.writeable = False
 #       384   110 / 14.5 (296)        88 / 14.1     14 / 14
 #       511   174 / 15.4 (435)        179 / 16.0    18-19 / 15-17
 #
-# Random arrays over 64-400 binades also keep few partials (6-10 us at
-# 192-256 entries), so the spread rule costs them up to 8 us there
-_FSUM_EXTRACT = 512
-_FSUM_WIDE = 192
-_FSUM_SPREAD = 2.0 ** 64
+# Arrays with few partials (a narrow range, or random entries over many
+# binades) lose up to 10 us at 192-511 entries: uniform values in
+# [0.5, 1) take 6-10 / 15-16 at 192-256 entries and 17 / 19 at 511.  A
+# pmf's sum gains as much at 224 entries and several times that from 256
+_FSUM_EXTRACT = 192
 # extraction levels before fsum falls back to math.fsum of the whole list
 _FSUM_LEVELS = 3
 # check_support asks the host for supports from this many points on: an
@@ -98,12 +97,10 @@ def fsum(a: np.ndarray) -> float:
 
     math.fsum pays one step per entry and partial, and a pmf's tail keeps
     dozens of partials (80 over the 440 entries of Poisson(250)).  From
-    _FSUM_EXTRACT entries on, and from _FSUM_WIDE entries on where
-    max|a| >= min|a| * _FSUM_SPREAD (which holds where an entry is zero),
-    fsum splits the array by error-free extraction (Rump, Ogita and Oishi,
-    "Accurate floating-point summation, part I", SIAM J. Sci. Comput. 30,
-    2008, Algorithm 3.2 and Lemma 3.3) and hands math.fsum only one sum
-    per level.  With 2^k >= n + 2,
+    _FSUM_EXTRACT entries on, fsum splits the array by error-free
+    extraction (Rump, Ogita and Oishi, "Accurate floating-point summation,
+    part I", SIAM J. Sci. Comput. 30, 2008, Algorithm 3.2 and Lemma 3.3)
+    and hands math.fsum only one sum per level.  With 2^k >= n + 2,
     top = max|p| < 2^e and sigma = 2^(e + k), one level sets
     q = (p + sigma) - sigma and p <- p - q:
 
@@ -147,12 +144,11 @@ def fsum(a: np.ndarray) -> float:
     numpy scalars, twice as slow.
     """
     n = a.size
-    if n >= _FSUM_WIDE:
+    if n >= _FSUM_EXTRACT:
         p = np.array(a, dtype=float)    # extracted from in place
         mag = np.abs(p)
         top = float(mag.max())
-        if ((n >= _FSUM_EXTRACT or top >= float(mag.min()) * _FSUM_SPREAD)
-                and top * n < 2.0 ** 1000):
+        if top * n < 2.0 ** 1000:
             k = (n + 1).bit_length()
             q = np.empty_like(p)
             taus = []

@@ -135,7 +135,8 @@ def thinned_sum(xs, alphas,
 
 def _left_out(alphas: np.ndarray, l: int):
     """(a^(l), alpha^(l)): the weight a^(l) = sum_(i != l) alphas[i] and
-    the alphas renormalised by it, entry l set to 0."""
+    the alphas renormalised by it, entry l set to 0.  The alphas must be
+    finite and nonnegative, so that their sum overflows only to inf."""
     rest = alphas.copy()
     rest[l] = 0.0
     comp = fsum_nonneg(rest)

@@ -185,6 +185,9 @@ def test_splitting_witnesses_on_random_instances():
     ([math.inf, 0.5], 0, 0.5, [1.0, 1.0], "alphas and lambdas must be finite"),
     ([0.5, 0.5], 0, 0.5, [math.nan, 1.0], "alphas and lambdas must be finite"),
     ([0.5, 0.5], 0, 0.5, [1.0, math.inf], "alphas and lambdas must be finite"),
+    # math.fsum overflows on these alphas although their sum is finite
+    ([1e308, 1e308, -1e308, 0.5], 3, 0.5, [1.0] * 4,
+     "every alpha_i must be finite and nonnegative"),
 ])
 def test_splitting_input_errors(alphas, leave, t, lambdas, message):
     with pytest.raises(ParameterError, match=message):
