@@ -61,7 +61,9 @@ def hessian_analytic(xs, alphas,
     Those weights vanish wherever c_ij does, so g is only needed at s >= 2.
     The remaining part is the exact rank-one term -lambda_i lambda_j / sum_k
     alpha_k lambda_k from the mean functional, skipped (0/0) when every mean
-    is 0, where phi and its Hessian vanish.
+    is 0, where phi and its Hessian vanish.  Alphas so small that an entry
+    is not finite in double precision (alpha_i alpha_j underflows to 0 from
+    about 1e-162) raise ParameterError.
     """
     alphas = np.asarray(alphas, dtype=float)
     if not np.all((0.0 < alphas) & (alphas < 1.0)):
@@ -85,12 +87,17 @@ def hessian_analytic(xs, alphas,
                 / (alphas[i] * alphas[j]))
 
     hess = np.empty((m, m))
-    for i in range(m):
-        for j in range(i + 1):
-            hess[i, j] = hess[j, i] = entry(i, j)
     lam = np.array([mean(p) for p in xs])
-    if np.any(lam):
-        hess -= np.outer(lam, lam) / float(np.dot(alphas, lam))
+    # alphas near 2^-537 make alpha_i alpha_j 0: refused below
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i in range(m):
+            for j in range(i + 1):
+                hess[i, j] = hess[j, i] = entry(i, j)
+        if np.any(lam):
+            hess -= np.outer(lam, lam) / float(np.dot(alphas, lam))
+    if not np.all(np.isfinite(hess)):
+        raise ParameterError("the Hessian at these alphas is not finite in "
+                             "double precision")
     return hess
 
 

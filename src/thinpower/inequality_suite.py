@@ -19,8 +19,8 @@ from .pmf_core import (DEFAULT_TOLERANCES, FamilySpec, FinitePmf,
                        ToleranceConfig, _check_prob, construct, is_ulc, mean,
                        total_variation)
 from .semigroup import isoperimetric_check
-from .transforms import (convolve, inverse_thin, leave_one_out, thin,
-                         thinned_sum)
+from .transforms import (_inverse_thin_entropies, convolve, inverse_thin,
+                         leave_one_out, thin, thinned_sum)
 
 # alpha values used by the grid-sweeping searches
 ALPHA_GRID = tuple(np.linspace(0.1, 0.9, 9))
@@ -132,9 +132,13 @@ def check_epilike(x: FinitePmf, y: FinitePmf,
 
     X*_a exists and is certified (see inverse_thin) for a in [lo, 1], Y*_a
     for a in [0, hi]; bisection finds lo and hi.  H(X*_a) - H(Y*_a) is
-    scanned at EPILIKE_SCAN equal steps over [lo, hi].  Sign changes are
-    bisected; a local minimum of |gap| without one (a tangent zero) is
-    refined by golden section and kept if |gap| <= tol_ineq.  The zero
+    scanned at EPILIKE_SCAN equal steps over [lo, hi]: the X*_a of the scan
+    in one batch and its Y*_a in another (transforms._inverse_thin_entropies,
+    the bits of one inverse_thin call per alpha), raising the first error
+    in scan order, X*_a before Y*_a.  Sign changes are bisected; a local
+    minimum of |gap| without one (a tangent zero) is refined by golden
+    section and kept if |gap| <= tol_ineq.  The edges, the bisection and
+    the golden section call inverse_thin one alpha at a time.  The zero
     nearest the heuristic alpha = V(X)/(V(X)+V(Y)) is used.  With none:
     IllConditionedError if a zero may hide where a preimage is
     ill-conditioned, else DomainError.
@@ -156,8 +160,16 @@ def check_epilike(x: FinitePmf, y: FinitePmf,
     tol = max(cfg.tol_root, 1e-12)
     lo, err_x = _edge(lambda a: inverse_thin(x, a, cfg), 1.0, 0.0, tol)
     hi, err_y = _edge(lambda a: inverse_thin(y, 1.0 - a, cfg), 0.0, 1.0, tol)
-    scan = ([(a, gap(a)) for a in np.linspace(lo, hi, EPILIKE_SCAN + 1).tolist()]
-            if lo <= hi else [])
+    scan = []
+    if lo <= hi:
+        grid = np.linspace(lo, hi, EPILIKE_SCAN + 1)
+        for a, h_x, h_y in zip(grid.tolist(),
+                               _inverse_thin_entropies(x, grid, inner),
+                               _inverse_thin_entropies(y, 1.0 - grid, inner)):
+            for h in (h_x, h_y):
+                if isinstance(h, Exception):
+                    raise h
+            scan.append((a, h_x - h_y))
     zeros, ends = [], scan[:1] + scan + scan[-1:]
     for (a_lo, d_lo), (a, d), (a_hi, d_hi) in zip(ends, scan, ends[2:]):
         if d * d_hi < 0.0:

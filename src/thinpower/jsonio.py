@@ -7,8 +7,10 @@ list, tuple or 1-D float64 array is printed as a whole by _join_floats.
 
 from __future__ import annotations
 
+import functools
 import json
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -49,12 +51,8 @@ def _pow10_table():
     return hi, lo, shift
 
 
-_POW10_HI, _POW10_LO, _POW10_SHIFT = _pow10_table()
 # hi split into 26 and 27 bits (Veltkamp) for Dekker's product
 _VELTKAMP = 2.0 ** 27 + 1.0
-_HI_HI = _POW10_HI * _VELTKAMP
-_HI_HI -= _HI_HI - _POW10_HI
-_HI_LO = _POW10_HI - _HI_HI
 # a row word: little-endian on any host, so that d0 << 48 is its byte 6
 _WORD = np.dtype("<u8")
 
@@ -74,19 +72,15 @@ def _group_tables():
     return words.view(_WORD).ravel(), nsig.astype(np.uint8)
 
 
-# The row an element's text is cut from: six little-endian 8-byte words,
-#   "-0.000" d0 "."  |  "d.d.d.d." x 4, d1..d16  |  "e+ddd," 0 0
-# _GROUP[g] is the word of the 4-digit group g, _SUFFIX[X - _X_MIN] the
-# last word for exponent X
-_GROUP, _NSIG = _group_tables()
-_FIRST_WORD = int(np.frombuffer(b"-0.0000.", dtype=_WORD)[0])
-_EXPONENTS = np.arange(_X_MIN, _X_MAX + 1)
-_SUFFIX = np.zeros((_EXPONENTS.size, 8), dtype=np.uint8)
-_SUFFIX[:, :6] = np.frombuffer(b"e+000,", dtype=np.uint8)
-_SUFFIX[_EXPONENTS < 0, 1] = ord("-")
-_SUFFIX[:, 2:5] += (np.abs(_EXPONENTS)[:, None] // np.array([100, 10, 1])
-                    % 10).astype(np.uint8)
-_SUFFIX = _SUFFIX.view(_WORD).ravel()
+def _suffix_table(exponents: np.ndarray) -> np.ndarray:
+    """Per exponent X, the last word of its row: "e+ddd," ("e-ddd," for
+    X < 0) and two 0 bytes."""
+    suffix = np.zeros((exponents.size, 8), dtype=np.uint8)
+    suffix[:, :6] = np.frombuffer(b"e+000,", dtype=np.uint8)
+    suffix[exponents < 0, 1] = ord("-")
+    suffix[:, 2:5] += (np.abs(exponents)[:, None] // np.array([100, 10, 1])
+                       % 10).astype(np.uint8)
+    return suffix.view(_WORD).ravel()
 
 
 def _keep_masks():
@@ -115,20 +109,45 @@ def _keep_masks():
     return keep.reshape(-1, 48)
 
 
-_KEEP = _keep_masks()
 # np.compress builds an index of every byte it keeps (8 bytes each): by
 # blocks of this many rows, that index and the masks stay under 110 KB
 _BLOCK = 512
-# per exponent X, the layout of a positive number less nsig
-_LAYOUT_BASE = 17 * np.where((_EXPONENTS >= -4) & (_EXPONENTS <= 16),
-                             _EXPONENTS + 4,
-                             21 + (np.abs(_EXPONENTS) >= 100)) - 1
+_FIRST_WORD = int(np.frombuffer(b"-0.0000.", dtype=_WORD)[0])
+
+
+@functools.cache
+def _tables() -> SimpleNamespace:
+    """The kernel's tables, built on its first call, so that importing
+    the package builds none of them.
+
+    pow10_hi, pow10_lo, pow10_shift and hi_hi, hi_lo (see _pow10_table)
+    give y in _digits.  The row an element's text is cut from is six
+    little-endian 8-byte words,
+      "-0.000" d0 "."  |  "d.d.d.d." x 4, d1..d16  |  "e+ddd," 0 0
+    group[g] is the word of the 4-digit group g and nsig its significant
+    digits (see _group_tables), suffix[X - _X_MIN] the last word for
+    exponent X, keep the masks (see _keep_masks) and layout_base[X -
+    _X_MIN] the layout of a positive number less nsig.
+    """
+    hi, lo, shift = _pow10_table()
+    hi_hi = hi * _VELTKAMP
+    hi_hi -= hi_hi - hi
+    group, nsig = _group_tables()
+    exponents = np.arange(_X_MIN, _X_MAX + 1)
+    layout_base = 17 * np.where((exponents >= -4) & (exponents <= 16),
+                                exponents + 4,
+                                21 + (np.abs(exponents) >= 100)) - 1
+    return SimpleNamespace(pow10_hi=hi, pow10_lo=lo, pow10_shift=shift,
+                           hi_hi=hi_hi, hi_lo=hi - hi_hi, group=group,
+                           nsig=nsig, suffix=_suffix_table(exponents),
+                           keep=_keep_masks(), layout_base=layout_base)
 
 
 def _digits(values: np.ndarray):
     """(D, X - _X_MIN, certified) per element; see _format_floats.  Its
     float temporaries are freed on return, before the rows are built, and
     it never writes to values."""
+    tables = _tables()
     magnitude = np.abs(values)
     zero = magnitude == 0.0
     has_zero = zero.any()
@@ -137,15 +156,15 @@ def _digits(values: np.ndarray):
     exponent = np.floor(np.log10(magnitude)).astype(np.int64)
     f, e = np.frexp(magnitude)
     at = exponent - _X_MIN
-    scale = ((_POW10_SHIFT.take(at) + e + 1023) << 52).view(np.float64)
-    hi = _POW10_HI.take(at)
+    scale = ((tables.pow10_shift.take(at) + e + 1023) << 52).view(np.float64)
+    hi = tables.pow10_hi.take(at)
     split = f * _VELTKAMP
     f_hi = split - (split - f)
     f_lo = f - f_hi
     p = f * hi
-    hi_hi, hi_lo = _HI_HI.take(at), _HI_LO.take(at)
+    hi_hi, hi_lo = tables.hi_hi.take(at), tables.hi_lo.take(at)
     t = (((f_hi * hi_hi - p) + f_hi * hi_lo + f_lo * hi_hi) + f_lo * hi_lo
-         + f * _POW10_LO.take(at)) * scale
+         + f * tables.pow10_lo.take(at)) * scale
     p *= scale
     rounded = np.rint(t)
     r = t - rounded
@@ -188,15 +207,16 @@ def _format_floats(values: np.ndarray) -> str | None:
     Text.  The C99 %g rules at precision 17: style e when X < -4 or
     X >= 17, style f otherwise; trailing zeros dropped, and the point with
     them; an exponent of at least two digits.  Each element fills one
-    48-byte row, laid out above _GROUP: its sign, "0.000", its 17 digits
+    48-byte row, laid out as in _tables: its sign, "0.000", its 17 digits
     with a point after each, "e", the exponent's sign and three digits,
     and a comma.  Its layout (sign, style, exponent width, significant
-    digits) selects a keep mask from _KEEP, and np.compress of the rows by
-    their masks, _BLOCK rows at a time, leaves the text.
+    digits) selects a keep mask from the table keep, and np.compress of
+    the rows by their masks, _BLOCK rows at a time, leaves the text.
     """
     digits, at, ok = _digits(values)
     if not ok.all():
         return None
+    tables = _tables()
     top = digits // 10 ** 8
     low = digits - top * 10 ** 8
     groups = (top // 10 ** 4 % 10 ** 4, top % 10 ** 4,
@@ -204,13 +224,15 @@ def _format_floats(values: np.ndarray) -> str | None:
     rows = np.empty((values.size, 6), dtype=_WORD)
     rows[:, 0] = (top // 10 ** 8 << 48) + _FIRST_WORD
     for j, g in enumerate(groups):
-        rows[:, j + 1] = _GROUP.take(g)
-    rows[:, 5] = _SUFFIX.take(at)
-    nsig = np.maximum.reduce([_NSIG[j].take(g) for j, g in enumerate(groups)])
-    layout = _LAYOUT_BASE.take(at) + nsig + np.signbit(values) * (23 * 17)
+        rows[:, j + 1] = tables.group.take(g)
+    rows[:, 5] = tables.suffix.take(at)
+    nsig = np.maximum.reduce([tables.nsig[j].take(g)
+                              for j, g in enumerate(groups)])
+    layout = (tables.layout_base.take(at) + nsig
+              + np.signbit(values) * (23 * 17))
     rows = rows.view(np.uint8)
     return b"".join([
-        np.compress(_KEEP.take(layout[i:i + _BLOCK], axis=0).ravel(),
+        np.compress(tables.keep.take(layout[i:i + _BLOCK], axis=0).ravel(),
                     rows[i:i + _BLOCK].ravel()).tobytes()
         for i in range(0, values.size, _BLOCK)])[:-1].decode("ascii")
 

@@ -11,7 +11,8 @@ import numpy as np
 
 from .errors import (IllConditionedError, NotThinnableError, ParameterError,
                      PreconditionError)
-from .numerics import fsum_nonneg
+from .entropy_functionals import entropy
+from .numerics import fsum, fsum_nonneg
 from .pmf_core import DEFAULT_TOLERANCES, FinitePmf, ToleranceConfig
 
 U = 0.5 * np.finfo(float).eps  # unit roundoff
@@ -26,35 +27,55 @@ _BLOCKS = OrderedDict()
 _BLOCKS_MAX = 64
 
 
+def _pascal_stack(a, size: int) -> np.ndarray:
+    """The Pascal block K[i, k] = C(i, k) a^k b^(i-k), b = 1 - a, for i, k
+    < size: one for a float a, or a stack of them, K[j] for a[j, 0], for a
+    column a of shape (count, 1).
+
+    The running products of the rows (1, ..., 1, 1, a, ..., a) and (1, ...,
+    1, 1, b, ..., b), size - 1 ones first, give the powers of a and b after
+    the ones; b^(i-k) is read through a Toeplitz view of the second row,
+    with 1 above the diagonal, where _COMB is 0.  A block holds the same
+    products, formed in the same order, alone or in a stack.
+    """
+    lead = a.shape[:-1] if isinstance(a, np.ndarray) else ()
+    powers = np.empty(lead + (2, 2 * size - 1))
+    powers[..., :size] = 1.0
+    powers[..., 0, size:] = a
+    powers[..., 1, size:] = 1.0 - a
+    np.multiply.accumulate(powers, axis=-1, out=powers)
+    blocks = _COMB[:size, :size] * powers[..., :1, size - 1:]
+    # b_powers[..., i, k] = powers[..., 1, size - 1 + i - k]
+    b_powers = np.ndarray(blocks.shape, float, powers, 8 * (3 * size - 2),
+                          powers.strides[:-2] + (8, -8))
+    blocks *= b_powers
+    return blocks
+
+
 def _pascal(a: float, size: int) -> np.ndarray:
     """The read-only Pascal block K[i, k] = C(i, k) a^k b^(i-k), b = 1 - a,
-    for i, k < size.
+    for i, k < size (see _pascal_stack).
 
     K's entries do not depend on size, so a block kept in _BLOCKS serves
     every size up to its own as a slice; a miss, or a larger size, builds
     the block at this size and keeps it, evicting the least recently used
-    one past _BLOCKS_MAX.  The running products of the rows (1, ..., 1,
-    1, a, ..., a) and (1, ..., 1, 1, b, ..., b), size - 1 ones first, give
-    the powers of a and b after the ones; b^(i-k) is read through a
-    Toeplitz view of the second row, with 1 above the diagonal, where
-    _COMB is 0.
+    one past _BLOCKS_MAX.  Every block is kept on its first request:
+    hessian's alphas recur exactly once, so admitting a block only on its
+    second request would build each of them twice, and check_epilike's
+    scan, whose 130 alphas are each used once, builds its blocks apart
+    (see _inverse_thin_entropies), so they evict none of the blocks that
+    sweeps reuse.
     """
     block = _BLOCKS.pop(a, None)
-    if block is None or block.shape[0] < size:
-        powers = np.ones((2, 2 * size - 1))
-        powers[0, size:] = a
-        powers[1, size:] = 1.0 - a
-        np.multiply.accumulate(powers, axis=1, out=powers)
-        block = _COMB[:size, :size] * powers[0, size - 1:]
-        # b_powers[i, k] = powers[1, size - 1 + i - k]
-        b_powers = np.ndarray((size, size), float, powers,
-                              8 * (3 * size - 2), (8, -8))
-        block *= b_powers
-        block.flags.writeable = False
-        if len(_BLOCKS) >= _BLOCKS_MAX:
-            _BLOCKS.popitem(last=False)
+    if block is not None and block.shape[0] >= size:
+        _BLOCKS[a] = block
+        return block[:size, :size]
+    block = _pascal_stack(a, size)
+    block.flags.writeable = False
+    if len(_BLOCKS) >= _BLOCKS_MAX:
+        _BLOCKS.popitem(last=False)
     _BLOCKS[a] = block
-    return block[:size, :size]
+    return block
 
 
 def _taylor_shift(probs: np.ndarray, a: float) -> np.ndarray:
@@ -72,9 +93,11 @@ def _taylor_shift(probs: np.ndarray, a: float) -> np.ndarray:
     k - 1 and i - k - 1 times, two products), a block product min(N, m)
     times in any summation order, a Horner step 2m + 3 times (q's entry,
     one product, m + 1 additions).  Keeping K in _pascal's cache leaves D
-    as it is: a kept block and a fresh one hold the same two products of
-    the same running powers, in the same order, and a is read as a
-    double, so that b = fl(1 - a) rounds once in double precision.
+    as it is: a kept block, a fresh one and one built in a stack of blocks
+    (_pascal_stack) hold the same two products of the same running powers,
+    in the same order, and a is read as a double, so that b = fl(1 - a)
+    rounds once in double precision.  So _inverse_thin_entropies, which
+    forms probs @ K from stacked blocks, gets the bits of this shift.
     """
     width = probs.size
     pascal = _pascal(float(a), min(width, _M + 1))
@@ -174,6 +197,27 @@ def leave_one_out(xs, alphas, functional,
             math.fsum(c * v for (c, _), v in zip(parts, loo)))
 
 
+def _inverse_bound(probs: np.ndarray, alpha):
+    """(kappa, bound) of inverse_thin at alpha, a float or an array of
+    them, for the pmf of at least two points whose entries are probs.
+
+    kappa = G_x(t), t = 2/alpha - 1, by Horner's rule on x scaled by 2^52,
+    exact, so that no step is subnormal: kappa within gamma_2N, relative,
+    and inf from 2^972 on, where the bound is above any tol_norm.  An
+    array of alphas runs the same steps entrywise, so each entry has the
+    bits of its float.
+    """
+    width = probs.size
+    t = 2.0 / alpha - 1.0
+    scaled = (probs * 2.0 ** 52).tolist()
+    kappa = scaled.pop()
+    for p in reversed(scaled):
+        kappa = kappa * t + p
+    kappa = kappa * 2.0 ** -52
+    rounds = 2 * min(width, _M) + (-(-width // _M) - 1) * (2 * _M + 3)
+    return kappa, U * (2.0 * rounds + 5.0 * width + 2.0) * kappa
+
+
 def inverse_thin(x: FinitePmf, alpha: float,
                  cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> FinitePmf:
     """The pmf x* with thin(x*, alpha) = x, when one exists on len(x) points.
@@ -209,17 +253,7 @@ def inverse_thin(x: FinitePmf, alpha: float,
     width = len(x)
     if alpha == 1.0 or width == 1:
         return x
-    t = 2.0 / alpha - 1.0
-    # Horner's rule on x scaled by 2^52, exact, so that no step is
-    # subnormal: kappa within gamma_2N, relative, and inf from 2^972 on,
-    # where the bound is above any tol_norm
-    scaled = (x.probs * 2.0 ** 52).tolist()
-    kappa = scaled.pop()
-    for p in reversed(scaled):
-        kappa = kappa * t + p
-    kappa *= 2.0 ** -52
-    rounds = 2 * min(width, _M) + (-(-width // _M) - 1) * (2 * _M + 3)
-    bound = U * (2.0 * rounds + 5.0 * width + 2.0) * kappa
+    kappa, bound = _inverse_bound(x.probs, alpha)
     if bound > cfg.tol_norm:
         raise IllConditionedError(alpha, kappa, bound)
     # (2/alpha)^i can overflow for tiny alpha where kappa is small
@@ -233,3 +267,60 @@ def inverse_thin(x: FinitePmf, alpha: float,
             raise IllConditionedError(alpha, kappa, math.inf) from None
         worst = int(np.argmin(solved))
         raise NotThinnableError(alpha, worst, float(solved[worst])) from None
+
+
+# _inverse_thin_entropies builds the Pascal blocks of this many alphas at
+# once: 8 blocks of 64 x 64 entries take 256 KB
+_STACK = 8
+
+
+def _inverse_thin_entropies(x: FinitePmf, alphas: np.ndarray,
+                            cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> list:
+    """For each alpha of the 1-D array alphas, entropy(inverse_thin(x,
+    alpha, cfg)).nats bit for bit, or the exception that call raises.
+
+    A scan that inverts one pmf at many alphas, each used once, shares the
+    work over the alphas: kappa and the bound by one Horner loop over the
+    array; the Pascal blocks by _pascal_stack, _STACK at a time, outside
+    _pascal's cache; each preimage by the product probs @ K of
+    _taylor_shift; FinitePmf's checks, clamp and division, and entropy's
+    -fsum(p log p), over the stack of preimages.  Every entry goes through
+    the same operations as in inverse_thin and entropy.  An alpha that the
+    bound refuses, a preimage that fails FinitePmf's checks, alpha = 1 or
+    outside (0, 1), and every alpha of a pmf of one point or of more than
+    _M points, go through inverse_thin itself, which returns or raises.
+    """
+    probs, width = x.probs, len(x)
+    batch = np.flatnonzero((alphas > 0.0) & (alphas < 1.0)
+                           if 2 <= width <= _M else [])
+    # 2/alpha, kappa and (2/alpha)^i can overflow for tiny alpha; such
+    # rows are refused or fail the checks below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if batch.size:
+            _, bound = _inverse_bound(probs, alphas[batch])
+            batch = batch[~(bound > cfg.tol_norm)]
+        rows = np.empty((batch.size, width))
+        for start in range(0, batch.size, _STACK):
+            a = 1.0 / alphas[batch[start:start + _STACK], None]
+            rows[start:start + a.shape[0]] = probs @ _pascal_stack(a, width)
+    # FinitePmf's checks: no entry below -tol_norm, and the clamped mass
+    # within tol_norm of 1; a nan fails the first, an inf the second
+    valid = rows.min(axis=1) >= -cfg.tol_norm
+    rows = np.maximum(rows[valid], 0.0)
+    totals = np.array([fsum_nonneg(row) for row in rows])
+    mass = np.abs(totals - 1.0) <= cfg.tol_norm
+    rows = rows[mass] / totals[mass, None]
+    terms = rows * np.log(np.where(rows > 0.0, rows, 1.0))
+    done = batch[valid][mass]
+
+    out = [None] * alphas.size
+    for i, row in zip(done.tolist(), terms):
+        nats = -fsum(row)
+        out[i] = nats if nats > 0.0 else 0.0
+    for i, alpha in enumerate(alphas.tolist()):
+        if out[i] is None:
+            try:
+                out[i] = entropy(inverse_thin(x, alpha, cfg)).nats
+            except ValueError as exc:
+                out[i] = exc
+    return out

@@ -1,13 +1,14 @@
 """Inequality checkers, counterexamples, and the randomized search harness."""
 
+import hashlib
 import re
 
 import numpy as np
 import pytest
 
 from thinpower import (DomainError, FamilySpec, IllConditionedError,
-                       ParameterError, PreconditionError, ToleranceConfig,
-                       check_conjecture_tepi,
+                       NotThinnableError, ParameterError, PreconditionError,
+                       ToleranceConfig, check_conjecture_tepi,
                        check_conjecture_v_superadd, check_discepilike,
                        check_dsub, check_epilike, check_hmon, check_rtepi,
                        check_teci, check_tepis, construct, convolve, entropy,
@@ -58,6 +59,40 @@ class TestRtepi:
     def test_bernoulli_sum_holds(self):
         v = check_rtepi(construct(FamilySpec.bernoulli_sum(0.5, 0.5, 0.5)), 0.3)
         assert v.holds
+
+
+# the bench's interp epilike inputs for seed 1, cycles 0-3: per cycle the
+# Poisson rates of one pair, and the Bernoulli sum, Poisson rate and alpha
+# of X = T_a Z, Y = T_(1-a) Z
+EPILIKE_BENCH_INPUTS = [
+    (0.5413386698646026, 1.6302696630122098,
+     [0.3467585448491829, 0.7595858330855638, 0.32287534636248044],
+     0.2680833944943295, 0.46124519457885166),
+    (0.528295839485966, 0.6150542434010532, [0.44366828587306983],
+     1.6288640037767042, 0.4139729425091324),
+    (0.5746248253877357, 0.6394609115559711,
+     [0.8374293640938427, 0.6451114355533921], 1.040231693178435,
+     0.6951681975320951),
+    (0.6440894032504179, 1.2539811567168928, [0.5869576251460735],
+     0.4410336379690707, 0.6174046704003961)]
+# the bits of check_epilike on those 8 pairs and on two Poisson(4.85),
+# recorded while its scan called inverse_thin once per alpha
+EPILIKE_DIGEST = (
+    "0277c6a39608e2b5bce9e9f927bc2ca74120f48b27006560d645fb42e1808641")
+
+
+def epilike_digest() -> str:
+    docs = []
+    for rx, ry, ps, rate, a in EPILIKE_BENCH_INPUTS:
+        z = convolve(construct(FamilySpec.bernoulli_sum(*ps)), poi(rate))
+        docs += [check_epilike(poi(rx), poi(ry)).to_json(),
+                 check_epilike(thin(z, a), thin(z, 1.0 - a)).to_json()]
+    docs.append(check_epilike(poi(4.85), poi(4.85)).to_json())
+    return hashlib.sha256(dumps_canonical(docs).encode()).hexdigest()
+
+
+def test_epilike_output_digest(recorded_platform):
+    assert epilike_digest() == EPILIKE_DIGEST
 
 
 class TestEpilike:
@@ -145,6 +180,38 @@ class TestEpilike:
         # alpha above about 0.69 and Y* only below about 0.31
         with pytest.raises(IllConditionedError):
             check_epilike(poi(10.0), poi(10.0))
+
+    @pytest.mark.parametrize("x_at, y_at, first", [
+        (5, 3, ("y", 3)), (3, 3, ("x", 3)), (3, 5, ("x", 3)),
+        (64, 64, ("x", 64))])
+    def test_the_scan_raises_its_first_error_x_before_y(self, monkeypatch,
+                                                        x_at, y_at, first):
+        x, y = poi(2.0), poi(3.0)
+        real = inequality_suite._inverse_thin_entropies
+
+        def failing(p, alphas, cfg):
+            out = real(p, alphas, cfg)
+            at = x_at if p is x else y_at
+            out[at] = NotThinnableError(0.5, 1000 * (p is x) + at, -1.0)
+            return out
+        monkeypatch.setattr(inequality_suite, "_inverse_thin_entropies",
+                            failing)
+        with pytest.raises(NotThinnableError) as info:
+            check_epilike(x, y)
+        assert divmod(info.value.index, 1000) == (first[0] == "x", first[1])
+
+    @pytest.mark.parametrize("rate, message", [
+        (4.9, "inverse thinning at alpha = 0.501663 is ill-conditioned: "
+              "kappa = 1.690e+04, error bound 1.000e-09 > tol_norm"),
+        (10.0, "inverse thinning at alpha = 0.684277 is ill-conditioned: "
+               "kappa = 1.018e+04, error bound 1.000e-09 > tol_norm")])
+    def test_refused_poisson_pairs_name_the_edge(self, recorded_platform,
+                                                 rate, message):
+        # the messages recorded while the scan called inverse_thin once
+        # per alpha: the edge bisection's last refusal
+        with pytest.raises(IllConditionedError) as info:
+            check_epilike(poi(rate), poi(rate))
+        assert str(info.value) == message
 
 
 class TestHmon:
