@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import DomainError, ParameterError
 from .numerics import (fsum, log_factorials, poisson_log_terms,
-                       poisson_support_top, solve_increasing)
+                       poisson_terms, solve_increasing)
 from .pmf_core import DEFAULT_TOLERANCES, FinitePmf, ToleranceConfig, mean
 
 LN2 = math.log(2.0)
@@ -40,8 +40,7 @@ def entropy(p: FinitePmf) -> EntropyValue:
 
 def _poisson_entropy_pair(t: float, cfg: ToleranceConfig) -> tuple[float, float]:
     """(E(t), E'(t)) for t > 0 from one truncated Poisson(t) log pmf."""
-    top = poisson_support_top(t, cfg.tail_eps)
-    _, logp, log_z1 = poisson_log_terms(t, top)
+    _, logp, log_z1 = poisson_terms(t, cfg.tail_eps)
     pmf = np.exp(logp)
     return -fsum(pmf * logp), fsum(pmf * (log_z1 - math.log(t)))
 
@@ -91,15 +90,14 @@ def rel_entropy_poisson(p: FinitePmf) -> float:
     lam = mean(p)
     if lam == 0.0:
         return 0.0
-    k = np.arange(len(p))
-    log_lam, log_fact = math.log(lam), log_factorials(len(p) - 1)
-    log_pi = k * log_lam - lam - log_fact
+    z, log_pi, _ = poisson_log_terms(lam, len(p) - 1)
     keep = p.probs > 0.0
     probs, log_p = p.probs[keep], np.log(p.probs[keep])
     value = fsum(probs * (log_p - log_pi[keep]))
     # D >= 0, so swallow a negative value within the rounding bound of the
-    # sum; log_pi is formed from parts far larger than itself on wide supports
-    parts = k * abs(log_lam) + lam + log_fact
+    # sum.  parts bounds the three terms of log_pi = z log(lam) - lam -
+    # log(z!), each far larger than log_pi itself on wide supports
+    parts = z * abs(math.log(lam)) + lam + log_factorials(len(p) - 1)
     slack = 4.0 * EPS * fsum(probs * (parts[keep] + np.abs(log_p)))
     return 0.0 if -slack < value < 0.0 else value
 

@@ -143,6 +143,19 @@ def _tables() -> SimpleNamespace:
                            keep=_keep_masks(), layout_base=layout_base)
 
 
+def _rounded(f, f_hi, f_lo, e, at, tables):
+    """(D, r) per element: y = f 2^e 10^(16 - X), X = at + _X_MIN, as
+    D = p + rint(t) in int64 and r = t - rint(t); see _format_floats."""
+    scale = ((tables.pow10_shift.take(at) + e + 1023) << 52).view(np.float64)
+    p = f * tables.pow10_hi.take(at)
+    hi_hi, hi_lo = tables.hi_hi.take(at), tables.hi_lo.take(at)
+    t = (((f_hi * hi_hi - p) + f_hi * hi_lo + f_lo * hi_hi) + f_lo * hi_lo
+         + f * tables.pow10_lo.take(at)) * scale
+    p *= scale
+    rounded = np.rint(t)
+    return p.astype(np.int64) + rounded.astype(np.int64), t - rounded
+
+
 def _digits(values: np.ndarray):
     """(D, X - _X_MIN, certified) per element; see _format_floats.  Its
     float temporaries are freed on return, before the rows are built, and
@@ -156,24 +169,28 @@ def _digits(values: np.ndarray):
     exponent = np.floor(np.log10(magnitude)).astype(np.int64)
     f, e = np.frexp(magnitude)
     at = exponent - _X_MIN
-    scale = ((tables.pow10_shift.take(at) + e + 1023) << 52).view(np.float64)
-    hi = tables.pow10_hi.take(at)
     split = f * _VELTKAMP
     f_hi = split - (split - f)
     f_lo = f - f_hi
-    p = f * hi
-    hi_hi, hi_lo = tables.hi_hi.take(at), tables.hi_lo.take(at)
-    t = (((f_hi * hi_hi - p) + f_hi * hi_lo + f_lo * hi_hi) + f_lo * hi_lo
-         + f * tables.pow10_lo.take(at)) * scale
-    p *= scale
-    rounded = np.rint(t)
-    r = t - rounded
-    digits = p.astype(np.int64) + rounded.astype(np.int64)
-    ok = ((np.abs(r) < 0.5 - 2.0 ** -40) & (digits < 10 ** 17)
-          & ((digits - 10 ** 16) + r > -2.0 ** -40))
+    digits, r = _rounded(f, f_hi, f_lo, e, at, tables)
+    under = (digits - 10 ** 16) + r <= -2.0 ** -40
+    ok = (np.abs(r) < 0.5 - 2.0 ** -40) & (digits < 10 ** 17) & ~under
     if has_zero:
         digits[zero] = 0            # and X = log10(1) = 0
         ok[zero] = True
+    if under.any():
+        # np.log10 rounds some doubles just under 10^X up to X (1e-14's,
+        # for one), so that y falls under 10^16: retry them at X - 1,
+        # where y is ten times as large and D = 10^17 is 10^16 at X
+        miss = np.flatnonzero(under)
+        below = at[miss] - 1
+        retry, r = _rounded(f[miss], f_hi[miss], f_lo[miss], e[miss], below,
+                            tables)
+        ok[miss] = ((np.abs(r) < 0.5 - 2.0 ** -40) & (retry <= 10 ** 17)
+                    & ((retry - 10 ** 16) + r > -2.0 ** -40))
+        carry = retry == 10 ** 17
+        digits[miss] = np.where(carry, 10 ** 16, retry)
+        at[miss] = np.where(carry, at[miss], below)
     return digits, at, ok
 
 
@@ -201,8 +218,15 @@ def _format_floats(values: np.ndarray) -> str | None:
     An estimate of X that is off by one puts y below 10^16 - 2^-39,
     where a p that is not an integer is truncated and only lowers D + r,
     or at 10^17 and above, unless x is within that distance of 10^X:
-    it fails the second condition.  An exact tie fails the first.  If any element fails, the kernel declines the whole array
-    and returns None.  Zeros are written with D = 0 and X = 0.
+    it fails the second condition.  np.log10 rounds some doubles just
+    under 10^X up to X (those nearest 1e-14 and 1e-6 among them), so an
+    element whose D + r falls under 10^16 - 2^-40 is retried at X - 1,
+    where y is ten times as large.  It is taken there on the same two
+    conditions, except that D = 10^17 passes and is written as 10^16 at
+    X: then |y - 10^16| < 1/20, and x rounded to 17 digits is 10^X.  An
+    exact tie fails the first condition at either exponent.  If any
+    element still fails, the kernel declines the whole array and returns
+    None.  Zeros are written with D = 0 and X = 0.
 
     Text.  The C99 %g rules at precision 17: style e when X < -4 or
     X >= 17, style f otherwise; trailing zeros dropped, and the point with

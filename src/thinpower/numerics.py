@@ -1,5 +1,5 @@
-"""Shared numerics: log-factorials, support cuts, root solves and the
-correctly rounded sum.
+"""Shared numerics: log-factorials, the Poisson log pmf and its support
+cut, root solves and the correctly rounded sum.
 
 The binomial and Poisson terms work in log space so that supports of a
 few thousand points do not overflow.  Their log(k!) values are scipy's
@@ -188,11 +188,13 @@ def fsum_nonneg(a: np.ndarray) -> float:
 def poisson_log_terms(rate: float, n_top: int):
     """Arrays (z, log pmf, log(z + 1)) of a Poisson(rate) over z = 0..n_top.
 
-    The log pmf is evaluated once and reused by callers both as exponent and
-    as logarithm; that single evaluation is what keeps entropy sums and the
-    entropy of constructed Poisson pmfs mutually consistent near 1e-12.
-    z and log(z + 1) are read-only views of the tables; E'(t) reads the
-    latter.
+    The one place that forms log pmf = z log(rate) - rate - log(z!).  It
+    is read by poisson_terms (also for the support cut's tail term), so by
+    E, E' and poisson_pmf (construct's Poisson), and by rel_entropy_poisson
+    as its log pi.  One log pmf, used both as exponent and as logarithm,
+    keeps E, the entropy of constructed Poisson pmfs and D consistent near
+    1e-12.  z and log(z + 1) are read-only views of the tables; E'(t)
+    reads the latter.
     """
     z, log_z1, log_fact = tables(n_top)
     return z, z * math.log(rate) - rate - log_fact, log_z1
@@ -215,20 +217,21 @@ def check_support(top: int, name: str, value) -> int:
     return top
 
 
-def poisson_support_top(rate: float, tail_eps: float) -> int:
-    """Smallest support cut N with omitted upper-tail mass provably < tail_eps.
+def poisson_terms(rate: float, tail_eps: float):
+    """poisson_log_terms(rate, N) at the smallest support cut N whose
+    omitted upper-tail mass is provably < tail_eps.
 
-    Starts at rate + 10*sqrt(rate) + 30 and extends until the geometric-ratio
-    tail bound pmf(N+1)/(1 - rate/(N+2)) drops below tail_eps.
+    N starts at rate + 10*sqrt(rate) + 30 and extends until the
+    geometric-ratio tail bound pmf(N+1)/(1 - rate/(N+2)) drops below
+    tail_eps; pmf(N+1) is the entry past the cut of the same terms.
     """
     n = check_support(int(math.ceil(rate + 10.0 * math.sqrt(rate) + 30.0)),
                       "Poisson rate t", rate)
     while True:
-        lf = log_factorials(n + 1)
-        log_tip = (n + 1) * math.log(rate) - rate - lf[n + 1]
-        bound = math.exp(log_tip) / (1.0 - rate / (n + 2))
+        z, logp, log_z1 = poisson_log_terms(rate, n + 1)
+        bound = math.exp(float(logp[n + 1])) / (1.0 - rate / (n + 2))
         if bound < tail_eps:
-            return n
+            return z[:n + 1], logp[:n + 1], log_z1[:n + 1]
         n += max(10, int(math.sqrt(rate)))
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import DomainError, ParameterError
 from .numerics import (check_support, fsum, fsum_nonneg, log_factorials,
-                       poisson_log_terms, poisson_support_top, tables)
+                       poisson_terms, tables)
 
 
 @dataclass(frozen=True)
@@ -254,18 +254,13 @@ def _check_prob(value: float, name: str) -> None:
         raise ParameterError(f"{name} = {value!r} outside [0, 1]")
 
 
-def _poisson_probs(rate: float, cfg: ToleranceConfig) -> np.ndarray:
-    if rate == 0.0:
-        return np.array([1.0])
-    top = poisson_support_top(rate, cfg.tail_eps)
-    return np.exp(poisson_log_terms(rate, top)[1])
-
-
 def poisson_pmf(rate: float, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> FinitePmf:
     """construct(FamilySpec.poisson(rate), cfg) without the spec."""
     if rate < 0.0 or not math.isfinite(rate):
         raise ParameterError(f"poisson rate {rate!r} must be >= 0")
-    return FinitePmf(_poisson_probs(rate, cfg), cfg)
+    if rate == 0.0:
+        return FinitePmf([1.0], cfg)
+    return FinitePmf(np.exp(poisson_terms(rate, cfg.tail_eps)[1]), cfg)
 
 
 def construct(spec: FamilySpec, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> FinitePmf:

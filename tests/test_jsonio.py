@@ -10,6 +10,7 @@ import struct
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -216,14 +217,39 @@ def test_values_near_powers_of_ten_match_per_element(kernel_calls):
     assert len(values) > 8000
     _assert_long_list(values)
     _assert_long_list([-v for v in values])
-    # exact powers of ten such as 1.0 fail the certificate, so the kernel
-    # declines these lists; it must print the elements it certifies
+    # six ties between 17-digit decimals next to 1e15 fail the
+    # certificate, so the kernel declines these lists; it must print the
+    # elements it certifies, the ones np.log10 rounds up to 10^k included
     assert _sizes(kernel_calls) == [(len(values), True)] * 6
     for signed in (np.array(values), -np.array(values)):
         taken = signed[jsonio._digits(signed)[2]]
-        assert taken.size > len(values) // 3
+        assert taken.size == len(values) - 6
         assert jsonio._format_floats(taken) == \
             ",".join(format(v, ".17g") for v in taken.tolist())
+
+
+# the doubles nearest these powers of ten lie under them, and np.log10
+# rounds each up to the power's exponent
+LOG10_ROUNDS_UP = [1e-20, 1e-19, 1e-16, 1e-14, 1e-12, 1e-11, 1e-7, 1e-6]
+
+
+def test_exponents_np_log10_rounds_up_are_retried(kernel_calls):
+    for v in LOG10_ROUNDS_UP:
+        k = round(math.log10(v))
+        assert Fraction(v) < Fraction(10) ** k and np.log10(v) == k
+    values = np.random.default_rng(8).random(2048)
+    values[::256] = LOG10_ROUNDS_UP
+    values[1::256] = [-v for v in LOG10_ROUNDS_UP]
+    text = dumps_canonical(values)
+    assert text == "[" + ",".join(format(v, ".17g")
+                                  for v in values.tolist()) + "]"
+    assert _sizes(kernel_calls) == [(2048, False)]
+    # 1e-14 rounds up to 10^17 at X - 1: its text is 1e-14, the others'
+    # are 17 digits under their power of ten
+    printed = [format(v, ".17g") for v in LOG10_ROUNDS_UP]
+    assert printed[3] == "1e-14" and printed[7] == "9.9999999999999995e-07"
+    assert all(len(t.split("e")[0]) == 18 for i, t in enumerate(printed)
+               if i != 3)
 
 
 @pytest.mark.parametrize("shift", [-1.0, 1.0])

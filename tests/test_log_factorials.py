@@ -3,8 +3,9 @@ gammaln bit for bit, growth past them leaves them as they are, and no caller
 can write into a table.  The Poisson terms read z and log(z + 1) from tables
 kept beside the log-factorials and give the bits of arrays built fresh on
 each call: below the shipped 4096 entries, at the last one and past it,
-where all three tables grow.  And V(Poisson(t)) = t within its documented
-error.
+where all three tables grow.  The support cut reads its tail term from
+the same Poisson terms it returns, and D reads its log pi from them too.
+And V(Poisson(t)) = t within its documented error.
 
 Tier-1 draws rates up to 200; the thorough profile
 (--hypothesis-profile thorough) draws them up to 2000.
@@ -19,10 +20,11 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import gammaln
 
 import thinpower
-from thinpower import DEFAULT_TOLERANCES, entropy_power, mean, numerics
+from thinpower import (DEFAULT_TOLERANCES, entropy_functionals, entropy_power,
+                       mean, numerics, rel_entropy_poisson)
 from thinpower.entropy_functionals import _poisson_entropy_pair
-from thinpower.numerics import fsum, poisson_log_terms, poisson_support_top
-from thinpower.pmf_core import FinitePmf, poisson_pmf
+from thinpower.numerics import fsum, poisson_log_terms, poisson_terms
+from thinpower.pmf_core import FamilySpec, FinitePmf, construct, poisson_pmf
 
 SHIPPED = Path(thinpower.__file__).with_name("log_factorials.npy")
 THOROUGH = (settings().max_examples
@@ -78,8 +80,19 @@ def fresh_log_terms(rate, top):
     return z, z * math.log(rate) - rate - numerics.log_factorials(top)
 
 
+def fresh_cut(rate, tail_eps=DEFAULT_TOLERANCES.tail_eps):
+    """The support cut N, with its tail term formed in Python floats."""
+    n = int(math.ceil(rate + 10.0 * math.sqrt(rate) + 30.0))
+    while True:
+        lf = numerics.log_factorials(n + 1)
+        log_tip = (n + 1) * math.log(rate) - rate - lf[n + 1]
+        if math.exp(log_tip) / (1.0 - rate / (n + 2)) < tail_eps:
+            return n
+        n += max(10, int(math.sqrt(rate)))
+
+
 def fresh_entropy_pair(t):
-    top = poisson_support_top(t, DEFAULT_TOLERANCES.tail_eps)
+    top = fresh_cut(t)
     z, logp = fresh_log_terms(t, top)
     pmf = np.exp(logp)
     return -fsum(pmf * logp), fsum(pmf * (np.log(z + 1.0) - math.log(t)))
@@ -101,18 +114,20 @@ RATES = [0.25, 3.0, 40.0, 2000.0, 3400.0, 3475.0, 3476.0, 3500.0]
 
 @pytest.mark.parametrize("rate", RATES)
 def test_poisson_terms_match_fresh_arrays(shipped_table, rate):
-    top = poisson_support_top(rate, DEFAULT_TOLERANCES.tail_eps)
+    top = poisson_terms(rate, DEFAULT_TOLERANCES.tail_eps)[0].size - 1
+    assert top == fresh_cut(rate)
     assert (top < 4095, top == 4095) == (rate < 3475.0, rate == 3475.0)
-    z, logp, log_z1 = poisson_log_terms(rate, top)
     fresh_z, fresh_logp = fresh_log_terms(rate, top)
-    assert np.array_equal(_bits(z), _bits(fresh_z))
-    assert np.array_equal(_bits(logp), _bits(fresh_logp))
-    assert np.array_equal(_bits(log_z1), _bits(np.log(fresh_z + 1.0)))
+    for z, logp, log_z1 in (poisson_log_terms(rate, top),
+                            poisson_terms(rate, DEFAULT_TOLERANCES.tail_eps)):
+        assert np.array_equal(_bits(z), _bits(fresh_z))
+        assert np.array_equal(_bits(logp), _bits(fresh_logp))
+        assert np.array_equal(_bits(log_z1), _bits(np.log(fresh_z + 1.0)))
     assert np.array_equal(_bits(poisson_pmf(rate).probs),
                           _bits(FinitePmf(np.exp(fresh_logp)).probs))
     assert np.array_equal(_bits(_poisson_entropy_pair(rate, DEFAULT_TOLERANCES)),
                           _bits(fresh_entropy_pair(rate)))
-    # poisson_support_top reads log((top + 1)!): from top 4095 on, all
+    # the cut's tail term reads log((top + 1)!): from top 4095 on, all
     # three tables grew together
     assert numerics._Z.size == numerics._LOG_Z1.size == numerics._LOG_FACT.size
     assert numerics._Z.size == (4096 if top < 4095 else 8192)
@@ -120,7 +135,8 @@ def test_poisson_terms_match_fresh_arrays(shipped_table, rate):
 
 @pytest.mark.parametrize("rate", [3.0, 2000.0, 3500.0])
 def test_one_entropy_pair_slices_the_tables_once(monkeypatch, shipped_table, rate):
-    # the support cut's tail probes read log k! alone; growth past the
+    # the support cut's tail term is the entry past the cut of the terms
+    # it returns, so one slice of top + 1 serves both; growth past the
     # shipped size still grows all three tables
     calls = []
     tables = numerics.tables
@@ -130,10 +146,64 @@ def test_one_entropy_pair_slices_the_tables_once(monkeypatch, shipped_table, rat
         return tables(n)
     monkeypatch.setattr(numerics, "tables", counted)
     pair = _poisson_entropy_pair(rate, DEFAULT_TOLERANCES)
-    top = poisson_support_top(rate, DEFAULT_TOLERANCES.tail_eps)
-    assert calls == [top]
+    top = fresh_cut(rate)
+    assert calls == [top + 1]
     assert np.array_equal(_bits(pair), _bits(fresh_entropy_pair(rate)))
     assert numerics._Z.size == numerics._LOG_Z1.size == numerics._LOG_FACT.size
+
+
+@pytest.mark.parametrize("rate", [1e-6, 0.7, 3.0, 50.0, 2000.0])
+def test_the_cut_reads_its_tail_term_from_the_terms_it_returns(monkeypatch,
+                                                               rate):
+    calls, returned = [], []
+
+    def spy(r, n_top):
+        calls.append((r, n_top))
+        returned.append(poisson_log_terms(r, n_top))
+        return returned[-1]
+    monkeypatch.setattr(numerics, "poisson_log_terms", spy)
+    terms = poisson_terms(rate, DEFAULT_TOLERANCES.tail_eps)
+    top = fresh_cut(rate)
+    # one call, one entry past the cut, and the terms are its own arrays
+    assert calls == [(rate, top + 1)]
+    for mine, theirs in zip(terms, returned[0]):
+        assert mine.size == top + 1 and np.shares_memory(mine, theirs)
+
+    # a tail term that fails the bound makes the cut step on, so the bound
+    # reads the entry past the cut of those terms, not a copy of its own
+    def heavy_tip(r, n_top):
+        z, logp, log_z1 = poisson_log_terms(r, n_top)
+        if not calls:
+            logp = logp.copy()
+            logp[-1] = 0.0
+        calls.append(n_top)
+        return z, logp, log_z1
+    calls.clear()
+    monkeypatch.setattr(numerics, "poisson_log_terms", heavy_tip)
+    step = max(10, int(math.sqrt(rate)))
+    assert poisson_terms(rate, DEFAULT_TOLERANCES.tail_eps)[0].size \
+        == top + step + 1
+    assert calls == [top + 1, top + step + 1]
+
+
+@pytest.mark.parametrize("spec", [FamilySpec.poisson(3.0),
+                                  FamilySpec.binomial(40, 0.3),
+                                  FamilySpec.poisson(1000.0)])
+def test_rel_entropy_poisson_reads_log_pi_from_poisson_log_terms(monkeypatch,
+                                                                  spec):
+    x = construct(spec)
+    value = rel_entropy_poisson(x)
+    calls = []
+
+    def shifted(rate, n_top):
+        # log pi one lower raises D by one, as sum p = 1
+        calls.append((rate, n_top))
+        z, logp, log_z1 = poisson_log_terms(rate, n_top)
+        return z, logp - 1.0, log_z1
+    monkeypatch.setattr(entropy_functionals, "poisson_log_terms", shifted)
+    shifted_value = rel_entropy_poisson(x)
+    assert calls == [(mean(x), len(x) - 1)]
+    assert abs(shifted_value - (value + 1.0)) < 1e-12
 
 
 def test_grown_tables_keep_their_entries_and_stay_read_only(shipped_table):
