@@ -22,11 +22,11 @@ from .entropy_functionals import (entropy, entropy_power, l_functional,
                                   lambda_functional, poisson_entropy_derivative,
                                   rel_entropy_poisson)
 from .errors import ParameterError
-from .inequality_suite import (check_conjecture_tepi, check_conjecture_v_superadd,
-                               check_dsub, check_epilike, check_hmon, check_teci,
+from .inequality_suite import (_simplex, check_conjecture_tepi,
+                               check_conjecture_v_superadd, check_dsub,
+                               check_epilike, check_hmon, check_teci,
                                random_ulc, search)
 from .jsonio import dumps_canonical
-from .numerics import fsum
 from .pmf_core import (DEFAULT_TOLERANCES, FamilySpec, ToleranceConfig,
                        construct, total_variation)
 from .semigroup import default_t_grid, entropy_preserving_path, pde_residual
@@ -273,8 +273,7 @@ def criterion_7(cfg):
     for _ in range(5):
         size = int(rng.integers(2, 4))
         xs = [_random_small_ulc(rng, cfg) for _ in range(size)]
-        alphas = rng.dirichlet(np.full(size, 2.0))
-        alphas = alphas / fsum(alphas)
+        alphas = _simplex(rng, size)
         margin_h = check_hmon(xs, alphas, cfg).margin
         _, _, lam_lhs, lam_rhs = leave_one_out(xs, alphas, lambda_functional,
                                                cfg)

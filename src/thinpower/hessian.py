@@ -63,7 +63,9 @@ def hessian_analytic(xs, alphas,
     alpha_k lambda_k from the mean functional, skipped (0/0) when every mean
     is 0, where phi and its Hessian vanish.  Alphas so small that an entry
     is not finite in double precision (alpha_i alpha_j underflows to 0 from
-    about 1e-162) raise ParameterError.
+    about 1e-162) raise ParameterError, and so does any alpha below 2^-511
+    (about 1.49e-154), where alpha_i^2 is subnormal and H[i, i] loses
+    digits: 1e-13, relative, at 1e-155, 6e-4 at 1e-160.
     """
     alphas = np.asarray(alphas, dtype=float)
     if not np.all((0.0 < alphas) & (alphas < 1.0)):
@@ -98,6 +100,9 @@ def hessian_analytic(xs, alphas,
     if not np.all(np.isfinite(hess)):
         raise ParameterError("the Hessian at these alphas is not finite in "
                              "double precision")
+    if alphas.min() < 2.0 ** -511:
+        raise ParameterError("the Hessian at alphas below 2^-511 is not "
+                             "accurate in double precision")
     return hess
 
 

@@ -329,17 +329,13 @@ def pmf_to_json(p: FinitePmf) -> dict:
     return {"probs": p.probs}
 
 
-def pmf_from_json(doc, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> FinitePmf:
-    if not isinstance(doc, dict) or "probs" not in doc:
-        raise ParameterError('pmf document needs a "probs" array')
-    return FinitePmf(doc["probs"], cfg)
-
-
 def pmf_from_doc(doc, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> FinitePmf:
     """Build a pmf from a family spec document or a {"probs": [...]} one."""
     if isinstance(doc, dict) and "family" in doc:
         return construct(FamilySpec.from_json(doc), cfg)
-    return pmf_from_json(doc, cfg)
+    if not isinstance(doc, dict) or "probs" not in doc:
+        raise ParameterError('pmf document needs a "probs" array')
+    return FinitePmf(doc["probs"], cfg)
 
 
 def load_json_argument(text: str):

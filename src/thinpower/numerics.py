@@ -86,9 +86,7 @@ def tables(n: int):
 
 def log_factorials(n: int) -> np.ndarray:
     """Return a read-only view holding log(k!) for k = 0..n."""
-    if n >= _LOG_FACT.size:
-        _grow(n)
-    return _LOG_FACT[:n + 1]
+    return tables(n)[2]
 
 
 def fsum(a: np.ndarray) -> float:

@@ -56,15 +56,12 @@ def _pascal(a: float, size: int) -> np.ndarray:
     """The read-only Pascal block K[i, k] = C(i, k) a^k b^(i-k), b = 1 - a,
     for i, k < size (see _pascal_stack).
 
-    K's entries do not depend on size, so a block kept in _BLOCKS serves
-    every size up to its own as a slice; a miss, or a larger size, builds
-    the block at this size and keeps it, evicting the least recently used
-    one past _BLOCKS_MAX.  Every block is kept on its first request:
-    hessian's alphas recur exactly once, so admitting a block only on its
-    second request would build each of them twice, and check_epilike's
-    scan, whose 130 alphas are each used once, builds its blocks apart
-    (see _inverse_thin_entropies), so they evict none of the blocks that
-    sweeps reuse.
+    thin's cache: K's entries do not depend on size, so a block kept in
+    _BLOCKS serves every size up to its own as a slice; a miss, or a larger
+    size, builds the block at this size and keeps it, evicting the least
+    recently used one past _BLOCKS_MAX.  Every block is kept on its first
+    request: hessian's alphas recur exactly once, so admitting a block only
+    on its second request would build each of them twice.
     """
     block = _BLOCKS.pop(a, None)
     if block is not None and block.shape[0] >= size:
@@ -78,29 +75,27 @@ def _pascal(a: float, size: int) -> np.ndarray:
     return block
 
 
-def _taylor_shift(probs: np.ndarray, a: float) -> np.ndarray:
+def _taylor_shift(probs: np.ndarray, pascal: np.ndarray) -> np.ndarray:
     """Coefficients of G(b + a s), b = 1 - a, for the polynomial G whose N
-    >= 2 coefficients are probs, any a > 0: T_a of probs.
+    >= 2 coefficients are probs, any a > 0: T_a of probs, by the Pascal
+    block pascal, K[i, k] = C(i, k) a^k b^(i-k) for i, k < min(N, m + 1).
 
     von zur Gathen and Gerhard, "Fast algorithms for Taylor shifts", ISSAC
     1997: probs is cut into J = ceil(N/m) blocks of m = _M coefficients, all
-    shifted by one product with the Pascal block K[i, k] = C(i, k) a^k
-    b^(i-k) (see _pascal), and Horner's rule in q = (b + a s)^m, row m of
-    K, adds them up, one np.convolve a step.  For N <= m the result is
-    probs @ K.  A term x[n] C(n, k) a^k b^(n-k) of the result is rounded at
-    most D = 2 min(N, m) + (J - 1)(2m + 3) times, whatever its sign: a K
-    entry i + 1 times (C(i, k) once, the running products of the powers
-    k - 1 and i - k - 1 times, two products), a block product min(N, m)
-    times in any summation order, a Horner step 2m + 3 times (q's entry,
-    one product, m + 1 additions).  Keeping K in _pascal's cache leaves D
-    as it is: a kept block, a fresh one and one built in a stack of blocks
-    (_pascal_stack) hold the same two products of the same running powers,
-    in the same order, and a is read as a double, so that b = fl(1 - a)
-    rounds once in double precision.  So _inverse_thin_entropies, which
-    forms probs @ K from stacked blocks, gets the bits of this shift.
+    shifted by one product with K, and Horner's rule in q = (b + a s)^m, row
+    m of K, adds them up, one np.convolve a step.  For N <= m the result is
+    probs @ K, a row per block for a stack of them.  A term x[n] C(n, k)
+    a^k b^(n-k) of the result is rounded at most D = 2 min(N, m) + (J - 1)
+    (2m + 3) times, whatever its sign: a K entry i + 1 times (C(i, k) once,
+    the running products of the powers k - 1 and i - k - 1 times, two
+    products), a block product min(N, m) times in any summation order, a
+    Horner step 2m + 3 times (q's entry, one product, m + 1 additions).
+    thin reads K from _pascal's cache, and inverse thinning builds it
+    afresh (_pascal_stack), alone or stacked; either way K holds the same
+    products of the same running powers, in the same order, so D and the
+    bits do not depend on where K comes from.
     """
     width = probs.size
-    pascal = _pascal(float(a), min(width, _M + 1))
     if width <= _M:
         return probs @ pascal
     padded = np.zeros(width + -width % _M)
@@ -118,7 +113,8 @@ def thin(x: FinitePmf, alpha: float,
     """Thinned pmf: result[k] = sum_n x[n] * C(n,k) alpha^k (1-alpha)^(n-k).
 
     Thinning is a Taylor shift of the pgf, G_(T_a X)(s) = G_X(b + a s) with
-    b = 1 - a, computed by _taylor_shift.
+    b = 1 - a, computed by _taylor_shift with _pascal's block for a read
+    as a double, so that the key and b = fl(1 - a) come from one double.
 
     Error bound, 0 < a < 1, u = 2^-53: every operation adds or multiplies
     non-negative numbers, so each entry is a sum of terms that each carry a
@@ -138,7 +134,8 @@ def thin(x: FinitePmf, alpha: float,
         return x
     if alpha == 0.0 or len(x) == 1:
         return FinitePmf([1.0], cfg)
-    return FinitePmf(_taylor_shift(x.probs, alpha), cfg)
+    pascal = _pascal(float(alpha), min(len(x), _M + 1))
+    return FinitePmf(_taylor_shift(x.probs, pascal), cfg)
 
 
 def convolve(x: FinitePmf, y: FinitePmf,
@@ -223,7 +220,8 @@ def inverse_thin(x: FinitePmf, alpha: float,
     """The pmf x* with thin(x*, alpha) = x, when one exists on len(x) points.
 
     T_a T_b = T_ab, so x* is x thinned by A = 1/alpha > 1: _taylor_shift
-    with a = fl(A), b = 1 - a < 0.  Its terms x[n] C(n, k) a^k b^(n-k) have
+    with a = fl(A), b = 1 - a < 0, through a block built for this call,
+    outside _pascal's cache.  Its terms x[n] C(n, k) a^k b^(n-k) have
     magnitudes that sum, over all entries, to kappa = G_x(2A - 1).
 
     Error bound, u = 2^-53, N = len(x), D the roundings along a term (see
@@ -258,7 +256,8 @@ def inverse_thin(x: FinitePmf, alpha: float,
         raise IllConditionedError(alpha, kappa, bound)
     # (2/alpha)^i can overflow for tiny alpha where kappa is small
     with np.errstate(over="ignore", invalid="ignore"):
-        solved = _taylor_shift(x.probs, 1.0 / alpha)
+        pascal = _pascal_stack(float(1.0 / alpha), min(width, _M + 1))
+        solved = _taylor_shift(x.probs, pascal)
     try:
         return FinitePmf(solved, cfg)
     except ParameterError:
@@ -281,14 +280,14 @@ def _inverse_thin_entropies(x: FinitePmf, alphas: np.ndarray,
 
     A scan that inverts one pmf at many alphas, each used once, shares the
     work over the alphas: kappa and the bound by one Horner loop over the
-    array; the Pascal blocks by _pascal_stack, _STACK at a time, outside
-    _pascal's cache; each preimage by the product probs @ K of
-    _taylor_shift; FinitePmf's checks, clamp and division, and entropy's
-    -fsum(p log p), over the stack of preimages.  Every entry goes through
-    the same operations as in inverse_thin and entropy.  An alpha that the
-    bound refuses, a preimage that fails FinitePmf's checks, alpha = 1 or
-    outside (0, 1), and every alpha of a pmf of one point or of more than
-    _M points, go through inverse_thin itself, which returns or raises.
+    array; the preimages by _taylor_shift through stacks of _STACK Pascal
+    blocks, built afresh as inverse_thin builds its one; FinitePmf's
+    checks, clamp and division, and entropy's -fsum(p log p), over the
+    stack of preimages.  Every entry goes through the same operations as
+    in inverse_thin and entropy.  An alpha that the bound refuses, a
+    preimage that fails FinitePmf's checks, alpha = 1 or outside (0, 1),
+    and every alpha of a pmf of one point or of more than _M points, go
+    through inverse_thin itself, which returns or raises.
     """
     probs, width = x.probs, len(x)
     batch = np.flatnonzero((alphas > 0.0) & (alphas < 1.0)
@@ -302,7 +301,8 @@ def _inverse_thin_entropies(x: FinitePmf, alphas: np.ndarray,
         rows = np.empty((batch.size, width))
         for start in range(0, batch.size, _STACK):
             a = 1.0 / alphas[batch[start:start + _STACK], None]
-            rows[start:start + a.shape[0]] = probs @ _pascal_stack(a, width)
+            rows[start:start + a.shape[0]] = _taylor_shift(
+                probs, _pascal_stack(a, width))
     # FinitePmf's checks: no entry below -tol_norm, and the clamped mass
     # within tol_norm of 1; a nan fails the first, an inf the second
     valid = rows.min(axis=1) >= -cfg.tol_norm

@@ -3,6 +3,8 @@
 Property tests draw their examples deterministically, so every run of the
 suite checks the same cases and no run fails on a timing deadline.  The
 "thorough" profile (``--hypothesis-profile thorough``) draws many more.
+Every ``@given`` test carries the ``property`` marker, so ``pytest -m
+property --hypothesis-profile thorough`` runs all of them and nothing else.
 
 Tests that pin output bits by digest take the ``recorded_platform``
 fixture: it skips them on a host whose floating-point primitives round
@@ -13,7 +15,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import is_hypothesis_test, settings
 from scipy.special import gammaln
 
 settings.register_profile("deterministic", derandomize=True, deadline=None)
@@ -48,3 +50,9 @@ def recorded_platform():
     if _platform_probe() != PLATFORM_PROBE:
         pytest.skip("exp, gammaln or BLAS round differently here than where "
                     "the digests were recorded")
+
+
+def pytest_collection_modifyitems(items):
+    for item in items:
+        if is_hypothesis_test(getattr(item, "obj", None)):
+            item.add_marker(pytest.mark.property)

@@ -50,10 +50,27 @@ def test_hessian_is_finite_or_a_typed_error(case):
     assert np.array_equal(hess, hess.T)
 
 
+_TRIPLE = [construct(FamilySpec.bernoulli_sum(0.3, 0.6)),
+           construct(FamilySpec.poisson(2.0)),
+           construct(FamilySpec.bernoulli(0.5))]
+
+
 def test_underflowing_alpha_products_are_refused():
     # 1e-300 * 0.3 is a double, 1e-300 * 1e-300 is 0: a 0/0 entry
-    xs = [construct(FamilySpec.bernoulli_sum(0.3, 0.6)),
-          construct(FamilySpec.poisson(2.0)),
-          construct(FamilySpec.bernoulli(0.5))]
     with pytest.raises(ParameterError, match="not finite"):
-        hessian.hessian_analytic(xs, [1e-300, 0.7, 0.3])
+        hessian.hessian_analytic(_TRIPLE, [1e-300, 0.7, 0.3])
+
+
+@pytest.mark.parametrize("tiny", [1e-155, 1e-158, 1e-160, 2e-162])
+def test_alphas_below_2_to_the_minus_511_are_refused(tiny):
+    # alpha^2 is subnormal: H[0, 0] drifts from 1e-13 (1e-155) to 0.3
+    # (2e-162), relative, while every entry stays finite
+    with pytest.raises(ParameterError, match="not accurate"):
+        hessian.hessian_analytic(_TRIPLE, [tiny, 0.5, 0.5 - tiny])
+
+
+@pytest.mark.parametrize("small", [1.5e-154, 1e-150])
+def test_alphas_just_above_2_to_the_minus_511_keep_their_digits(small):
+    want = hessian.hessian_analytic(_TRIPLE, [1e-140, 0.5, 0.5 - 1e-140])
+    got = hessian.hessian_analytic(_TRIPLE, [small, 0.5, 0.5 - small])
+    assert abs(got[0, 0] - want[0, 0]) <= 1e-15 * abs(want[0, 0])

@@ -13,8 +13,8 @@ import numpy as np
 from hypothesis import assume, given, strategies as st
 
 from thinpower import (DEFAULT_TOLERANCES, FamilySpec, FinitePmf,
-                       IllConditionedError, ParameterError, construct,
-                       convolve, entropy, inverse_thin, thin)
+                       IllConditionedError, ParameterError, check_epilike,
+                       construct, convolve, entropy, inverse_thin, thin)
 from thinpower import transforms
 
 # check_epilike's inner points take twice the default slack
@@ -87,7 +87,8 @@ def test_preimages_with_entries_just_below_zero(z, dents, a):
     v[spots] = -np.array(dents)
     v[top] += 1.0 - math.fsum(v)
     try:
-        x = FinitePmf(transforms._taylor_shift(v, a))
+        x = FinitePmf(transforms._taylor_shift(
+            v, transforms._pascal(a, min(v.size, transforms._M + 1))))
     except ParameterError:
         assume(False)
     batch = [a, float(np.nextafter(a, 1.0)), 0.5 * (1.0 + a)]
@@ -118,9 +119,23 @@ def test_a_preimage_that_overflows_is_refused_as_inverse_thin_refuses_it():
 
 
 def test_the_batch_keeps_its_blocks_out_of_the_cache():
+    # only thin reads and fills _pascal's cache: inverse_thin, the batch
+    # and a whole check_epilike leave its blocks, and their order, alone
     transforms._BLOCKS.clear()
     x = construct(FamilySpec.poisson(2.0))
+    for k in range(transforms._BLOCKS_MAX):
+        thin(x, (k + 1) / 128.0)
+    before = list(transforms._BLOCKS.items())   # keeps the blocks alive
+
+    def unchanged():
+        return ([(a, id(block)) for a, block in transforms._BLOCKS.items()]
+                == [(a, id(block)) for a, block in before])
+
+    assert isinstance(inverse_thin(x, 0.75), FinitePmf)
+    assert unchanged()
     grid = np.linspace(0.3, 0.7, 65)
     got = transforms._inverse_thin_entropies(x, grid, DEFAULT_TOLERANCES)
     assert all(isinstance(h, float) for h in got)
-    assert not transforms._BLOCKS
+    assert unchanged()
+    assert check_epilike(x, construct(FamilySpec.poisson(3.0))).holds
+    assert unchanged()

@@ -1,6 +1,8 @@
-"""_taylor_shift keeps its Pascal blocks in a small LRU keyed by a.  Whatever
-the cache holds, the shift gives the bits of a cache-free build: cold, warm,
-sliced from a larger block, after the block grows and after eviction.
+"""thin keeps its Pascal blocks in a small LRU keyed by a (transforms._pascal);
+inverse thinning builds a fresh block for each shift and keeps none.
+Whatever the cache holds, _taylor_shift gives the bits of a cache-free
+build: cold, warm, sliced from a larger block, after the block grows and
+after eviction.
 
 Tier-1 draws up to a few dozen examples of each property; the thorough
 profile (--hypothesis-profile thorough) draws 2000.
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from thinpower import transforms
+from thinpower import FinitePmf, transforms
 
 _M = transforms._M
 _I_MINUS_K = np.maximum(np.subtract.outer(np.arange(_M + 1),
@@ -41,6 +43,15 @@ def reference_shift(probs, a):
     return out[:width]
 
 
+def shift(probs, a):
+    """The shift as thin (a < 1, a block from the cache) and inverse_thin
+    (a > 1, a fresh block) run it."""
+    size = min(probs.size, _M + 1)
+    pascal = (transforms._pascal(a, size) if a < 1.0
+              else transforms._pascal_stack(a, size))
+    return transforms._taylor_shift(probs, pascal)
+
+
 def _bits(a):
     return np.asarray(a).view(np.uint64)
 
@@ -48,7 +59,7 @@ def _bits(a):
 def shift_matches_reference(probs, a):
     # a > 1 (inverse_thin) may overflow: the same inf and nan either way
     with np.errstate(over="ignore", invalid="ignore"):
-        got = transforms._taylor_shift(probs, a)
+        got = shift(probs, a)
         want = reference_shift(probs, a)
     assert len(transforms._BLOCKS) <= transforms._BLOCKS_MAX
     return np.array_equal(_bits(got), _bits(want))
@@ -74,7 +85,7 @@ def test_cold_and_warm_shifts_match_the_reference(a, width, seed):
     probs = _pmf(width, seed)
     transforms._BLOCKS.clear()
     assert shift_matches_reference(probs, a)     # cold: built here
-    assert a in transforms._BLOCKS
+    assert (a in transforms._BLOCKS) == (a < 1.0)
     assert shift_matches_reference(probs, a)     # warm: read back
 
 
@@ -85,7 +96,11 @@ def test_a_block_serves_smaller_and_grows_for_larger_pmfs(a, first, second,
     assert shift_matches_reference(_pmf(first, seed), a)
     # a larger width rebuilds the block at its size, a smaller one slices it
     assert shift_matches_reference(_pmf(second, seed + 1), a)
-    assert transforms._BLOCKS[a].shape[0] == min(max(first, second), _M + 1)
+    if a < 1.0:
+        assert (transforms._BLOCKS[a].shape[0]
+                == min(max(first, second), _M + 1))
+    else:
+        assert a not in transforms._BLOCKS
     assert shift_matches_reference(_pmf(first, seed + 2), a)
 
 
@@ -96,7 +111,7 @@ def test_an_evicted_block_is_built_again(a, width, seed, others):
     # 64 + others more alphas, all distinct from a, push it out
     fill = [b for b in (0.5 + k / 1024.0 for k in range(200)) if b != a]
     for b in fill[:transforms._BLOCKS_MAX + others]:
-        transforms._taylor_shift(_pmf(3, seed), b)
+        shift(_pmf(3, seed), b)
         assert len(transforms._BLOCKS) <= transforms._BLOCKS_MAX
     assert a not in transforms._BLOCKS
     assert shift_matches_reference(_pmf(width, seed), a)
@@ -106,9 +121,9 @@ def test_the_least_recently_used_block_goes_first():
     transforms._BLOCKS.clear()
     probs = _pmf(5, 0)
     for k in range(transforms._BLOCKS_MAX):
-        transforms._taylor_shift(probs, (k + 1) / 128.0)
-    transforms._taylor_shift(probs, 1 / 128.0)    # used again: now newest
-    transforms._taylor_shift(probs, 0.75)
+        shift(probs, (k + 1) / 128.0)
+    shift(probs, 1 / 128.0)    # used again: now newest
+    shift(probs, 0.75)
     assert len(transforms._BLOCKS) == transforms._BLOCKS_MAX
     assert 1 / 128.0 in transforms._BLOCKS and 2 / 128.0 not in transforms._BLOCKS
     assert next(reversed(transforms._BLOCKS)) == 0.75
@@ -116,7 +131,7 @@ def test_the_least_recently_used_block_goes_first():
 
 def test_cached_blocks_are_read_only():
     transforms._BLOCKS.clear()
-    transforms._taylor_shift(_pmf(200, 1), 0.3)
+    shift(_pmf(200, 1), 0.3)
     for block in (transforms._BLOCKS[0.3], transforms._pascal(0.3, 10)):
         with pytest.raises(ValueError, match="read-only"):
             block[0, 0] = 2.0
@@ -130,5 +145,7 @@ def test_a_single_precision_alpha_shifts_as_its_double():
     probs = _pmf(20, 3)
     a = np.float32(1e-3)
     assert float(np.float32(1.0) - a) != 1.0 - float(a)
-    assert np.array_equal(_bits(transforms._taylor_shift(probs, a)),
-                          _bits(reference_shift(probs, float(a))))
+    assert np.array_equal(
+        _bits(transforms.thin(FinitePmf(probs), a).probs),
+        _bits(FinitePmf(reference_shift(probs, float(a))).probs))
+    assert list(transforms._BLOCKS) == [float(a)]
