@@ -32,10 +32,24 @@ class EntropyValue:
 def entropy(p: FinitePmf) -> EntropyValue:
     """Shannon entropy -sum p log p in nats; zero terms are skipped."""
     if "entropy" not in p._memo:
-        mass = p.probs[p.probs > 0.0]
-        nats = -fsum(mass * np.log(mass))
-        p._memo["entropy"] = EntropyValue(nats if nats > 0.0 else 0.0)
+        entropy_and_log(p)
     return p._memo["entropy"]
+
+
+def entropy_and_log(p: FinitePmf) -> tuple[float, np.ndarray]:
+    """(H(p) in nats, log p): the one home of entropy's formula, for a
+    caller that needs the log of the entries too; H goes into p's memo
+    as entropy keeps it.
+
+    log p is 0 where p is 0, so each zero entry adds a +0.0 term, and
+    -fsum(p log p) over every entry is the sum over the positive entries
+    bit for bit: fsum rounds correctly.
+    """
+    probs = p.probs
+    log_p = np.log(probs, out=np.zeros(probs.size), where=probs > 0.0)
+    nats = -fsum(probs * log_p)
+    value = p._memo["entropy"] = EntropyValue(nats if nats > 0.0 else 0.0)
+    return value.nats, log_p
 
 
 def _poisson_entropy_pair(t: float, cfg: ToleranceConfig) -> tuple[float, float]:

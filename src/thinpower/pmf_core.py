@@ -72,6 +72,14 @@ class FinitePmf:
     clamped to zero and the vector renormalised.  Trailing zeros are trimmed,
     so the last entry is positive except for the point mass at 0.
 
+    The entries are checked where an array enters the library: user
+    arrays, raw and bernoulli_sum specs, size_bias, JSON documents and
+    inverse_thin, whose checks are its feasibility test.  thin, convolve,
+    poisson_pmf and construct's binomial skip the checks and take only
+    the normalising tail (_normalised): they sum or multiply nonnegative
+    finite entries, or exponentiate finite logs, so what they form is
+    finite and has no entry below +0.0, and the checks cannot fail there.
+
     probs is read-only, so what is computed from it stays valid: _memo
     keeps H, V per (tol_root, tail_eps) and is_ulc per tol_norm, so that a
     check sweeping one pmf over many alphas solves V and tests ULC once.
@@ -98,6 +106,24 @@ class FinitePmf:
         # <=, not <: min may report +0.0 where a -0.0 is present too
         if lowest <= 0.0:
             np.clip(arr, 0.0, None, out=arr)
+        self._normalise(arr, cfg)
+
+    @classmethod
+    def _normalised(cls, arr: np.ndarray, cfg: ToleranceConfig) -> "FinitePmf":
+        """The pmf of arr, without the input checks of __init__.
+
+        arr must be a fresh 1-D float64 array of length >= 1, owned by the
+        new pmf (it is divided in place and made read-only), finite, with
+        every entry +0.0 or positive: no -0.0, which __init__ would clamp
+        to +0.0.  The mass is still checked against tol_norm.
+        """
+        pmf = cls.__new__(cls)
+        pmf._normalise(arr, cfg)
+        return pmf
+
+    def _normalise(self, arr: np.ndarray, cfg: ToleranceConfig) -> None:
+        """Check arr's mass, divide by it, trim trailing zeros and keep arr
+        read-only as probs; arr meets _normalised's precondition."""
         total = fsum_nonneg(arr)
         if abs(total - 1.0) > cfg.tol_norm:
             raise ParameterError(
@@ -260,7 +286,8 @@ def poisson_pmf(rate: float, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Finit
         raise ParameterError(f"poisson rate {rate!r} must be >= 0")
     if rate == 0.0:
         return FinitePmf([1.0], cfg)
-    return FinitePmf(np.exp(poisson_terms(rate, cfg.tail_eps)[1]), cfg)
+    return FinitePmf._normalised(np.exp(poisson_terms(rate, cfg.tail_eps)[1]),
+                                 cfg)
 
 
 def construct(spec: FamilySpec, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> FinitePmf:
@@ -292,7 +319,7 @@ def construct(spec: FamilySpec, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Fi
         k = np.arange(spec.n + 1)
         logw = (lf[spec.n] - lf[k] - lf[spec.n - k]
                 + k * math.log(spec.p) + (spec.n - k) * math.log1p(-spec.p))
-        return FinitePmf(np.exp(logw), cfg)
+        return FinitePmf._normalised(np.exp(logw), cfg)
     if fam == "bernoulli_sum":
         if not spec.ps:
             return construct(FamilySpec.delta(0), cfg)
@@ -300,6 +327,7 @@ def construct(spec: FamilySpec, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Fi
         for p in spec.ps:
             _check_prob(p, "bernoulli_sum p_i")
             vec = np.convolve(vec, [1.0 - p, p])
+        # the checks clamp the -0.0 entries that a p of -0.0 leaves
         return FinitePmf(vec, cfg)
     if fam == "poisson":
         return poisson_pmf(spec.rate, cfg)
@@ -344,8 +372,11 @@ def is_ulc(p: FinitePmf, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
 
     The support must be a contiguous block {a, ..., b}: leading zeros are
     fine, but an interior zero flanked by positive mass fails the check.
-    Comparison carries a -tol_norm slack so families that sit exactly on the
-    boundary (Poisson) are not rejected for rounding.
+    The comparison carries a relative slack, lhs >= rhs * (1 - tol_norm),
+    so that families that sit exactly on the boundary (Poisson) are not
+    rejected for rounding: the entries the library computes are accurate
+    to far better than 1e-9 relative.  Triples with rhs below 2^-1000 are
+    skipped, as there the products carry no relative accuracy.
     """
     key = ("is_ulc", cfg.tol_norm)
     if key not in p._memo:
@@ -355,7 +386,8 @@ def is_ulc(p: FinitePmf, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
         lhs = i * probs[1:-1] ** 2
         rhs = (i + 1) * probs[2:] * probs[:-2]
         p._memo[key] = bool(not np.any(probs[start:] == 0.0)
-                            and np.all(lhs >= rhs - cfg.tol_norm))
+                            and np.all((lhs >= rhs * (1.0 - cfg.tol_norm))
+                                       | (rhs < 2.0 ** -1000)))
     return p._memo[key]
 
 

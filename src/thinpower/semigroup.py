@@ -9,8 +9,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError, ParameterError, PreconditionError
-from .entropy_functionals import (entropy, entropy_power, l_functional,
-                                  poisson_entropy_derivative, u_functional)
+from .entropy_functionals import (entropy, entropy_and_log, entropy_power,
+                                  l_functional, poisson_entropy_derivative,
+                                  u_functional)
 from .inequality_verdict import InequalityVerdict, make_verdict, ulc_note
 from .numerics import fsum, solve_increasing
 from .pmf_core import (DEFAULT_TOLERANCES, FinitePmf, ToleranceConfig,
@@ -120,9 +121,8 @@ def _solve_rate_for_entropy(base: FinitePmf, h_target: float, rate0: float,
 
     def pair(f):
         q = _add_poisson(base, f, cfg)
-        h = entropy(q).nats
+        h, log_q = entropy_and_log(q)   # one log Q for H and dH/df
         evaluated[f] = q, h
-        log_q = np.log(q.probs, out=np.zeros(len(q)), where=q.probs > 0.0)
         dq = q.probs.copy()  # Q(z) - Q(z-1), Q(-1) = 0
         dq[1:] -= q.probs[:-1]
         return h, fsum(dq * log_q)

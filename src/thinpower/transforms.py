@@ -135,13 +135,13 @@ def thin(x: FinitePmf, alpha: float,
     if alpha == 0.0 or len(x) == 1:
         return FinitePmf([1.0], cfg)
     pascal = _pascal(float(alpha), min(len(x), _M + 1))
-    return FinitePmf(_taylor_shift(x.probs, pascal), cfg)
+    return FinitePmf._normalised(_taylor_shift(x.probs, pascal), cfg)
 
 
 def convolve(x: FinitePmf, y: FinitePmf,
              cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> FinitePmf:
     """Pmf of the sum of independent variables with pmfs x and y."""
-    return FinitePmf(np.convolve(x.probs, y.probs), cfg)
+    return FinitePmf._normalised(np.convolve(x.probs, y.probs), cfg)
 
 
 def thinned_sum(xs, alphas,

@@ -101,11 +101,14 @@ def test_path_takes_few_entropy_evaluations(monkeypatch, x):
 
 
 def test_path_reports_the_state_its_solver_evaluated(monkeypatch):
-    # H(x), then per point H(thin(x, t)) and one H per solver evaluation;
-    # the reported H and U are those of the evaluated state, not a recount
+    # H(x), then per point H(thin(x, t)) by entropy and one H per solver
+    # evaluation by entropy_and_log, which pair calls for H and log Q; the
+    # reported H and U are those of the evaluated state, not a recount
     entropies, evals = [], []
-    monkeypatch.setattr(semigroup, "entropy", lambda p, f=semigroup.entropy:
-                        entropies.append(1) or f(p))
+    for name in ("entropy", "entropy_and_log"):
+        monkeypatch.setattr(semigroup, name,
+                            lambda p, f=getattr(semigroup, name):
+                            entropies.append(1) or f(p))
     monkeypatch.setattr(semigroup, "solve_increasing",
                         lambda pair, *args, f=semigroup.solve_increasing:
                         f(lambda s: evals.append(1) or pair(s), *args))
