@@ -43,10 +43,12 @@ def entropy_and_log(p: FinitePmf) -> tuple[float, np.ndarray]:
 
     log p is 0 where p is 0, so each zero entry adds a +0.0 term, and
     -fsum(p log p) over every entry is the sum over the positive entries
-    bit for bit: fsum rounds correctly.
+    bit for bit: fsum rounds correctly.  A pmf without zeros, the common
+    case, takes the plain log and skips the mask.
     """
     probs = p.probs
-    log_p = np.log(probs, out=np.zeros(probs.size), where=probs > 0.0)
+    log_p = (np.log(probs) if probs.all()
+             else np.log(probs, out=np.zeros(probs.size), where=probs > 0.0))
     nats = -fsum(probs * log_p)
     value = p._memo["entropy"] = EntropyValue(nats if nats > 0.0 else 0.0)
     return value.nats, log_p

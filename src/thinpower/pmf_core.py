@@ -372,21 +372,29 @@ def is_ulc(p: FinitePmf, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
 
     The support must be a contiguous block {a, ..., b}: leading zeros are
     fine, but an interior zero flanked by positive mass fails the check.
-    The comparison carries a relative slack, lhs >= rhs * (1 - tol_norm),
+    The comparison carries a relative slack, lhs >= rhs * (1 - slack),
     so that families that sit exactly on the boundary (Poisson) are not
-    rejected for rounding: the entries the library computes are accurate
-    to far better than 1e-9 relative.  Triples with rhs below 2^-1000 are
-    skipped, as there the products carry no relative accuracy.
+    rejected for rounding.  slack is tol_norm, but never below
+    16 eps N ln N on a support of N points: the library forms Poisson and
+    binomial entries as exp of a log whose terms grow to about N ln N, so
+    an entry carries a relative error of up to a few eps N ln N (measured:
+    at most 4.1 eps N ln N, on Poissons of rates up to 1e6).  With the
+    default tol_norm of 1e-9 the floor takes over from about 28000 points
+    on; it also keeps a tol_norm set below the entries' rounding from
+    refusing a Poisson.  Triples with rhs below 2^-1000 are skipped, as
+    there the products carry no relative accuracy.
     """
     key = ("is_ulc", cfg.tol_norm)
     if key not in p._memo:
         probs = p.probs
         start = int(np.flatnonzero(probs)[0]) if probs.any() else 0
-        i = np.arange(1, len(p) - 1)
+        n = len(p)
+        slack = max(cfg.tol_norm, 16.0 * sys.float_info.epsilon * n * math.log(n))
+        i = np.arange(1, n - 1)
         lhs = i * probs[1:-1] ** 2
         rhs = (i + 1) * probs[2:] * probs[:-2]
         p._memo[key] = bool(not np.any(probs[start:] == 0.0)
-                            and np.all((lhs >= rhs * (1.0 - cfg.tol_norm))
+                            and np.all((lhs >= rhs * (1.0 - slack))
                                        | (rhs < 2.0 ** -1000)))
     return p._memo[key]
 

@@ -1,14 +1,14 @@
 """The benchmark's seed-1 output digests, pinned.
 
 `python3 bench/run.py --workload W --seed 1` prints the SHA-256 of the
-canonical JSON of its first `min_cycles` cycles.  This test replays those
-cycles in process, through the benchmark's own workloads and its
-`execute`, which it imports and leaves as they are, so that a change to
-any output byte of a workload fails here and not only in a bench run.
+canonical JSON of its first `min_cycles` cycles.  This test makes that
+run in process, through the benchmark worker's own `main`, which it
+imports and leaves as it is, so that a change to any output byte of a
+workload fails here and not only in a bench run.
 """
 
-import hashlib
 import importlib
+import json
 from pathlib import Path
 
 import pytest
@@ -34,17 +34,11 @@ def bench_worker():
 
 
 @pytest.mark.parametrize("name", sorted(BENCH_DIGESTS))
-def test_seed_one_bench_digest(recorded_platform, bench_worker, name):
-    worker = bench_worker
-    workload = worker.wl.WORKLOADS[name]
-    # as a run does: cycle 0's first unit warms up, then cycles 0 to
-    # min_cycles - 1 are digested in order
-    first = worker.cycle_units(workload, SEED, 0)
-    worker.execute(first[:1], [], [])
-    digest, failures = hashlib.sha256(), []
-    for index in range(workload.min_cycles):
-        units = first if index == 0 else worker.cycle_units(workload, SEED,
-                                                             index)
-        worker.execute(units, [], failures, digest)
-    assert failures == []
-    assert digest.hexdigest() == BENCH_DIGESTS[name]
+def test_seed_one_bench_digest(recorded_platform, bench_worker, capsys, name):
+    # with no time to fill, a run digests its min_cycles and stops
+    code = bench_worker.main(["run", "--workload", name, "--seed", str(SEED),
+                              "--seconds", "0"])
+    assert code == 0
+    record = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert record["failures"] == []
+    assert record["digest"] == BENCH_DIGESTS[name]

@@ -1,8 +1,9 @@
 """The ULC gate against an mpmath oracle, on mixtures that sit on both sides.
 
 is_ulc tests i p_i^2 >= (i+1) p_(i+1) p_(i-1) with the relative slack
-lhs >= rhs (1 - tol_norm), and skips the triples whose rhs lies below
-2^-1000.  A mixture of two Poissons of different rates is never ULC (by
+lhs >= rhs (1 - slack), and skips the triples whose rhs lies below
+2^-1000.  slack is tol_norm on the supports drawn here (below 28000
+points), and 16 eps N ln N, the rounding of the entries, where larger.  A mixture of two Poissons of different rates is never ULC (by
 Cauchy-Schwarz on the moments i! p_i), however small its violations are in
 absolute terms; a mixture of two binomials can be ULC or not.  The oracle
 forms each mixture's entries from its parameters at 40 digits, on the
@@ -16,9 +17,11 @@ import json
 
 import mpmath
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from thinpower import DEFAULT_TOLERANCES, FamilySpec, FinitePmf, construct, is_ulc
+from thinpower import (DEFAULT_TOLERANCES, FamilySpec, FinitePmf,
+                       ToleranceConfig, construct, is_ulc)
 from thinpower.cli import main
 from thinpower.pmf_core import poisson_pmf
 
@@ -114,6 +117,23 @@ def test_bimodal_poisson_mixture_is_not_ulc():
     # product lies below 1e-9, so an absolute slack of tol_norm passed them
     x = mixed(0.5, poisson_pmf(5.0).probs, poisson_pmf(50.0).probs)
     assert not is_ulc(x)
+    assert not is_ulc(x, TIGHT)
+
+
+# a tol_norm below the rounding of the entries: the slack is floored there
+TIGHT = ToleranceConfig(tol_norm=1e-15)
+
+
+@pytest.mark.parametrize("rate", [0.5, 5.0, 50.0, 650.0, 2000.0])
+def test_tight_tol_norm_passes_a_poisson(rate):
+    assert is_ulc(poisson_pmf(rate), TIGHT)
+
+
+@pytest.mark.parametrize("rate", [1e5, 3e5, 1e6])
+def test_large_poisson_is_ulc(rate):
+    # its entries' relative errors reach a few eps N ln N: about 1e-9 at
+    # rate 1e5 and 6.5e-9 at rate 1e6, past a slack of tol_norm alone
+    assert is_ulc(poisson_pmf(rate))
 
 
 def test_check_refuses_a_mixture_outside_the_hypotheses(capsys):
