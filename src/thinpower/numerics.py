@@ -2,11 +2,12 @@
 cut, root solves and the correctly rounded sum.
 
 The binomial and Poisson terms work in log space so that supports of a
-few thousand points do not overflow.  Their log(k!) values are scipy's
-gammaln(k + 1): for k < 4096 read from the table shipped beside this
-module, so importing the package does not import scipy, and computed by
-gammaln only past it.  Tables of k and log(k + 1) of the same size spare
-the Poisson terms an np.arange and an np.log on each call.
+few thousand points do not overflow.  Their log(k!) values for k < 4096
+are read from the table shipped beside this module (scipy's
+gammaln(k + 1), recorded once); past it they are the standard library's
+math.lgamma(k + 1), so the package needs numpy alone at run time.  Tables
+of k and log(k + 1) of the same size spare the Poisson terms an np.arange
+and an np.log on each call.
 """
 
 import math
@@ -18,8 +19,8 @@ from .errors import NumericError, ParameterError
 
 # read-only tables over k = 0, 1, ...: _Z[k] = k, _LOG_Z1[k] = log(k + 1)
 # and _LOG_FACT[k] = log(k!).  The shipped table holds
-# scipy.special.gammaln(np.arange(4096) + 1.0), written with np.save, and
-# _grow() grows all three past it on demand
+# scipy.special.gammaln(np.arange(4096) + 1.0), written once with np.save;
+# _grow() grows all three past it on demand, log(k!) by math.lgamma
 _LOG_FACT = np.load(Path(__file__).with_name("log_factorials.npy"))
 _Z = np.arange(_LOG_FACT.size, dtype=float)
 _LOG_Z1 = np.log(_Z + 1.0)
@@ -62,14 +63,14 @@ def _grown(table: np.ndarray, size: int, values) -> np.ndarray:
 
 def _grow(n: int) -> None:
     """Grow the three tables together past z = n, at least doubling; the
-    one use of scipy is gammaln for the new log(z!), and entries already
-    handed out never change."""
+    new log(z!) are math.lgamma(z + 1), and entries already handed out
+    never change."""
     global _Z, _LOG_Z1, _LOG_FACT
-    from scipy.special import gammaln
     size = max(n + 1, 2 * _LOG_FACT.size)
     _Z = _grown(_Z, size, lambda k: k)
     _LOG_Z1 = _grown(_LOG_Z1, size, lambda k: np.log(k + 1.0))
-    _LOG_FACT = _grown(_LOG_FACT, size, lambda k: gammaln(k + 1.0))
+    _LOG_FACT = _grown(_LOG_FACT, size, lambda k: np.fromiter(
+        map(math.lgamma, (k + 1.0).tolist()), float, k.size))
 
 
 def tables(n: int):

@@ -286,8 +286,20 @@ def poisson_pmf(rate: float, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Finit
         raise ParameterError(f"poisson rate {rate!r} must be >= 0")
     if rate == 0.0:
         return FinitePmf([1.0], cfg)
-    return FinitePmf._normalised(np.exp(poisson_terms(rate, cfg.tail_eps)[1]),
-                                 cfg)
+    probs = np.exp(poisson_terms(rate, cfg.tail_eps)[1])
+    try:
+        return FinitePmf._normalised(probs, cfg)
+    except ParameterError as err:
+        # each entry is exp of a log whose terms reach about N ln N, so
+        # from rates near 6.6e5 the entries' rounding alone can move the
+        # mass past the default tol_norm
+        n = probs.size
+        raise ParameterError(
+            f"Poisson rate {rate!r} on {n} points: {err} = {cfg.tol_norm:g}; "
+            f"the support cut leaves out less than tail_eps = "
+            f"{cfg.tail_eps:g}, and each entry carries a relative rounding "
+            f"error of a few eps N ln N = "
+            f"{sys.float_info.epsilon * n * math.log(n):.1e}") from None
 
 
 def construct(spec: FamilySpec, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> FinitePmf:

@@ -122,3 +122,24 @@ def test_poisson_pmf_still_checks_its_mass():
     assert 1.0 - kept > cfg.tol_norm
     with pytest.raises(ParameterError, match="pmf mass"):
         poisson_pmf(50.0, cfg)
+
+
+def test_poisson_pmf_builds_a_rate_its_rounding_once_refused(recorded_platform):
+    # with scipy's gammaln past the shipped log-factorials the mass read
+    # 1.0000000010540258; math.lgamma's entries keep it within tol_norm
+    assert len(poisson_pmf(791364.6334701926)) == 800292
+
+
+def test_a_refused_poisson_rate_names_the_entries_rounding(recorded_platform):
+    # the cut leaves out less than tail_eps, so the entries' rounding is
+    # what moves the mass past tol_norm
+    rate, cfg = 879392.7565314277, ToleranceConfig()
+    kept = fsum(np.exp(poisson_terms(rate, cfg.tail_eps)[1]))
+    assert abs(kept - 1.0) > cfg.tol_norm + cfg.tail_eps
+    with pytest.raises(ParameterError) as refused:
+        poisson_pmf(rate, cfg)
+    assert str(refused.value).startswith(
+        f"Poisson rate {rate!r} on 888802 points: pmf mass {kept!r} differs "
+        "from 1 by more than tol_norm = 1e-09;")
+    assert "relative rounding error of a few eps N ln N = 2.7e-09" \
+        in str(refused.value)

@@ -1,6 +1,6 @@
 """Source hygiene of the package: every function parameter is read by its
-body, every import is used, and scipy is imported only when log k! is
-needed past the shipped table.
+body, every import is used, and the package runs on numpy alone, also
+where log k! is needed past the shipped table.
 
 The command handlers of the cli (``_cmd_*``) all take ``(args, cfg)``,
 the signature the dispatch calls them with, and are exempt.
@@ -86,20 +86,21 @@ def test_the_checks_see_an_unread_parameter_and_an_unused_import():
     assert _unused_imports(tree) == ["os at line 1"]
 
 
-def test_scipy_loads_only_past_the_shipped_table():
-    # a fresh interpreter, since the suite itself imports scipy; a
-    # Poisson(2000) V solve reads log k! up to k = 2479
+def test_runs_past_the_shipped_table_without_scipy():
+    # a fresh interpreter in which importing scipy fails; Lambda of
+    # Poisson(5000) reads log k! up to k = 5717, past the shipped 4096
+    # entries, and a Poisson(2000) V solve up to k = 2479
     script = textwrap.dedent("""
         import contextlib, io, sys
+        sys.modules["scipy"] = None
+        from thinpower import numerics
         from thinpower.cli import main
-        from thinpower.numerics import log_factorials
-        print("scipy" in sys.modules)
         with contextlib.redirect_stdout(io.StringIO()):
-            code = main(["vpower", "--pmf",
-                         '{"family": "poisson", "rate": 2000}'])
-        print(code, "scipy" in sys.modules)
-        log_factorials(5000)
-        print("scipy" in sys.modules)
+            codes = [main(["functional", "--name", "Lambda", "--pmf",
+                           '{"family": "poisson", "rate": 5000}']),
+                     main(["vpower", "--pmf",
+                           '{"family": "poisson", "rate": 2000}'])]
+        print(*codes, numerics._LOG_FACT.size)
     """)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -107,4 +108,4 @@ def test_scipy_loads_only_past_the_shipped_table():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "0", "False", "True"]
+    assert proc.stdout.split() == ["0", "0", "8192"]
