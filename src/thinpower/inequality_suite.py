@@ -94,11 +94,39 @@ def _edge(preimage, good, bad, tol):
     return good, err
 
 
-def _bisect(gap, a0, d0, a1, tol):
-    """A zero of gap in [a0, a1], where it changes sign; d0 = gap(a0)."""
+def _bisect(gap, a0, d0, a1, d1, tol):
+    """A zero of gap in [a0, a1], where it changes sign: d0 = gap(a0) and
+    d1 = gap(a1) have opposite signs.
+
+    The Illinois form of regula falsi (Dowell and Jarratt, BIT 11, 1971):
+    a secant step through the bracket's ends, kept tol/2 inside it, that
+    halves the value at an end the bracket keeps twice in a row.  When two
+    steps have not halved the bracket, the next one takes its midpoint, so
+    each halving costs at most three evaluations.  Returns the midpoint of
+    the first bracket no wider than tol.
+    """
+    # kept: 1 if the last step kept a1, -1 if it kept a0; slow: steps
+    # since the bracket last halved
+    sign, kept, width, slow = d0 > 0.0, 0, a1 - a0, 0
     while a1 - a0 > tol:
-        am = 0.5 * (a0 + a1)
-        a0, a1 = (am, a1) if (gap(am) > 0.0) == (d0 > 0.0) else (a0, am)
+        if slow >= 2:
+            a = 0.5 * (a0 + a1)
+        else:
+            a = min(max(a0 - d0 * (a1 - a0) / (d1 - d0), a0 + 0.5 * tol),
+                    a1 - 0.5 * tol)
+        d = gap(a)
+        if (d > 0.0) == sign:
+            if kept == 1:
+                d1 *= 0.5
+            a0, d0, kept = a, d, 1
+        else:
+            if kept == -1:
+                d0 *= 0.5
+            a1, d1, kept = a, d, -1
+        if a1 - a0 <= 0.5 * width:
+            width, slow = a1 - a0, 0
+        else:
+            slow += 1
     return 0.5 * (a0 + a1)
 
 
@@ -135,10 +163,11 @@ def check_epilike(x: FinitePmf, y: FinitePmf,
     scanned at EPILIKE_SCAN equal steps over [lo, hi]: the X*_a of the scan
     in one batch and its Y*_a in another (transforms._inverse_thin_entropies,
     the bits of one inverse_thin call per alpha), raising the first error
-    in scan order, X*_a before Y*_a.  Sign changes are bisected; a local
-    minimum of |gap| without one (a tangent zero) is refined by golden
-    section and kept if |gap| <= tol_ineq.  The edges, the bisection and
-    the golden section call inverse_thin one alpha at a time.  The zero
+    in scan order, X*_a before Y*_a.  Sign changes are refined by Illinois
+    steps from the scan's bracket (_bisect); a local minimum of |gap|
+    without one (a tangent zero) is refined by golden section and kept if
+    |gap| <= tol_ineq.  The edges, the sign-change refinement and the
+    golden section call inverse_thin one alpha at a time.  The zero
     nearest the heuristic alpha = V(X)/(V(X)+V(Y)) is used.  With none:
     IllConditionedError if a zero may hide where a preimage is
     ill-conditioned, else DomainError.
@@ -173,7 +202,7 @@ def check_epilike(x: FinitePmf, y: FinitePmf,
     zeros, ends = [], scan[:1] + scan + scan[-1:]
     for (a_lo, d_lo), (a, d), (a_hi, d_hi) in zip(ends, scan, ends[2:]):
         if d * d_hi < 0.0:
-            zeros.append(_bisect(gap, a, d, a_hi, tol))
+            zeros.append(_bisect(gap, a, d, a_hi, d_hi, tol))
         elif d * d_lo >= 0.0 and abs(d) <= min(abs(d_lo), abs(d_hi)):
             size, best = min(_golden_min(gap, a_lo, a_hi, tol), (abs(d), a))
             if size <= cfg.tol_ineq:

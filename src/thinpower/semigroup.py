@@ -131,6 +131,18 @@ def _solve_rate_for_entropy(base: FinitePmf, h_target: float, rate0: float,
     return (f, *evaluated[f])
 
 
+def _extrapolate(ts, fs, t: float) -> float:
+    """The value at t of the polynomial through the points (ts, fs), or 0
+    with no point (Lagrange's form)."""
+    total = 0.0
+    for j, (t_j, f_j) in enumerate(zip(ts, fs)):
+        for k, t_k in enumerate(ts):
+            if k != j:
+                f_j *= (t - t_k) / (t_j - t_k)
+        total += f_j
+    return total
+
+
 def entropy_preserving_path(x: FinitePmf, t_grid=None,
                             cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> PathReport:
     """Solve the constant-entropy interpolation X_t = thin(x, t) + Poisson(f(t)).
@@ -139,7 +151,11 @@ def entropy_preserving_path(x: FinitePmf, t_grid=None,
     which entropy strictly grows under thinning-with-replenishment and the
     path runs from x at t = 1 towards a Poisson of rate V(x) as t -> 0.
     Each f(t) is solved by Newton on the exact derivative dH/df, to
-    cfg.tol_root * f.  The report records f, its extrapolation to t = 0,
+    cfg.tol_root * f, from the cubic through the last four solved (t, f);
+    the first point, and any whose extrapolation falls outside
+    (0, mean(x)], where f lies, starts from the rate that restores the
+    mean.  The grid must end in
+    (1 - 1e-12, 1].  The report records f, its extrapolation to t = 0,
     and the U functional, which should be non-increasing in t.
     """
     if t_grid is None:
@@ -147,7 +163,7 @@ def entropy_preserving_path(x: FinitePmf, t_grid=None,
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 2 or np.any(np.diff(t_grid) <= 0):
         raise ParameterError("t grid must be strictly increasing with >= 2 points")
-    if not (0.0 < t_grid[0] and abs(t_grid[-1] - 1.0) < 1e-12):
+    if not (0.0 < t_grid[0] and 1.0 - 1e-12 < t_grid[-1] <= 1.0):
         raise ParameterError("t grid must sit in (0, 1] and end at 1")
     if not is_ulc(x, cfg):
         raise PreconditionError("entropy-preserving path requires a ULC input")
@@ -156,16 +172,26 @@ def entropy_preserving_path(x: FinitePmf, t_grid=None,
 
     h_target = entropy(x).nats
     v_target = entropy_power(x, cfg)
+    mu = mean(x)
 
     f_vals = np.empty(t_grid.size)
     h_vals = np.empty(t_grid.size)
     u_vals = np.empty(t_grid.size)
-    for i, t in enumerate(t_grid.tolist()):
+    ts = t_grid.tolist()
+    for i, t in enumerate(ts):
         base = thin(x, t, cfg)
-        # start from the rate that restores the mean (exact for a Poisson x),
-        # mean(base) / t * (1 - t), or from mean(x) * (1 - t), which it
-        # approximates, where thinning underflows a subnormal mean to 0
-        rate0 = mean(base) / t * (1.0 - t) or mean(x) * (1.0 - t)
+        # start from the polynomial through the last four solved (t, f), a
+        # cubic from the fifth point on.  The root lies in (0, mean(x)]:
+        # f <= V(x), since H(Po(f)) <= H(X_t) = H(x), and V(x) <= mean(x)
+        # for ULC x.  At the first point, and where close grid points blow
+        # the solved rates' rounding up past that, start from the rate that
+        # restores the mean (exact for a Poisson x), mean(base) / t *
+        # (1 - t), or from mean(x) * (1 - t), which it approximates, where
+        # thinning underflows a subnormal mean to 0
+        last = max(0, i - 4)
+        rate0 = _extrapolate(ts[last:i], f_vals[last:i].tolist(), t)
+        if not 0.0 < rate0 <= mu:
+            rate0 = mean(base) / t * (1.0 - t) or mu * (1.0 - t)
         f_vals[i], state, h_vals[i] = _solve_rate_for_entropy(
             base, h_target, rate0, cfg)
         u_vals[i] = u_functional(state)

@@ -22,7 +22,7 @@ BENCH_DIGESTS = {
     "wide_support":
         "126c2f99ba0053a665ec967b4055ffb62eb25416c544f01dc59147815fa22720",
     "interp":
-        "07ec2160bbecc6e799c435c9f85118d7f45320cc674a8d3d34859ccd46d6ea32",
+        "28ae5c2882973488320917f0c4b66ff7ede279302b2fa534da75e74fe0804798",
 }
 
 

@@ -639,10 +639,12 @@ _PO = '{"family": "poisson", "rate": 1.5}'
 _SIMPLEX = ["--pmf", _BE3, "--pmf", _BIN2, "--pmf", _PO, "--alphas", "0.2,0.3,0.5"]
 _THIRD = "0.3333333333333333"
 # the SHA-256 of stdout of each command, recorded before the leave-one-out
-# simplex got one home: any change to how these outputs round fails here
+# simplex got one home (`verify --all` since the path's solves start from
+# extrapolated rates): any change to how these outputs round fails here.
+# tools/golden.py diff lists the numbers behind a digest that moved
 PINNED_OUTPUTS = [
     (("verify", "--all"),
-     "a768ab02adf2fe2e2939e7bdbaf568513a11b7df991806e09b2940cab7138f03"),
+     "39ce645511b4cb3f85f1c9fcc36bf2ddc2ae028ce1344aff81efa76bc496dbec"),
 ] + [
     (("search", "--name", name, "--trials", "40", "--seed", "5"), digest)
     for name, digest in (

@@ -1,0 +1,49 @@
+"""tools/golden.py: a record diffed against itself prints nothing, and a
+number moved by one ulp prints one line."""
+
+import importlib
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(TOOLS))
+        yield importlib.import_module("golden")
+
+
+def _diff(golden, capsys, old, new, tmp_path) -> list:
+    paths = [tmp_path / "old.json", tmp_path / "new.json"]
+    for path, doc in zip(paths, (old, new)):
+        path.write_text(json.dumps(doc))
+    assert golden.main(["diff", *map(str, paths)]) == 0
+    return capsys.readouterr().out.splitlines()
+
+
+def test_a_record_against_itself_and_one_ulp_off(golden, capsys, tmp_path):
+    # the epilike section: the cheapest to build of the record's four
+    record = {"epilike": golden.SECTIONS["epilike"]()}
+    assert _diff(golden, capsys, record, record, tmp_path) == []
+    moved = json.loads(json.dumps(record))
+    alpha = moved["epilike"][3]["inputs"]["alpha"]
+    moved["epilike"][3]["inputs"]["alpha"] = math.nextafter(alpha, 1.0)
+    lines = _diff(golden, capsys, record, moved, tmp_path)
+    assert len(lines) == 1
+    assert lines[0].startswith("/epilike/3/inputs/alpha  ")
+    assert lines[0].endswith("  1 ulps")
+
+
+@pytest.mark.parametrize("old, new, found", [
+    (1.0, -1.0, [("/v", 1.0, -1.0, 2 * 0x3FF0000000000000)]),
+    (0.0, -0.0, [("/v", 0.0, -0.0, 0)]),
+    (math.nan, math.nan, []),
+    (True, False, [("/v", True, False, None)]),
+    (1.5, None, [("/v", 1.5, None, None)])])
+def test_moves(golden, old, new, found):
+    assert list(golden.moves({"v": old}, {"v": new})) == found

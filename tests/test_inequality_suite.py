@@ -1,18 +1,21 @@
 """Inequality checkers, counterexamples, and the randomized search harness."""
 
 import hashlib
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
-from thinpower import (DomainError, FamilySpec, IllConditionedError,
-                       NotThinnableError, ParameterError, PreconditionError,
-                       ToleranceConfig, check_conjecture_tepi,
-                       check_conjecture_v_superadd, check_discepilike,
-                       check_dsub, check_epilike, check_hmon, check_rtepi,
-                       check_teci, check_tepis, construct, convolve, entropy,
-                       entropy_power, is_ulc, random_ulc, search, thin)
+from thinpower import (DEFAULT_TOLERANCES, DomainError, FamilySpec,
+                       IllConditionedError, NotThinnableError, ParameterError,
+                       PreconditionError, ToleranceConfig,
+                       check_conjecture_tepi, check_conjecture_v_superadd,
+                       check_discepilike, check_dsub, check_epilike,
+                       check_hmon, check_rtepi, check_teci, check_tepis,
+                       construct, convolve, entropy, entropy_power, is_ulc,
+                       random_ulc, search, thin)
 from thinpower import inequality_suite
 from thinpower.inequality_suite import tepis_ratio_condition
 from thinpower.jsonio import dumps_canonical
@@ -76,23 +79,119 @@ EPILIKE_BENCH_INPUTS = [
     (0.6440894032504179, 1.2539811567168928, [0.5869576251460735],
      0.4410336379690707, 0.6174046704003961)]
 # the bits of check_epilike on those 8 pairs and on two Poisson(4.85),
-# recorded while its scan called inverse_thin once per alpha
+# recorded once its sign changes were refined by Illinois steps
 EPILIKE_DIGEST = (
-    "0277c6a39608e2b5bce9e9f927bc2ca74120f48b27006560d645fb42e1808641")
+    "f56ffbd99b024a7253674a0a6b399b6b4aa309b8a8391c62e1d213cd680863f1")
+
+
+def _split(ps, rate, a):
+    """X = T_a Z, Y = T_(1-a) Z for Z = a Bernoulli sum + Poisson(rate)."""
+    z = convolve(construct(FamilySpec.bernoulli_sum(*ps)), poi(rate))
+    return thin(z, a), thin(z, 1.0 - a)
+
+
+def epilike_docs() -> list:
+    docs = []
+    for rx, ry, ps, rate, a in EPILIKE_BENCH_INPUTS:
+        docs += [check_epilike(poi(rx), poi(ry)).to_json(),
+                 check_epilike(*_split(ps, rate, a)).to_json()]
+    docs.append(check_epilike(poi(4.85), poi(4.85)).to_json())
+    return docs
 
 
 def epilike_digest() -> str:
-    docs = []
-    for rx, ry, ps, rate, a in EPILIKE_BENCH_INPUTS:
-        z = convolve(construct(FamilySpec.bernoulli_sum(*ps)), poi(rate))
-        docs += [check_epilike(poi(rx), poi(ry)).to_json(),
-                 check_epilike(thin(z, a), thin(z, 1.0 - a)).to_json()]
-    docs.append(check_epilike(poi(4.85), poi(4.85)).to_json())
-    return hashlib.sha256(dumps_canonical(docs).encode()).hexdigest()
+    return hashlib.sha256(dumps_canonical(epilike_docs()).encode()).hexdigest()
 
 
 def test_epilike_output_digest(recorded_platform):
     assert epilike_digest() == EPILIKE_DIGEST
+
+
+# a bench input whose scan holds a tangent zero, refined by golden section
+GOLDEN_PAIR = lambda: _split(
+    [0.6096416682045023, 0.2310182825681486, 0.14179614538352475],
+    0.22096324787402688, 0.34355897230787036)
+
+
+def _bisection_oracle(gap, a0, d0, a1, tol):
+    """check_epilike's refinement of a sign change before Illinois steps:
+    bisection of [a0, a1], d0 = gap(a0), to width tol."""
+    while a1 - a0 > tol:
+        am = 0.5 * (a0 + a1)
+        a0, a1 = (am, a1) if (gap(am) > 0.0) == (d0 > 0.0) else (a0, am)
+    return 0.5 * (a0 + a1)
+
+
+def _bisect_spied(f, lo, hi, tol):
+    """(zero, evaluated points) of inequality_suite._bisect on f."""
+    points = []
+    zero = inequality_suite._bisect(lambda a: points.append(a) or f(a),
+                                    lo, f(lo), hi, f(hi), tol)
+    return zero, points
+
+
+def _max_evaluations(lo, hi, tol):
+    # at most three evaluations per halving of the bracket
+    return 3 * math.ceil(math.log2((hi - lo) / tol)) + 3
+
+
+def _one_sign_change():
+    """(f, lo, hi) with f(lo), f(hi) of opposite signs and one sign change
+    between them: a cubic with one real root, a steep tanh, x**k - c."""
+    bracket = st.tuples(st.floats(0.0, 0.45), st.floats(0.1, 0.9),
+                        st.floats(0.55, 1.0))
+    cubic = st.builds(
+        lambda b, c, q, s: (lambda x: s * (x - b[1]) * ((x - c) ** 2 + q),
+                            b[0], b[2]),
+        bracket, st.floats(-1.0, 2.0), st.floats(1e-3, 1.0),
+        st.sampled_from([-1e3, -1.0, 1e-3, 1.0]))
+    steep = st.builds(
+        lambda b, k, s: (lambda x: s * math.tanh(k * (x - b[1])), b[0], b[2]),
+        bracket, st.floats(1.0, 1e6), st.sampled_from([-1.0, 1.0]))
+    power = st.builds(
+        lambda k, c, hi: (lambda x: x ** k - c, 0.0, hi),
+        st.integers(1, 15), st.floats(1e-12, 0.99), st.floats(1.0, 2.0))
+    return st.one_of(cubic, steep, power)
+
+
+class TestIllinoisBisect:
+    @given(_one_sign_change(), st.sampled_from([1e-12, 1e-10, 1e-6]))
+    def test_lands_within_tol_of_the_sign_change(self, case, tol):
+        f, lo, hi = case
+        assume(hi - lo > tol and f(lo) * f(hi) < 0.0)
+        zero, points = _bisect_spied(f, lo, hi, tol)
+        left, right = max(lo, zero - tol), min(hi, zero + tol)
+        assert (f(left) > 0.0) != (f(right) > 0.0)
+        assert len(points) <= _max_evaluations(lo, hi, tol)
+
+    def test_takes_midpoints_where_regula_falsi_stalls(self):
+        # secants through the steep right branch land just right of 0, and
+        # a kept end must be halved about 40 times before they move: plain
+        # regula falsi stalls, Illinois steps alone took 254 evaluations
+        f = lambda x: x - 0.7 if x < 0.7 else 1e12 * (x - 0.7)
+        lo, hi, tol = 0.0, 1.0, 1e-10
+        zero, points = _bisect_spied(f, lo, hi, tol)
+        assert abs(zero - 0.7) <= tol
+        assert len(points) <= _max_evaluations(lo, hi, tol)
+        midpoints = 0
+        for a in points:
+            midpoints += a == 0.5 * (lo + hi)
+            lo, hi = (a, hi) if f(a) <= 0.0 else (lo, a)
+        assert midpoints > 0
+
+    @pytest.mark.parametrize("pair", [
+        *[(lambda rx=rx, ry=ry: (poi(rx), poi(ry)))
+          for rx, ry, _, _, _ in EPILIKE_BENCH_INPUTS],
+        *[(lambda ps=ps, rate=rate, a=a: _split(ps, rate, a))
+          for _, _, ps, rate, a in EPILIKE_BENCH_INPUTS],
+        GOLDEN_PAIR])
+    def test_alpha_within_tol_of_bisection(self, monkeypatch, pair):
+        tol = max(DEFAULT_TOLERANCES.tol_root, 1e-12)
+        alpha = check_epilike(*pair()).inputs["alpha"]
+        monkeypatch.setattr(inequality_suite, "_bisect",
+                            lambda gap, a0, d0, a1, d1, tol:
+                            _bisection_oracle(gap, a0, d0, a1, tol))
+        assert abs(alpha - check_epilike(*pair()).inputs["alpha"]) <= tol
 
 
 class TestEpilike:
@@ -158,22 +257,19 @@ class TestEpilike:
         assert v.inputs["alpha"] == pytest.approx(0.5, abs=1e-6)
 
     def test_golden_section_restarts_instead_of_crawling(self, monkeypatch):
-        # X = T_a Z, Y = T_(1-a) Z from a bench input on which the mirrored
-        # golden section drifted to the midpoint and then moved by ulps a
-        # step: 1.25M inverse_thin calls and 65 s for the same verdict
-        z = convolve(construct(FamilySpec.bernoulli_sum(
-            0.6096416682045023, 0.2310182825681486, 0.14179614538352475)),
-            poi(0.22096324787402688))
-        a = 0.34355897230787036
+        # a bench input on which the mirrored golden section drifted to the
+        # midpoint and then moved by ulps a step: 1.25M inverse_thin calls
+        # and 65 s for the same verdict.  Bisecting its sign changes took
+        # 278 calls in all, Illinois steps take 232
         calls = []
         monkeypatch.setattr(inequality_suite, "inverse_thin",
                             lambda *args, f=inequality_suite.inverse_thin:
                             calls.append(1) or f(*args))
-        v = check_epilike(thin(z, a), thin(z, 1.0 - a))
-        assert v.inputs["alpha"] == 0.34355897232293897
-        assert v.margin == 0.09194969769789885
-        assert v.inputs["h_xstar"] == 1.2492375213248212
-        assert len(calls) < 3000
+        v = check_epilike(*GOLDEN_PAIR())
+        assert v.inputs["alpha"] == 0.3435589723078684
+        assert v.margin == 0.09194969768612471
+        assert v.inputs["h_xstar"] == 1.2492375213365954
+        assert len(calls) < 250
 
     def test_undecidable_poisson_pair_is_ill_conditioned(self):
         # Poisson(10) = T_a Poisson(10/a), but X* is certified only for

@@ -8,8 +8,8 @@ from thinpower import (DEFAULT_TOLERANCES, DomainError, FamilySpec,
                        ParameterError, PreconditionError, construct, convolve,
                        default_t_grid,
                        entropy, entropy_power, entropy_preserving_path, evolve,
-                       isoperimetric_check, pde_residual, random_ulc, thin,
-                       total_variation)
+                       isoperimetric_check, l_functional, mean, pde_residual,
+                       random_ulc, thin, total_variation)
 from thinpower import entropy_functionals, semigroup
 
 bern = lambda p: construct(FamilySpec.bernoulli(p))
@@ -101,7 +101,72 @@ def test_path_takes_few_entropy_evaluations(monkeypatch, x):
                             lambda p, f=getattr(module, name):
                             calls.append(1) or f(p))
     report = entropy_preserving_path(x)
-    assert len(calls) <= 16 * report.t_grid.size
+    # about 5.9 per point on binomial(40, 0.3) from the mean-restoring
+    # start, about 3.7 from the extrapolated one
+    assert len(calls) <= 5 * report.t_grid.size
+
+
+def _mean_restoring_rates(x, t_grid, cfg=DEFAULT_TOLERANCES):
+    """Each rate of the path solved from the rate that restores the mean,
+    the start every grid point took before starts were extrapolated."""
+    h_target = entropy(x).nats
+    rates = []
+    for t in t_grid.tolist():
+        base = thin(x, t, cfg)
+        rate0 = mean(base) / t * (1.0 - t) or mean(x) * (1.0 - t)
+        rates.append(semigroup._solve_rate_for_entropy(
+            base, h_target, rate0, cfg)[0])
+    return np.array(rates)
+
+
+def _criterion_6_inputs(count):
+    """The first `count` pmfs that random_ulc draws as criterion 6 does,
+    from seeds 0, 1, ..., with L > 0."""
+    inputs, seed = [], 0
+    while len(inputs) < count:
+        x = random_ulc(seed, 3, 2.0)
+        if l_functional(x) > 0.0:
+            inputs.append(x)
+        seed += 1
+    return inputs
+
+
+@pytest.mark.parametrize("x", [
+    pytest.param(construct(FamilySpec.binomial(40, 0.3)), id="binomial-40"),
+    pytest.param(poi(200.0), id="poisson-200"),
+    *[pytest.param(x, id=f"criterion-6-{i}")
+      for i, x in enumerate(_criterion_6_inputs(5))],
+])
+def test_extrapolated_starts_keep_the_rates(x):
+    report = entropy_preserving_path(x)
+    bound = 2.0 * DEFAULT_TOLERANCES.tol_root * np.maximum(1.0, report.f_vals)
+    assert np.all(np.abs(report.f_vals - _mean_restoring_rates(
+        x, report.t_grid)) <= bound)
+
+
+def test_close_grid_points_do_not_blow_up_the_start():
+    # from four points 1e-11 apart, the cubic carries the solved rates'
+    # rounding to about 1e17 at t = 0.9, a Poisson no array can hold
+    x = construct(FamilySpec.binomial(40, 0.3))
+    grid = np.array([0.1, 0.1 + 1e-11, 0.1 + 2e-11, 0.1 + 3e-11, 0.9, 1.0])
+    report = entropy_preserving_path(x, grid)
+    assert np.all(np.abs(report.f_vals - _mean_restoring_rates(x, grid))
+                  <= 2.0 * DEFAULT_TOLERANCES.tol_root
+                  * np.maximum(1.0, report.f_vals))
+
+
+@pytest.mark.parametrize("end, accepted", [(1.0 + 4e-13, False),
+                                           (1.0 - 4e-13, True)])
+def test_path_grid_ends_at_most_at_one(end, accepted):
+    grid = default_t_grid(10)
+    grid[-1] = end
+    x = construct(FamilySpec.binomial(4, 0.3))
+    if accepted:
+        report = entropy_preserving_path(x, grid)
+        assert 0.0 <= report.f_vals[-1] < 1e-9
+    else:
+        with pytest.raises(ParameterError, match="t grid must sit in"):
+            entropy_preserving_path(x, grid)
 
 
 def test_path_reports_the_state_its_solver_evaluated(monkeypatch):
