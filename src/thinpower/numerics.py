@@ -242,11 +242,16 @@ def solve_increasing(pair, target: float, t0: float, tol: float) -> float:
     from the left rises monotonically to the root).  It stops when the step
     or the bracket is below tol * s, or when the bracket cannot shrink in
     double precision, and returns the evaluated point whose g is nearest.
+    A point left of the root whose Newton step is already below tol * s is
+    returned before the bracket probes 2s, so an exact start costs one
+    evaluation.
     """
     lo, t = 0.0, t0
     g, slope = pair(t)
     hi = t
     while g < target:
+        if abs((g - target) / slope) <= tol * t:
+            return t
         # t is left of the root: it becomes the start once 2t encloses it
         lo, hi = t, 2.0 * t
         if not 0.0 < hi <= 1e15:

@@ -1,6 +1,5 @@
 """Command-line behaviour: dispatch, JSON formats, exit codes, determinism."""
 
-import hashlib
 import json
 import math
 import os
@@ -13,6 +12,8 @@ import pytest
 import thinpower
 from thinpower.cli import main
 from thinpower.inequality_suite import STATEMENTS
+
+from test_pinned_outputs import LONG_COMMANDS
 
 
 def run(capsys, *argv):
@@ -633,88 +634,10 @@ def test_single_pmf_commands_reject_extra_pmf(capsys, argv):
         "message": f"{argv[0]} needs exactly 1 --pmf input"}
 
 
-_BIN2 = '{"family": "binomial", "n": 2, "p": 0.4}'
-_BE3 = '{"family": "bernoulli", "p": 0.3}'
-_PO = '{"family": "poisson", "rate": 1.5}'
-_SIMPLEX = ["--pmf", _BE3, "--pmf", _BIN2, "--pmf", _PO, "--alphas", "0.2,0.3,0.5"]
-_THIRD = "0.3333333333333333"
-# the SHA-256 of stdout of each command, recorded before the leave-one-out
-# simplex got one home (`verify --all` since the path's solves start from
-# extrapolated rates): any change to how these outputs round fails here.
-# tools/golden.py diff lists the numbers behind a digest that moved
-PINNED_OUTPUTS = [
-    (("verify", "--all"),
-     "39ce645511b4cb3f85f1c9fcc36bf2ddc2ae028ce1344aff81efa76bc496dbec"),
-] + [
-    (("search", "--name", name, "--trials", "40", "--seed", "5"), digest)
-    for name, digest in (
-        ("firstepi", "c9a3d089c2bd23d342e8a3f2de8c4cb75ece8a3b45b025672c739afa4bffb1cd"),
-        ("tepi", "4845a554d9e0204be9ada86df96a5e4fc347fbbbad89fd6794b1de663ddc052d"),
-        ("teci", "29d94120d78faa82f36659f6237c766a839136f0fab402cf9aff79a8b7c67ab1"),
-        ("rtepi", "34d05cc6cda3cd27c8d2b75a33953f16464b9b85d0816595f12a2f295bb83305"),
-        ("hmon", "fc020bf275a27cf588e6410434f4a852b8ccbdb8b8cf0cbc9105e3f12f7f0a6e"),
-        ("dsub", "ddef8b8476e82b83fbbbe930b18b292429a8f390db714a3003b7e30d231a1881"),
-        ("isop", "f7376ad50a173ec7963b6e96100833151a5db807c65c2d6929fe1df8cbb00f82"))
-] + [
-    (("reproduce", "--example", example), digest)
-    for example, digest in (
-        ("fail1", "b343517183f75ef8d8c8b479702241b4910890231313007fec17da8807b5322c"),
-        ("fail2", "9602fd8ced1b7066f1e6ce33722bf8012b1f3d1b283d2a6be3547a439d036f0d"),
-        ("binoineq", "e9ff3f8fed91a09d34e4d51bf2d951dcb87543d6960f57a31b025b27c8d18133"))
-] + [
-    (("splitting", "--l", "1", "--t", "0.3", "--lambdas", "0.5,2,1.25",
-      "--alphas", "0.2,0.3,0.5"),
-     "3627bbc5afbaa2547ef40d662f8590a1a97ba1c631a2537de6a13607f8df2db3"),
-    (("hessian", "--specs", f"[{_BE3}, {_BIN2}, {_PO}]",
-      "--alphas", "0.2,0.3,0.5", "--fd-check"),
-     "ab158290ac04a19d86f1de8623b25ec0385ba9dd893cd538c8d92142e8e8cf60"),
-] + [
-    (("functional", "--name", name, "--pmf", _BIN2), digest)
-    for name, digest in (
-        ("L", "1b272b1945f729f34ee2e2f4687becbbb7d4cb5d6dd590957ce92e048a5e74fc"),
-        ("Lambda", "53c7b1d8efa3ce8fb961c17bf5841b503d6763bf022b2bc25272bf78c1bd69ed"),
-        ("D", "85fbc396b99031ea4f1ae59478b1459b0c5fe7cea504e3182643e0d499d68e3b"),
-        ("U", "efcb290b01c4ee15f06e8e09da3f7eb189ed1430ed2bb8fc5b6faf9e844d4b25"))
-] + [
-    (("check", "--name", "hmon", *_SIMPLEX),
-     "e0ac0eaa86ed57feac9dd20848a1a2c2ba17f0f80c4bc65914b55c70cfeb1f35"),
-    (("check", "--name", "dsub", *_SIMPLEX),
-     "89bcf8503752b9ea34c97532e0d7fed80791cb38e71ebb288a7045695c88ee1d"),
-    (("check", "--name", "discepilike", "--pmf", _BIN2, "--pmf", _BIN2,
-      "--pmf", _BIN2, "--alphas", ",".join([_THIRD] * 3)),
-     "79f6d6a198163acc83dedd6d6088e17b725ad01472c62277ce9d495270c4d3d0"),
-]
-
-
-# pmfs of 1919, 1313 and 1802 points, printed by dumps_canonical's
-# long-list kernel: Poisson(1500) opens with 286 zeros, and the thinned
-# binomial and the convolution reach subnormals with three-digit exponents
-_BIN = '{"family": "binomial", "n": %d, "p": %s}'
-LONG_OUTPUTS = [
-    (("construct", "--spec", '{"family": "poisson", "rate": 1500}'),
-     "913c11c70d9e2cb6cdcc36547279937003d3c3c2972fc3ebbb4f3dd48ca1d396"),
-    (("thin", "--alpha", "0.3", "--pmf", _BIN % (2047, "0.8")),
-     "b8974476874d76dae24988aacc2d839d92e88906c8ca0a773e5f46a3d3575e1a"),
-    (("conv", "--pmf", _BIN % (1000, "0.5"), "--pmf", _BIN % (1000, "0.5")),
-     "38b6841f7cee96f730446bf04103ec986bdb501dfa205bc4988bf21f8d10599a"),
-]
-PINNED_OUTPUTS += LONG_OUTPUTS
-
-
-def test_pinned_output_digests(capsys, recorded_platform):
-    changed = []
-    for argv, digest in PINNED_OUTPUTS:
-        code, out = run(capsys, *argv)
-        assert code == 0, argv
-        if hashlib.sha256(out.encode()).hexdigest() != digest:
-            changed.append(" ".join(argv[:3]))
-    assert changed == []
-
-
 @pytest.mark.parametrize("argv, size, zeros", [
-    (LONG_OUTPUTS[0][0], 1919, 286),
-    (LONG_OUTPUTS[1][0], 1313, 0),
-    (LONG_OUTPUTS[2][0], 1802, 199),
+    (LONG_COMMANDS[0], 1919, 286),
+    (LONG_COMMANDS[1], 1313, 0),
+    (LONG_COMMANDS[2], 1802, 199),
 ], ids=["construct", "thin", "conv"])
 def test_long_outputs_match_the_per_element_serialiser(capsys, argv, size, zeros):
     # on any platform: the bytes are those of format(v, ".17g") per float

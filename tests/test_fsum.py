@@ -1,7 +1,5 @@
-"""numerics.fsum returns math.fsum's bits, and the wide-support functionals
-that sum through it are pinned by digest."""
+"""numerics.fsum returns math.fsum's bits."""
 
-import hashlib
 import math
 
 import numpy as np
@@ -9,11 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from thinpower import (FamilySpec, construct, convolve, entropy, entropy_power,
-                       mean, rel_entropy_poisson)
+from thinpower import FamilySpec, construct, mean
 from thinpower import numerics
-from thinpower.jsonio import dumps_canonical, pmf_to_json
 from thinpower.numerics import fsum
+
+from test_pinned_outputs import family_pmf
 
 EXTRACT = numerics._FSUM_EXTRACT
 
@@ -32,22 +30,11 @@ def assert_same_as_math_fsum(a):
     assert _outcome(fsum, a) == _outcome(lambda v: math.fsum(v.tolist()), a)
 
 
-def _pmf(family, n, p, seed):
-    if family == "poisson":
-        # a support cut near rate + 10 sqrt(rate) + 30 points lands near n
-        rate = ((math.sqrt(100.0 + 4.0 * max(n - 31, 1)) - 10.0) / 2.0) ** 2
-        return construct(FamilySpec.poisson(rate))
-    if family == "binomial":
-        return construct(FamilySpec.binomial(n - 1, p))
-    ps = np.random.default_rng(seed).uniform(0.05, 0.95, n - 1)
-    return construct(FamilySpec.bernoulli_sum(*ps))
-
-
 @given(family=st.sampled_from(["poisson", "binomial", "bernoulli_sum"]),
        n=st.integers(EXTRACT, 4096), p=st.floats(0.01, 0.99),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_fsum_of_pmfs_and_entropy_terms(family, n, p, seed):
-    x = _pmf(family, n, p, seed)
+    x = family_pmf(family, n, p, seed)
     probs = x.probs
     assert_same_as_math_fsum(probs)
     mass = probs[probs > 0.0]
@@ -248,7 +235,7 @@ def test_fsum_extraction_edges(case, n):
 def _poisson_head(n):
     """The first n entries of a Poisson pmf: a bulk and a tail over 100
     binades or more, with no zero."""
-    probs = _pmf("poisson", n + 40, 0.0, 0).probs[:n]
+    probs = family_pmf("poisson", n + 40, 0.0, 0).probs[:n]
     assert probs.size == n and probs.min() > 0.0
     return probs
 
@@ -294,33 +281,3 @@ def test_fsum_at_the_cuts(monkeypatch, case, n):
         b = a.copy()
         b[n // 3] = special
         assert_same_as_math_fsum(b)
-
-
-# SHA-256 of the canonical JSON of each functional below, recorded when
-# fsum was math.fsum over the whole list
-WIDE_DIGESTS = {
-    "bernoulli_sum": "5e0ded739bcea2c4713915f287aaed9a7e55c3cedf5c57c07858bf1de801785c",
-    "binomial": "331ee4e5bbfc3019c6ad9b7f3d8fcec43cd766800ace5de35d3c3bf2f4fb1fa9",
-    "poisson": "b5ecbc9b7e7ef346794035c7d67020b5bb6afff5b2217c8c84f39473df4b263d",
-}
-WIDE_FAMILIES = sorted(WIDE_DIGESTS)
-
-
-def wide_digest(family: str) -> str:
-    docs = []
-    for n in (1024, 2048):
-        x = _pmf(family, n, 0.8, n)
-        nxt = WIDE_FAMILIES[(WIDE_FAMILIES.index(family) + 1) % 3]
-        partner = _pmf(nxt, n, 0.8, n)
-        h = entropy(x)
-        docs.append({"entropy": {"nats": h.nats, "bits": h.bits},
-                     "entropy_power": entropy_power(x),
-                     "rel_entropy_poisson": rel_entropy_poisson(x),
-                     "mean": mean(x),
-                     "convolve": pmf_to_json(convolve(x, partner))})
-    return hashlib.sha256(dumps_canonical(docs).encode()).hexdigest()
-
-
-@pytest.mark.parametrize("family", WIDE_FAMILIES)
-def test_wide_support_functional_digest(recorded_platform, family):
-    assert wide_digest(family) == WIDE_DIGESTS[family]

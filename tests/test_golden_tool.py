@@ -1,5 +1,6 @@
-"""tools/golden.py: a record diffed against itself prints nothing, and a
-number moved by one ulp prints one line."""
+"""tools/golden.py: a record holds one document per pinned output, a
+record diffed against itself prints nothing, and a number moved by one ulp
+prints one line."""
 
 import importlib
 import json
@@ -7,6 +8,8 @@ import math
 from pathlib import Path
 
 import pytest
+
+from test_pinned_outputs import MANIFEST
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -26,9 +29,28 @@ def _diff(golden, capsys, old, new, tmp_path) -> list:
     return capsys.readouterr().out.splitlines()
 
 
+def _leaves(doc, path=""):
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _leaves(value, f"{path}/{key}")
+    else:
+        yield path, doc
+
+
+def test_a_record_holds_one_document_per_pin(golden, monkeypatch):
+    # no pin without a record and no record without a pin: with each
+    # builder swapped for one that returns its entry's name, that name is
+    # the record's only leaf at its pointer
+    for name, pin in MANIFEST.items():
+        monkeypatch.setitem(MANIFEST, name,
+                            pin._replace(build=lambda name=name: ("", name)))
+    assert dict(_leaves(golden.record())) == {
+        "/" + name: name for name in MANIFEST}
+
+
 def test_a_record_against_itself_and_one_ulp_off(golden, capsys, tmp_path):
-    # the epilike section: the cheapest to build of the record's four
-    record = {"epilike": golden.SECTIONS["epilike"]()}
+    # the epilike document: among the cheapest to build
+    record = {"epilike": MANIFEST["epilike"].build()[1]}
     assert _diff(golden, capsys, record, record, tmp_path) == []
     moved = json.loads(json.dumps(record))
     alpha = moved["epilike"][3]["inputs"]["alpha"]

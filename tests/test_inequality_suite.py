@@ -1,6 +1,5 @@
 """Inequality checkers, counterexamples, and the randomized search harness."""
 
-import hashlib
 import math
 import re
 
@@ -19,6 +18,8 @@ from thinpower import (DEFAULT_TOLERANCES, DomainError, FamilySpec,
 from thinpower import inequality_suite
 from thinpower.inequality_suite import tepis_ratio_condition
 from thinpower.jsonio import dumps_canonical
+
+from test_pinned_outputs import EPILIKE_BENCH_INPUTS, split
 
 bern = lambda p: construct(FamilySpec.bernoulli(p))
 poi = lambda r: construct(FamilySpec.poisson(r))
@@ -64,51 +65,8 @@ class TestRtepi:
         assert v.holds
 
 
-# the bench's interp epilike inputs for seed 1, cycles 0-3: per cycle the
-# Poisson rates of one pair, and the Bernoulli sum, Poisson rate and alpha
-# of X = T_a Z, Y = T_(1-a) Z
-EPILIKE_BENCH_INPUTS = [
-    (0.5413386698646026, 1.6302696630122098,
-     [0.3467585448491829, 0.7595858330855638, 0.32287534636248044],
-     0.2680833944943295, 0.46124519457885166),
-    (0.528295839485966, 0.6150542434010532, [0.44366828587306983],
-     1.6288640037767042, 0.4139729425091324),
-    (0.5746248253877357, 0.6394609115559711,
-     [0.8374293640938427, 0.6451114355533921], 1.040231693178435,
-     0.6951681975320951),
-    (0.6440894032504179, 1.2539811567168928, [0.5869576251460735],
-     0.4410336379690707, 0.6174046704003961)]
-# the bits of check_epilike on those 8 pairs and on two Poisson(4.85),
-# recorded once its sign changes were refined by Illinois steps
-EPILIKE_DIGEST = (
-    "f56ffbd99b024a7253674a0a6b399b6b4aa309b8a8391c62e1d213cd680863f1")
-
-
-def _split(ps, rate, a):
-    """X = T_a Z, Y = T_(1-a) Z for Z = a Bernoulli sum + Poisson(rate)."""
-    z = convolve(construct(FamilySpec.bernoulli_sum(*ps)), poi(rate))
-    return thin(z, a), thin(z, 1.0 - a)
-
-
-def epilike_docs() -> list:
-    docs = []
-    for rx, ry, ps, rate, a in EPILIKE_BENCH_INPUTS:
-        docs += [check_epilike(poi(rx), poi(ry)).to_json(),
-                 check_epilike(*_split(ps, rate, a)).to_json()]
-    docs.append(check_epilike(poi(4.85), poi(4.85)).to_json())
-    return docs
-
-
-def epilike_digest() -> str:
-    return hashlib.sha256(dumps_canonical(epilike_docs()).encode()).hexdigest()
-
-
-def test_epilike_output_digest(recorded_platform):
-    assert epilike_digest() == EPILIKE_DIGEST
-
-
 # a bench input whose scan holds a tangent zero, refined by golden section
-GOLDEN_PAIR = lambda: _split(
+GOLDEN_PAIR = lambda: split(
     [0.6096416682045023, 0.2310182825681486, 0.14179614538352475],
     0.22096324787402688, 0.34355897230787036)
 
@@ -182,7 +140,7 @@ class TestIllinoisBisect:
     @pytest.mark.parametrize("pair", [
         *[(lambda rx=rx, ry=ry: (poi(rx), poi(ry)))
           for rx, ry, _, _, _ in EPILIKE_BENCH_INPUTS],
-        *[(lambda ps=ps, rate=rate, a=a: _split(ps, rate, a))
+        *[(lambda ps=ps, rate=rate, a=a: split(ps, rate, a))
           for _, _, ps, rate, a in EPILIKE_BENCH_INPUTS],
         GOLDEN_PAIR])
     def test_alpha_within_tol_of_bisection(self, monkeypatch, pair):

@@ -23,6 +23,8 @@ from thinpower.errors import ParameterError
 from thinpower.jsonio import _FORMAT_FROM, dumps_canonical, pmf_to_json
 from thinpower.pmf_core import FamilySpec, construct
 
+from test_pinned_outputs import MANIFEST
+
 
 def _oracle_float(value: float) -> str:
     if math.isnan(value):
@@ -348,40 +350,28 @@ def test_a_pmf_reaches_the_kernel_as_its_own_array(kernel_calls):
     assert values is p.probs and text is not None
 
 
-# the SHA-256 of the bytes below, recorded while the tables were still
-# built at import
-LONG_LISTS_DIGEST = (
-    "752822b11ce760310e196de0ab2fc20df4219c78ab907234019237ca24792e5c")
-
-
 def test_the_kernel_tables_are_built_on_the_first_long_list():
     # a fresh interpreter, since the suite has printed long lists already;
-    # three 2048-entry lists of exact doubles: the kernel takes the first
-    # two and declines the third, which holds subnormals
+    # the manifest's long lists: the kernel takes the first two and
+    # declines the third, which holds subnormals
     script = textwrap.dedent("""
-        import hashlib
-        import numpy as np
         import thinpower.cli
         from thinpower import jsonio
+        from test_pinned_outputs import MANIFEST, long_lists
         print(jsonio._tables.cache_info().currsize)
-        rng = np.random.default_rng(2048)
-        lists = [rng.random(2048)] + [
-            np.ldexp(rng.random(2048) - 0.5, rng.integers(lo, hi, 2048))
-            for lo, hi in ((-900, 900), (-1060, 1020))]
-        print([jsonio._format_floats(v) is not None for v in lists])
-        text = jsonio.dumps_canonical([v.tolist() for v in lists])
-        print(hashlib.sha256(text.encode()).hexdigest())
+        print([jsonio._format_floats(v) is not None for v in long_lists()])
+        print(MANIFEST["long_lists"].build()[0])
         print(jsonio._tables.cache_info().currsize)
     """)
     src = str(Path(jsonio.__file__).resolve().parents[1])
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [src, env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        src, str(Path(__file__).resolve().parent), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     built, taken, digest, after = proc.stdout.splitlines()
     assert built == "0"
     assert taken == "[True, True, False]"
-    assert digest == LONG_LISTS_DIGEST
+    assert digest == MANIFEST["long_lists"].digest
     assert after == "1"

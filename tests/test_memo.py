@@ -1,63 +1,25 @@
-"""FinitePmf's per-instance memo of H, V and is_ulc, its leaner checks, and
-the output bits of the paths that reuse them, pinned by digest."""
+"""FinitePmf's per-instance memo of H, V and is_ulc and its leaner checks."""
 
-import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from thinpower import (FamilySpec, FinitePmf, ParameterError, ToleranceConfig,
-                       check_epilike, construct, convolve, entropy, entropy_power,
-                       entropy_preserving_path, evolve, is_ulc, pde_residual,
-                       thin)
+                       construct, entropy, entropy_power, evolve, is_ulc,
+                       pde_residual)
 from thinpower import entropy_functionals
-from thinpower.jsonio import dumps_canonical
 
-from test_thin_kernel import THIN_INPUTS
+from test_pinned_outputs import THIN_INPUTS
 
 poi = lambda r: construct(FamilySpec.poisson(r))
 
-# the output bits of the path, of V and of check_epilike: any change to
-# how these round fails here.  None of them reads log k! past the shipped
-# table.  Recorded once the path's solves started from extrapolated rates
-# and epilike's sign changes were refined by Illinois steps
-FAST_PATH_DIGEST = (
-    "0d6e647a882b286f5c0456e49ac6bbe1c3833c1dc207793689e30abacb0198dc")
 # V of the uniform pmfs on 300 and 2048 points: their solves read log k!
 # past the table, from math.lgamma.  mpmath puts the roots at
 # 5269.6515170369 and 245575.9592287 (errors 6.9e-11 and 1.3e-9 relative);
 # the error comes from the cancellation in z log t - t - log z!, not from
 # log k!.  Both rates lie beyond the envelope of rates up to 2000
 GROWN_V = {300: 5269.651516671592, 2048: 245575.95890503022}
-
-
-def _split_pair():
-    """X = T_a Z, Y = T_(1-a) Z for a three-Bernoulli, one-Poisson Z."""
-    z = convolve(construct(FamilySpec.bernoulli_sum(
-        0.5344060761936011, 0.5146398843808033, 0.5424897526728931)),
-        poi(1.1329111563573413))
-    a = 0.43177830162982067
-    return thin(z, a), thin(z, 1.0 - a)
-
-
-def fast_path_docs() -> list:
-    return [entropy_preserving_path(
-                construct(FamilySpec.binomial(40, 0.3))).to_json(),
-            [entropy_power(THIN_INPUTS[family](n))
-             for family in sorted(THIN_INPUTS) for n in (5, 64, 300, 2048)
-             if not (family == "uniform" and n in GROWN_V)],
-            check_epilike(poi(2.0), poi(3.0)).to_json(),
-            check_epilike(*_split_pair()).to_json()]
-
-
-def fast_path_digest() -> str:
-    text = dumps_canonical(fast_path_docs())
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-def test_fast_path_output_digest(recorded_platform):
-    assert fast_path_digest() == FAST_PATH_DIGEST
 
 
 @pytest.mark.parametrize("n", sorted(GROWN_V))

@@ -192,6 +192,24 @@ def test_path_reports_the_state_its_solver_evaluated(monkeypatch):
         assert u == entropy_functionals.u_functional(state)
 
 
+def test_an_exact_start_is_returned_without_a_bracket_probe(monkeypatch):
+    # Poisson(200)'s path is f = 200 (1 - t), which its starts extrapolate
+    # to rounding, and V(Poisson(1000)) starts at its mean, the root: a
+    # start whose Newton step is below tol is returned before the bracket
+    # probes twice the start (2.05 evaluations per point, and 2 for V,
+    # with the probe)
+    evals = []
+    for module in (semigroup, entropy_functionals):
+        monkeypatch.setattr(module, "solve_increasing",
+                            lambda pair, *args, f=module.solve_increasing:
+                            f(lambda s: evals.append(s) or pair(s), *args))
+    report = entropy_preserving_path(poi(200.0))
+    assert len(evals) <= 1.5 * report.t_grid.size
+    evals.clear()
+    assert entropy_power(poi(1000.0)) == pytest.approx(1000.0, rel=1e-12)
+    assert len(evals) == 1
+
+
 def test_path_extrapolates_to_entropy_power():
     x = construct(FamilySpec.binomial(4, 0.3))
     report = entropy_preserving_path(x, default_t_grid(40))
