@@ -88,9 +88,11 @@ def entropy_power(p: FinitePmf, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> fl
     """The Poisson rate t whose entropy equals H(p).
 
     Solved by numerics.solve_increasing on the concave E from max(mean, 1)
-    to cfg.tol_root * t; E and E' share one Poisson log pmf per step.  It
-    takes 5 to 8 steps, and hundreds for entropies near 1e-100 (bisecting).
-    The result is kept in p's memo per (tol_root, tail_eps).
+    to cfg.tol_root * t; E and E' share one Poisson log pmf per step.  For
+    ULC p the start lies right of the root (V <= mean); from a start left
+    of it, Newton on the concave E rises to the root without passing it.
+    It takes 5 to 8 steps, and hundreds for entropies near 1e-100
+    (bisecting).  The result is kept in p's memo per (tol_root, tail_eps).
     """
     key = ("entropy_power", cfg.tol_root, cfg.tail_eps)
     if key not in p._memo:

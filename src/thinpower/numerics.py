@@ -237,32 +237,20 @@ def poisson_terms(rate: float, tail_eps: float):
 def solve_increasing(pair, target: float, t0: float, tol: float) -> float:
     """The s > 0 with g(s) = target for an increasing g; pair(s) = (g(s), g'(s)).
 
-    The bracket [0, t0] doubles until it encloses the target; Newton then
-    steps, bisecting when a step leaves the bracket (for a concave g, Newton
-    from the left rises monotonically to the root).  It stops when the step
-    or the bracket is below tol * s, or when the bracket cannot shrink in
-    double precision, and returns the evaluated point whose g is nearest.
-    A point left of the root whose Newton step is already below tol * s is
-    returned before the bracket probes 2s, so an exact start costs one
-    evaluation.
+    One safeguarded Newton loop from t0.  While no point right of the root
+    is known, a step from a left point goes to the Newton point but at most
+    to twice the left point, and to twice it when the slope does not point
+    right; for a concave g, Newton from the left rises to the root without
+    passing it.  After that, a step that leaves the bracket bisects it.  It
+    stops when the step or the bracket is below tol * s, or when the bracket
+    cannot shrink in double precision, and returns the evaluated point whose
+    g is nearest the target, so an exact start costs one evaluation.  A left
+    point that cannot grow inside (0, 1e15] raises NumericError.
     """
-    lo, t = 0.0, t0
-    g, slope = pair(t)
-    hi = t
-    while g < target:
-        if abs((g - target) / slope) <= tol * t:
-            return t
-        # t is left of the root: it becomes the start once 2t encloses it
-        lo, hi = t, 2.0 * t
-        if not 0.0 < hi <= 1e15:
-            raise NumericError("root bracket cannot grow to the target",
-                               {"target": target, "hi": hi})
-        g_hi, slope_hi = pair(hi)
-        if g_hi >= target:
-            break
-        t, g, slope = hi, g_hi, slope_hi
-    best_t, best_err = t, math.inf
+    lo, hi = 0.0, math.inf
+    t, best_t, best_err = t0, t0, math.inf
     for _ in range(2250):   # twice the 1124 halvings from 1e15 to 5e-324
+        g, slope = pair(t)
         err = g - target
         if abs(err) < best_err:
             best_t, best_err = t, abs(err)
@@ -270,14 +258,19 @@ def solve_increasing(pair, target: float, t0: float, tol: float) -> float:
             hi = t
         else:
             lo = t
-        step = err / slope
+        step = err / slope if slope else math.inf   # slope 0: leave the bracket
         if abs(step) <= tol * t or hi - lo <= tol * t:
             return best_t
         t = t - step
-        if not lo < t < hi:
+        if hi == math.inf:
+            if not lo < t < 2.0 * lo:
+                t = 2.0 * lo
+            if not lo < t <= 1e15:
+                raise NumericError("root bracket cannot grow to the target",
+                                   {"target": target, "hi": t})
+        elif not lo < t < hi:
             t = 0.5 * (lo + hi)
             if not lo < t < hi:
                 return best_t
-        g, slope = pair(t)
     raise NumericError("root solve did not converge",
                        {"lo": lo, "hi": hi, "target": target})

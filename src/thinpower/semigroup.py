@@ -150,13 +150,14 @@ def entropy_preserving_path(x: FinitePmf, t_grid=None,
     Defined for ultra-log-concave x with l_functional(x) > 0, the regime in
     which entropy strictly grows under thinning-with-replenishment and the
     path runs from x at t = 1 towards a Poisson of rate V(x) as t -> 0.
-    Each f(t) is solved by Newton on the exact derivative dH/df, to
-    cfg.tol_root * f, from the cubic through the last four solved (t, f);
-    the first point, and any whose extrapolation falls outside
-    (0, mean(x)], where f lies, starts from the rate that restores the
-    mean.  The grid must end in
-    (1 - 1e-12, 1].  The report records f, its extrapolation to t = 0,
-    and the U functional, which should be non-increasing in t.
+    Each f(t) is solved by numerics.solve_increasing, Newton on the exact
+    derivative dH/df, to cfg.tol_root * f, from the cubic through the last
+    four solved (t, f); the first point, and any whose extrapolation falls
+    outside (0, mean(x)], where f lies, starts from the rate that restores
+    the mean.  A point takes about 2 evaluations of H, and 1 when its
+    start is exact.  The grid must end in (1 - 1e-12, 1].  The report
+    records f, its extrapolation to t = 0, and the U functional, which
+    should be non-increasing in t.
     """
     if t_grid is None:
         t_grid = default_t_grid()

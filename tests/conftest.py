@@ -5,6 +5,8 @@ suite checks the same cases and no run fails on a timing deadline.  The
 "thorough" profile (``--hypothesis-profile thorough``) draws many more.
 Every ``@given`` test carries the ``property`` marker, so ``pytest -m
 property --hypothesis-profile thorough`` runs all of them and nothing else.
+``THOROUGH`` is true under that profile; test files read it with ``from
+conftest import THOROUGH`` to widen their strategies to the claimed envelope.
 
 Tests that pin output bits by digest take the ``recorded_platform``
 fixture: it skips them on a host whose floating-point primitives round
@@ -22,6 +24,7 @@ settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.register_profile("thorough", derandomize=True, deadline=None,
                           max_examples=2000)
 settings.load_profile("deterministic")
+THOROUGH = False
 
 # digest of _platform_probe() where the output digests were recorded
 PLATFORM_PROBE = (
@@ -51,6 +54,15 @@ def recorded_platform():
     if _platform_probe() != PLATFORM_PROBE:
         pytest.skip("exp, lgamma or BLAS round differently here than where "
                     "the digests were recorded")
+
+
+@pytest.hookimpl(trylast=True)
+def pytest_configure(config):
+    # after hypothesis's own hook has loaded --hypothesis-profile, and
+    # before the test files are imported
+    global THOROUGH
+    THOROUGH = (settings().max_examples
+                >= settings.get_profile("thorough").max_examples)
 
 
 def pytest_collection_modifyitems(items):

@@ -6,6 +6,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from thinpower import (DomainError, FamilySpec, FinitePmf, NumericError,
                        ParameterError, ToleranceConfig, construct, convolve,
@@ -223,6 +224,69 @@ def test_solve_increasing_raises_numeric_error_from_a_start_at_zero():
 
     with pytest.raises(NumericError):
         solve_increasing(pair, 1.0, 0.0, 1e-10)
+
+
+def test_a_start_left_of_a_near_root_evaluates_no_point_past_it():
+    # Newton on the concave log from 2 rises to the root 3 without passing
+    # it; the bracket probe evaluated 4, twice the start
+    calls = []
+    pair = lambda s: calls.append(s) or (math.log(s), 1.0 / s)
+    assert solve_increasing(pair, math.log(3.0), 2.0, 1e-12) == \
+        pytest.approx(3.0, rel=1e-12)
+    assert max(calls) < 4.0
+
+
+@pytest.mark.parametrize("slope", [0.0, -1.0, math.nan])
+def test_a_left_point_whose_slope_does_not_rise_doubles(slope):
+    calls = []
+
+    def pair(s):
+        calls.append(s)
+        return s - 3.0, slope if s < 1.0 else 1.0
+
+    assert solve_increasing(pair, 0.0, 0.1, 1e-12) == pytest.approx(3.0)
+    assert calls[:5] == [0.1, 0.2, 0.4, 0.8, 1.6]
+
+
+def _steep_tanh(c, s):
+    g = math.tanh(50.0 * (s / c - 1.0))
+    return g, 50.0 / c * (1.0 - g * g)   # rounds to 0 far from c
+
+
+# increasing g with the root at c, as (g(s), g'(s)): concave, convex, steep
+SHAPES = {
+    "log": lambda c, s: (math.log(s / c), 1.0 / s),
+    "cube": lambda c, s: ((s / c) ** 3 - 1.0, 3.0 * s * s / c ** 3),
+    "tanh": _steep_tanh,
+}
+
+
+@given(shape=st.sampled_from(sorted(SHAPES)),
+       root=st.floats(1e-3, 1e6),
+       start=st.sampled_from([1.0, 1e-12, -1.0]),   # left, far left, right
+       u=st.floats(0.05, 0.95),
+       # well above double resolution, where g's rounding moves the root
+       tol=st.sampled_from([1e-12, 1e-9, 1e-6]))
+def test_solve_increasing_finds_the_root_in_one_loop(shape, root, start, u,
+                                                      tol):
+    calls = []
+
+    def pair(s):
+        calls.append((s, *SHAPES[shape](root, s)))
+        return calls[-1][1:]
+
+    t0 = root / u if start < 0.0 else root * u * start
+    assert abs(solve_increasing(pair, 0.0, t0, tol) - root) <= tol * root
+    assert all(0.0 < s <= 1e15 for s, _, _ in calls)
+    # until a point right of the root is known, a step from a left point
+    # goes at most to twice it, and to twice it when its slope does not
+    # point right
+    for (s, g, slope), (s_next, _, _) in zip(calls, calls[1:]):
+        if g >= 0.0:
+            break
+        assert s < s_next <= 2.0 * s
+        if not slope > 0.0:
+            assert s_next == 2.0 * s
 
 
 def test_entropy_power_of_point_mass_is_zero():

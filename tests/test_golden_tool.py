@@ -1,6 +1,6 @@
 """tools/golden.py: a record holds one document per pinned output, a
-record diffed against itself prints nothing, and a number moved by one ulp
-prints one line."""
+record diffed against itself prints nothing and exits 0, and a number moved
+by one ulp prints one line and exits 1."""
 
 import importlib
 import json
@@ -21,12 +21,13 @@ def golden():
         yield importlib.import_module("golden")
 
 
-def _diff(golden, capsys, old, new, tmp_path) -> list:
+def _diff(golden, capsys, old, new, tmp_path) -> tuple:
+    """diff's exit status and printed lines."""
     paths = [tmp_path / "old.json", tmp_path / "new.json"]
     for path, doc in zip(paths, (old, new)):
         path.write_text(json.dumps(doc))
-    assert golden.main(["diff", *map(str, paths)]) == 0
-    return capsys.readouterr().out.splitlines()
+    code = golden.main(["diff", *map(str, paths)])
+    return code, capsys.readouterr().out.splitlines()
 
 
 def _leaves(doc, path=""):
@@ -51,14 +52,21 @@ def test_a_record_holds_one_document_per_pin(golden, monkeypatch):
 def test_a_record_against_itself_and_one_ulp_off(golden, capsys, tmp_path):
     # the epilike document: among the cheapest to build
     record = {"epilike": MANIFEST["epilike"].build()[1]}
-    assert _diff(golden, capsys, record, record, tmp_path) == []
+    assert _diff(golden, capsys, record, record, tmp_path) == (0, [])
     moved = json.loads(json.dumps(record))
     alpha = moved["epilike"][3]["inputs"]["alpha"]
     moved["epilike"][3]["inputs"]["alpha"] = math.nextafter(alpha, 1.0)
-    lines = _diff(golden, capsys, record, moved, tmp_path)
-    assert len(lines) == 1
+    code, lines = _diff(golden, capsys, record, moved, tmp_path)
+    assert code == 1 and len(lines) == 1
     assert lines[0].startswith("/epilike/3/inputs/alpha  ")
     assert lines[0].endswith("  1 ulps")
+
+
+@pytest.mark.parametrize("argv", [[], ["diff", "old.json"],
+                                  ["record", "a", "b"], ["merge", "a", "b"]])
+def test_a_usage_error_exits_2(golden, capsys, argv):
+    assert golden.main(argv) == 2
+    assert "golden.py record OUT" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("old, new, found", [

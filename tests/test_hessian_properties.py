@@ -8,13 +8,12 @@ times a Poisson factor of rate up to 300, hundreds of points each.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from thinpower import FamilySpec, ParameterError, construct, convolve
 from thinpower import hessian
+from conftest import THOROUGH
 
-THOROUGH = (settings().max_examples
-            >= settings.get_profile("thorough").max_examples)
 FACTORS, RATE = (200, 300.0) if THOROUGH else (6, 4.0)
 
 

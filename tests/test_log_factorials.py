@@ -18,7 +18,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 from scipy.special import gammaln
 
 import thinpower
@@ -27,10 +27,9 @@ from thinpower import (DEFAULT_TOLERANCES, entropy_functionals, entropy_power,
 from thinpower.entropy_functionals import _poisson_entropy_pair
 from thinpower.numerics import fsum, poisson_log_terms, poisson_terms
 from thinpower.pmf_core import FamilySpec, FinitePmf, construct, poisson_pmf
+from conftest import THOROUGH
 
 SHIPPED = Path(thinpower.__file__).with_name("log_factorials.npy")
-THOROUGH = (settings().max_examples
-            >= settings.get_profile("thorough").max_examples)
 V_RATE = 2000.0 if THOROUGH else 200.0
 # E(t), and so the entropy of a Poisson pmf, is documented to within 1e-11
 # absolute for t up to 2000

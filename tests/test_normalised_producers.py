@@ -13,15 +13,14 @@ thorough) draws up to about 3000 points and rates up to 2000.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from thinpower import (FamilySpec, FinitePmf, ParameterError, ToleranceConfig,
                        construct, convolve, thin)
 from thinpower.numerics import fsum, poisson_terms
 from thinpower.pmf_core import poisson_pmf
+from conftest import THOROUGH
 
-THOROUGH = (settings().max_examples
-            >= settings.get_profile("thorough").max_examples)
 # most points of a drawn pmf; Bernoulli factors and Poisson rate of the ULC
 # ones, about 120 + 50 + 10 sqrt(50) + 30 <= 300 points in tier-1, and
 # 1500 + 700 + 10 sqrt(700) + 30 <= 3000 thorough; largest Poisson rate

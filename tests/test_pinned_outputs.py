@@ -192,7 +192,7 @@ def _epilike() -> tuple:
 def _fast_path() -> tuple:
     """The path, V and check_epilike as FinitePmf's memo serves them.
     None of them reads log k! past the shipped table: V of the uniform
-    pmfs on 300 and 2048 points does, and test_memo.GROWN_V pins it."""
+    pmfs on 300 and 2048 points does, and the grown_v entry pins it."""
     return _canonical([
         entropy_preserving_path(
             construct(FamilySpec.binomial(40, 0.3))).to_json(),
@@ -303,6 +303,18 @@ MANIFEST = {
     "epilike": Pin(
         "f56ffbd99b024a7253674a0a6b399b6b4aa309b8a8391c62e1d213cd680863f1",
         _epilike),
+    # V of the uniform pmfs on 300 and 2048 points: their solves read log k!
+    # past the table, from math.lgamma.  mpmath puts the roots at
+    # 5269.6515170369 and 245575.9592287 (errors -4.6e-12 and -1.3e-9
+    # relative); the error comes from the cancellation in
+    # z log t - t - log z!, not from log k!.  Both rates lie beyond the
+    # envelope of rates up to 2000.  Recorded once the solver's Newton
+    # loop took the place of its bracket probe, which had left the first
+    # at -6.9e-11
+    "grown_v": Pin(
+        "c48b215565278d507e7bc9ccc8a3ed6a5571902f31fdc7f5be29186d07019b45",
+        lambda: _canonical([entropy_power(THIN_INPUTS["uniform"](n))
+                            for n in (300, 2048)])),
     "fast_path": Pin(
         "0d6e647a882b286f5c0456e49ac6bbe1c3833c1dc207793689e30abacb0198dc",
         _fast_path),

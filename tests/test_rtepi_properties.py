@@ -16,13 +16,12 @@ hold, or miss by no more than that error.  One such pmf is pinned below.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from thinpower import (DEFAULT_TOLERANCES, FamilySpec, check_rtepi, construct,
                        convolve, is_ulc, poisson_entropy_derivative)
+from conftest import THOROUGH
 
-THOROUGH = (settings().max_examples
-            >= settings.get_profile("thorough").max_examples)
 # most Bernoulli factors, largest binomial n and largest Poisson rate: at
 # most 50 + 50 + 115 points in tier-1, 800 + 800 + 1576 thorough
 BERNOULLIS, BINOMIAL_N, RATE = (800, 800, 1200.0) if THOROUGH else (50, 50, 30.0)

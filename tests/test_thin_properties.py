@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from thinpower import (DEFAULT_TOLERANCES, FamilySpec, IllConditionedError,
                        construct, convolve, inverse_thin, mean, thin,
@@ -21,9 +21,8 @@ from thinpower import (DEFAULT_TOLERANCES, FamilySpec, IllConditionedError,
 from thinpower import transforms
 from test_transforms import (inverse_bound, pgf_at_inverse_point,
                              roundtrip_bound, thin_bound)
+from conftest import THOROUGH
 
-THOROUGH = (settings().max_examples
-            >= settings.get_profile("thorough").max_examples)
 # Bernoulli factors and Poisson rate of the ULC inputs: at most about 2850
 # points under the thorough profile
 FACTORS, ULC_RATE = (1500, 1000.0) if THOROUGH else (150, 40.0)

@@ -18,15 +18,14 @@ import json
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from thinpower import (DEFAULT_TOLERANCES, FamilySpec, FinitePmf,
                        ToleranceConfig, construct, is_ulc)
 from thinpower.cli import main
 from thinpower.pmf_core import poisson_pmf
+from conftest import THOROUGH
 
-THOROUGH = (settings().max_examples
-            >= settings.get_profile("thorough").max_examples)
 # largest Poisson rate and binomial n.  Every entry of either component,
 # times a weight of at least 1e-8, stays a normal double: e^-650 for the
 # Poisson, 0.05^200 for the binomial, whose p stays in [0.05, 0.95].  So

@@ -2,7 +2,8 @@
 numbers that moved between two records.
 
     python tools/golden.py record OUT     write the documents to OUT
-    python tools/golden.py diff OLD NEW   print each value that moved
+    python tools/golden.py diff OLD NEW   print each value that moved;
+                                          exit 1 if any did
 
 The pins live in one table, MANIFEST in tests/test_pinned_outputs.py,
 whose test runs the same builders.  A record is one canonical-JSON object
@@ -11,7 +12,8 @@ the stdout of `thinpower verify --all` at /cli/verify --all, the seed-1
 cycles of ulc_sweep at /bench/ulc_sweep, the epilike checks at /epilike.
 The tool writes only OUT.  `diff` prints one line per moved value: its
 JSON pointer, the old and new values and, for two finite numbers, their
-distance in ulps.  It prints nothing for equal records.
+distance in ulps.  It prints nothing and exits 0 for equal records, exits
+1 when a value moved, and 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -85,10 +87,11 @@ def main(argv=None) -> int:
         return 0
     if len(args) == 3 and args[0] == "diff":
         old, new = (json.loads(Path(p).read_text()) for p in args[1:])
-        for path, a, b, ulps in moves(old, new):
+        moved = list(moves(old, new))
+        for path, a, b, ulps in moved:
             tail = "" if ulps is None else f"  {ulps} ulps"
             print(f"{path}  {json.dumps(a)} -> {json.dumps(b)}{tail}")
-        return 0
+        return 1 if moved else 0
     print(__doc__, file=sys.stderr)
     return 2
 
