@@ -19,7 +19,7 @@ from thinpower import inequality_suite
 from thinpower.inequality_suite import tepis_ratio_condition
 from thinpower.jsonio import dumps_canonical
 
-from test_pinned_outputs import EPILIKE_BENCH_INPUTS, split
+from test_pinned_outputs import EPILIKE_BENCH_INPUTS, TANGENT_PAIRS, split
 
 bern = lambda p: construct(FamilySpec.bernoulli(p))
 poi = lambda r: construct(FamilySpec.poisson(r))
@@ -172,6 +172,24 @@ class TestEpilike:
         merged = entropy(binom(n, p + q)).nats
         assert v.rhs == pytest.approx(merged, abs=1e-6)
         assert v.holds
+
+    @pytest.mark.parametrize("n, p, q", TANGENT_PAIRS)
+    def test_a_tangent_zero_is_the_golden_sections(self, monkeypatch,
+                                                   n, p, q):
+        # the pinned tangent pairs: alpha is a point _golden_min returned
+        # with |gap| <= tol_ineq; without golden section the verdict takes
+        # the mirrored crossing near 1/2
+        found, golden = [], inequality_suite._golden_min
+        monkeypatch.setattr(inequality_suite, "_golden_min",
+                            lambda *args: found.append(golden(*args))
+                            or found[-1])
+        alpha = check_epilike(binom(n, p), binom(n, q)).inputs["alpha"]
+        sizes = [size for size, a in found if a == alpha]
+        assert sizes and min(sizes) <= DEFAULT_TOLERANCES.tol_ineq
+        monkeypatch.setattr(inequality_suite, "_golden_min",
+                            lambda *args: (math.inf, math.nan))
+        stubbed = check_epilike(binom(n, p), binom(n, q)).inputs["alpha"]
+        assert abs(stubbed - 0.5) < 1e-6 and abs(alpha - 0.4) < 1e-6
 
     def test_tiny_root_tolerance_still_terminates(self):
         # alpha brackets stop shrinking near 1e-16, so a tol_root below

@@ -189,6 +189,19 @@ def _epilike() -> tuple:
     return _canonical(docs)
 
 
+# binomial(n, p) and binomial(n, q) with p + q = 1/2: at the merged root
+# alpha = p/(p+q) both preimages are binomial(n, 1/2), whose entropy peaks
+# there, so H(X*) - H(Y*) touches zero without changing sign, and only
+# check_epilike's golden section finds that zero
+TANGENT_PAIRS = [(4, 0.2, 0.3), (10, 0.2, 0.3)]
+
+
+def _epilike_tangent() -> tuple:
+    binom = lambda n, p: construct(FamilySpec.binomial(n, p))
+    return _canonical([check_epilike(binom(n, p), binom(n, q)).to_json()
+                       for n, p, q in TANGENT_PAIRS])
+
+
 def _fast_path() -> tuple:
     """The path, V and check_epilike as FinitePmf's memo serves them.
     None of them reads log k! past the shipped table: V of the uniform
@@ -303,6 +316,10 @@ MANIFEST = {
     "epilike": Pin(
         "f56ffbd99b024a7253674a0a6b399b6b4aa309b8a8391c62e1d213cd680863f1",
         _epilike),
+    # recorded before golden section placed its points in the larger side
+    "epilike_tangent": Pin(
+        "54f8b0f93a1bcd8e633f8d8b105bd8ffd71515e53a0c17efd515067dd159b24e",
+        _epilike_tangent),
     # V of the uniform pmfs on 300 and 2048 points: their solves read log k!
     # past the table, from math.lgamma.  mpmath puts the roots at
     # 5269.6515170369 and 245575.9592287 (errors -4.6e-12 and -1.3e-9
