@@ -132,19 +132,13 @@ def _bisect(gap, a0, d0, a1, d1, tol):
 
 def _golden_min(gap, lo, hi, tol):
     """(|gap(a)|, a) at the least |gap| golden section on [lo, hi] meets.
-
-    Each step amplifies the rounding of the mirror d = lo + hi - c until c
-    nears the midpoint, where [lo, hi] shrinks by ulps a step; so c
-    restarts at the golden ratio once d leaves the middle half.
-    """
+    Each step evaluates d, _GOLDEN of the way from the best point c into
+    the larger side (R. P. Brent, Algorithms for Minimization without
+    Derivatives, 1973), and shrinks [lo, hi] to at most 0.691 of its width."""
     c = lo + _GOLDEN * (hi - lo)
     fc = abs(gap(c))
     while hi - lo > tol:
-        d = lo + hi - c
-        if not lo + 0.25 * (hi - lo) <= d <= hi - 0.25 * (hi - lo):
-            c = lo + _GOLDEN * (hi - lo)
-            fc = abs(gap(c))
-            continue
+        d = c + _GOLDEN * (hi - c if hi - c > c - lo else lo - c)
         fd = abs(gap(d))
         if fd < fc:
             lo, hi, c, fc = (c, hi, d, fd) if d > c else (lo, c, d, fd)

@@ -174,23 +174,18 @@ def _digits(values: np.ndarray):
     f_lo = f - f_hi
     digits, r = _rounded(f, f_hi, f_lo, e, at, tables)
     under = (digits - 10 ** 16) + r <= -2.0 ** -40
-    ok = (np.abs(r) < 0.5 - 2.0 ** -40) & (digits < 10 ** 17) & ~under
+    if under.any():
+        # np.log10 rounds some doubles under 10^X up to X: redo at X - 1
+        at -= under
+        digits, r = _rounded(f, f_hi, f_lo, e, at, tables)
+    ok = ((np.abs(r) < 0.5 - 2.0 ** -40) & (digits <= 10 ** 17)
+          & ((digits - 10 ** 16) + r > -2.0 ** -40))
+    carry = digits == 10 ** 17
+    digits[carry] = 10 ** 16
+    at += carry
     if has_zero:
         digits[zero] = 0            # and X = log10(1) = 0
         ok[zero] = True
-    if under.any():
-        # np.log10 rounds some doubles just under 10^X up to X (1e-14's,
-        # for one), so that y falls under 10^16: retry them at X - 1,
-        # where y is ten times as large and D = 10^17 is 10^16 at X
-        miss = np.flatnonzero(under)
-        below = at[miss] - 1
-        retry, r = _rounded(f[miss], f_hi[miss], f_lo[miss], e[miss], below,
-                            tables)
-        ok[miss] = ((np.abs(r) < 0.5 - 2.0 ** -40) & (retry <= 10 ** 17)
-                    & ((retry - 10 ** 16) + r > -2.0 ** -40))
-        carry = retry == 10 ** 17
-        digits[miss] = np.where(carry, 10 ** 16, retry)
-        at[miss] = np.where(carry, at[miss], below)
     return digits, at, ok
 
 
@@ -206,27 +201,27 @@ def _format_floats(values: np.ndarray) -> str | None:
     sum with the product's error term round once each, and the power of
     two is exact.  So y = p + t with |y - (p + t)| < 5 * 2^-106 y, below
     2^-46 wherever y < 10^17, and p holds an integer wherever y >= 2^53.
-    D = p + rint(t), in int64, and r = t - rint(t) are exact, and D is
+    D = p + rint(t), in int64, and r = t - rint(t) are exact.  np.log10
+    rounds some doubles just under 10^X up to X (those nearest 1e-14 and
+    1e-6 among them), so that D + r falls under 10^16 - 2^-40: if any
+    element's does, its X is lowered by one, where y is ten times as large,
+    and a second pass recomputes D and r for the whole array.  D is then
     taken, with exponent X, where
     - |r| < 1/2 - 2^-40: y is more than 2^-40 from a tie, so D is y
       rounded to the nearest integer;
-    - 10^16 - 2^-40 < D + r and D < 10^17: with the first condition,
-      10^16 - 2^-39 < y < 10^17 - 1/2, so D has 17 digits and X is the
-      exponent of x rounded to 17 significant digits.  Where y < 10^16,
-      D = 10^16 and x rounded to 17 digits is 10^X too, so an exact
-      power of ten such as 1.0 is taken.
-    An estimate of X that is off by one puts y below 10^16 - 2^-39,
+    - 10^16 - 2^-40 < D + r and D <= 10^17: with the first condition,
+      10^16 - 2^-39 < y < 10^17 + 1/2, so D is x rounded to 17 significant
+      digits at exponent X.  Where y < 10^16, D = 10^16 and x rounded to
+      17 digits is 10^X too, so an exact power of ten such as 1.0 is
+      taken.  D = 10^17 is written as 10^16 at X + 1: x rounded to 17
+      digits is 10^(X + 1).
+    An estimate of X that is still off by one puts y below 10^16 - 2^-39,
     where a p that is not an integer is truncated and only lowers D + r,
-    or at 10^17 and above, unless x is within that distance of 10^X:
-    it fails the second condition.  np.log10 rounds some doubles just
-    under 10^X up to X (those nearest 1e-14 and 1e-6 among them), so an
-    element whose D + r falls under 10^16 - 2^-40 is retried at X - 1,
-    where y is ten times as large.  It is taken there on the same two
-    conditions, except that D = 10^17 passes and is written as 10^16 at
-    X: then |y - 10^16| < 1/20, and x rounded to 17 digits is 10^X.  An
-    exact tie fails the first condition at either exponent.  If any
-    element still fails, the kernel declines the whole array and returns
-    None.  Zeros are written with D = 0 and X = 0.
+    or at 10^17 and above, where D > 10^17 unless x rounded to 17 digits
+    is 10^(X + 1): it fails the second condition or is carried.  An exact
+    tie fails the first condition.  If any element fails, the kernel
+    declines the whole array and returns None.  Zeros are written with
+    D = 0 and X = 0.
 
     Text.  The C99 %g rules at precision 17: style e when X < -4 or
     X >= 17, style f otherwise; trailing zeros dropped, and the point with

@@ -112,6 +112,44 @@ def _one_sign_change():
     return st.one_of(cubic, steep, power)
 
 
+def _one_minimum():
+    """(g, lo, m, hi) with lo <= m <= hi and |g| unimodal on [lo, hi], least
+    at m: c (a - m)^2 + k with k >= 0 (k = 0 a tangent zero), a monotone
+    cubic with one simple zero at m, or tanh(s (a - m)) with s <= 10."""
+    points = st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3).map(sorted)
+    parabola = st.builds(
+        lambda p, c, k: (lambda a: c * (a - p[1]) ** 2 + k, *p),
+        points, st.floats(1e-3, 1e3), st.just(0.0) | st.floats(0.0, 1.0))
+    # its slope 3u^2 + 2(w - m)u + q in u = a - w stays positive
+    cubic = st.builds(
+        lambda p, w, q, s: (lambda a: s * (a - p[1]) * (
+            (a - w) ** 2 + (w - p[1]) ** 2 / 3.0 + q), *p),
+        points, st.floats(-1.0, 2.0), st.floats(1e-3, 1.0),
+        st.sampled_from([-1e3, -1.0, 1e-3, 1.0]))
+    # a steeper tanh saturates to a plateau golden section cannot search
+    tanh = st.builds(
+        lambda p, s: (lambda a: math.tanh(s * (a - p[1])), *p),
+        points, st.floats(-10.0, 10.0).filter(lambda s: abs(s) >= 1e-3))
+    return st.one_of(parabola, cubic, tanh)
+
+
+class TestGoldenMin:
+    @given(_one_minimum(), st.sampled_from([1e-12, 1e-9, 1e-6]))
+    def test_finds_the_least_value_in_bounded_steps(self, case, tol):
+        g, lo, m, hi = case
+        assume(hi - lo > tol)
+        points = []
+        size, a = inequality_suite._golden_min(
+            lambda x: points.append(x) or g(x), lo, hi, tol)
+        assert all(lo <= x <= hi for x in points)
+        assert size == abs(g(a))
+        least = abs(g(m))
+        assert abs(size - least) <= 8e-16 * least or abs(a - m) <= tol
+        # each step shrinks the bracket to at most 0.691 of its width
+        assert len(points) <= math.ceil(
+            math.log((hi - lo) / tol) / math.log(1.0 / 0.691)) + 2
+
+
 class TestIllinoisBisect:
     @given(_one_sign_change(), st.sampled_from([1e-12, 1e-10, 1e-6]))
     def test_lands_within_tol_of_the_sign_change(self, case, tol):
@@ -233,10 +271,12 @@ class TestEpilike:
         assert v.inputs["alpha"] == pytest.approx(0.5, abs=1e-6)
 
     def test_golden_section_restarts_instead_of_crawling(self, monkeypatch):
-        # a bench input on which the mirrored golden section drifted to the
-        # midpoint and then moved by ulps a step: 1.25M inverse_thin calls
-        # and 65 s for the same verdict.  Bisecting its sign changes took
-        # 278 calls in all, Illinois steps take 232
+        # a bench input on which a golden section that mirrored its best
+        # point drifted to the midpoint and then moved by ulps a step: 1.25M
+        # inverse_thin calls and 65 s for the same verdict.  Each step now
+        # places its point in the larger side and shrinks the bracket to at
+        # most 0.691 of its width.  Bisecting its sign changes took 278
+        # calls in all, Illinois steps take 232
         calls = []
         monkeypatch.setattr(inequality_suite, "inverse_thin",
                             lambda *args, f=inequality_suite.inverse_thin:
