@@ -14,7 +14,7 @@ from .errors import (DomainError, IllConditionedError, NotThinnableError,
                      ParameterError, PreconditionError)
 from .entropy_functionals import entropy, entropy_power, rel_entropy_poisson
 from .inequality_verdict import InequalityVerdict, make_verdict, ulc_note
-from .numerics import fsum
+from .numerics import check_count, check_support, fsum
 from .pmf_core import (DEFAULT_TOLERANCES, FamilySpec, FinitePmf,
                        ToleranceConfig, _check_prob, construct, is_ulc, mean,
                        total_variation)
@@ -385,6 +385,8 @@ def random_ulc(seed: int, max_bernoullis: int = 3, max_poisson_rate: float = 2.0
     if max_bernoullis < 1 or not 0.0 <= max_poisson_rate < math.inf:
         raise ParameterError(
             "need max_bernoullis >= 1 and a finite max_poisson_rate >= 0")
+    # a sum of max_bernoullis Bernoullis has support 0..max_bernoullis
+    check_support(max_bernoullis, "max_bernoullis", max_bernoullis)
     rng = np.random.default_rng(seed)
     count = int(rng.integers(1, max_bernoullis + 1))
     ps = rng.uniform(0.05, 0.95, size=count)
@@ -421,6 +423,7 @@ def search(conjecture: str, trials: int, seed: int,
         raise ParameterError("trials must be >= 1")
     if seed < 0:
         raise ParameterError("seed must be >= 0")
+    check_count(trials, "trials", trials, "trial seeds")
     statement = STATEMENTS[conjecture]
     master = np.random.default_rng(seed)
     trial_seeds = master.integers(0, 2 ** 62, size=trials)

@@ -48,8 +48,8 @@ _LOG_Z1.flags.writeable = False
 _FSUM_EXTRACT = 192
 # extraction levels before fsum falls back to math.fsum of the whole list
 _FSUM_LEVELS = 3
-# check_support asks the host for supports from this many points on: an
-# empty array costs about 0.5 us, too much for every Poisson cut of V's solve
+# check_count asks the host for more than this many entries: an empty
+# array costs about 0.5 us, too much for every Poisson cut of V's solve
 _PROBE_FROM = 2 ** 24
 
 
@@ -199,21 +199,28 @@ def poisson_log_terms(rate: float, n_top: int):
     return z, z * math.log(rate) - rate - log_fact, log_z1
 
 
-def check_support(top: int, name: str, value) -> int:
-    """top, the last support point that `name` = `value` sets, if it fits."""
-    # callers allocate up to 2 top + 4 doubles; numpy refuses 2**63 bytes,
-    # the host often far fewer: from _PROBE_FROM points on, an untouched
-    # np.empty of that size asks for them without using the memory
-    fits = top < 2 ** 58
-    if fits and top >= _PROBE_FROM:
+def check_count(count: int, name: str, value, what: str) -> int:
+    """count, the `what` that `name` = `value` asks for, if arrays of
+    twice as many doubles fit."""
+    # numpy refuses 2**63 bytes, the host often far fewer: past _PROBE_FROM,
+    # an untouched np.empty of that size asks for them without using the
+    # memory
+    fits = count <= 2 ** 58
+    if fits and count > _PROBE_FROM:
         try:
-            np.empty(2 * top + 4)
+            np.empty(2 * count + 2)
         except MemoryError:
             fits = False
     if not fits:
-        raise ParameterError(f"{name} = {value:g} needs {float(top) + 1:.3g} "
-                             "support points, more than one array can hold")
-    return top
+        raise ParameterError(f"{name} = {value:g} needs {float(count):.3g} "
+                             f"{what}, more than one array can hold")
+    return count
+
+
+def check_support(top: int, name: str, value) -> int:
+    """top, the last support point that `name` = `value` sets, if it fits."""
+    # callers allocate up to 2 top + 4 doubles
+    return check_count(top + 1, name, value, "support points") - 1
 
 
 def poisson_terms(rate: float, tail_eps: float):

@@ -13,7 +13,7 @@ from .entropy_functionals import (entropy, entropy_and_log, entropy_power,
                                   l_functional, poisson_entropy_derivative,
                                   u_functional)
 from .inequality_verdict import InequalityVerdict, make_verdict, ulc_note
-from .numerics import fsum, solve_increasing
+from .numerics import check_count, fsum, solve_increasing
 from .pmf_core import (DEFAULT_TOLERANCES, FinitePmf, ToleranceConfig,
                        _padded, is_ulc, mean, poisson_pmf)
 from .transforms import convolve, thin
@@ -45,7 +45,8 @@ def default_t_grid(points: int = 40) -> np.ndarray:
     """Logarithmically spaced grid on [0.02, 1], dense near the extrapolation end."""
     if points < 2:
         raise ParameterError("t grid needs at least 2 points")
-    return np.geomspace(0.02, 1.0, points)
+    return np.geomspace(0.02, 1.0, check_count(points, "t grid", points,
+                                               "points"))
 
 
 def evolve(x: FinitePmf, t: float, f_val: float,

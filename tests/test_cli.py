@@ -136,6 +136,27 @@ def test_oversized_family_parameters_are_input_errors(capsys, argv, name):
     assert "more than one array can hold" in doc["message"]
 
 
+_COIN = '{"probs": [0.5, 0.5]}'
+
+
+# 2**60 fails the hard limit of 2**58 entries; 10**12 passes it, and the
+# host refuses an untouched array of 2 * 10**12 doubles
+@pytest.mark.parametrize("size", [2 ** 60, 10 ** 12])
+@pytest.mark.parametrize("argv, name", [
+    (["search", "--name", "teci", "--seed", "1", "--trials"], "trials"),
+    (["search", "--name", "teci", "--trials", "1", "--seed", "1",
+      "--max-bernoullis"], "max_bernoullis"),
+    (["path", "--pmf", _COIN, "--grid"], "t grid"),
+])
+def test_sizes_no_array_can_hold_are_input_errors(capsys, argv, name, size):
+    code, out = run(capsys, *argv, str(size))
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"] == "ParameterError"
+    assert doc["message"].startswith(f"{name} = {size:g} needs")
+    assert "more than one array can hold" in doc["message"]
+
+
 def test_functional_dispatch(capsys):
     code, out = run(capsys, "functional", "--name", "E", "--t", "1.0")
     assert code == 0
