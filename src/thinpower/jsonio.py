@@ -178,11 +178,11 @@ def _digits(values: np.ndarray):
         # np.log10 rounds some doubles under 10^X up to X: redo at X - 1
         at -= under
         digits, r = _rounded(f, f_hi, f_lo, e, at, tables)
-    ok = ((np.abs(r) < 0.5 - 2.0 ** -40) & (digits <= 10 ** 17)
-          & ((digits - 10 ** 16) + r > -2.0 ** -40))
+        under = (digits - 10 ** 16) + r <= -2.0 ** -40
+    ok = (np.abs(r) < 0.5 - 2.0 ** -40) & (digits <= 10 ** 17) & ~under
     carry = digits == 10 ** 17
     digits[carry] = 10 ** 16
-    at += carry
+    at[carry] += 1
     if has_zero:
         digits[zero] = 0            # and X = log10(1) = 0
         ok[zero] = True
