@@ -45,8 +45,8 @@ def default_t_grid(points: int = 40) -> np.ndarray:
     """Logarithmically spaced grid on [0.02, 1], dense near the extrapolation end."""
     if points < 2:
         raise ParameterError("t grid needs at least 2 points")
-    return np.geomspace(0.02, 1.0, check_count(points, "t grid", points,
-                                               "points"))
+    check_count(points, "t grid", points, "points")
+    return np.geomspace(0.02, 1.0, points)
 
 
 def evolve(x: FinitePmf, t: float, f_val: float,
