@@ -182,7 +182,7 @@ def _digits(values: np.ndarray):
     ok = (np.abs(r) < 0.5 - 2.0 ** -40) & (digits <= 10 ** 17) & ~under
     carry = digits == 10 ** 17
     digits[carry] = 10 ** 16
-    at[carry] += 1
+    at += carry
     if has_zero:
         digits[zero] = 0            # and X = log10(1) = 0
         ok[zero] = True
