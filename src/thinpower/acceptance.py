@@ -240,7 +240,7 @@ def criterion_7(cfg):
             if alphas.min() > 0.05 and alphas.max() < 0.9:
                 break
         analytic = hes.hessian_analytic(xs, alphas, cfg)
-        numeric = hes.hessian_fd(xs, alphas, cfg, step=1e-4)
+        numeric = hes.hessian_fd(xs, alphas, cfg)
         gap = np.abs(analytic - numeric) - (1e-5 * np.abs(analytic) + 1e-8)
         worst_fd = max(worst_fd, float(gap.max()))
 

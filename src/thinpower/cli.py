@@ -68,24 +68,20 @@ def _build_config(args) -> ToleranceConfig:
 
 
 def _render_table(obj, indent=""):
-    lines = []
+    # a nested value opens a block under "key:" in a dict, "[i]" in a list
     if isinstance(obj, dict):
-        for key in sorted(obj):
-            value = obj[key]
-            if isinstance(value, (dict, list)):
-                lines.append(f"{indent}{key}:")
-                lines.extend(_render_table(value, indent + "  "))
-            else:
-                lines.append(f"{indent}{key} = {value}")
+        pairs, colon = [(key, obj[key]) for key in sorted(obj)], ":"
     elif isinstance(obj, list):
-        for i, value in enumerate(obj):
-            if isinstance(value, (dict, list)):
-                lines.append(f"{indent}[{i}]")
-                lines.extend(_render_table(value, indent + "  "))
-            else:
-                lines.append(f"{indent}[{i}] = {value}")
+        pairs, colon = [(f"[{i}]", value) for i, value in enumerate(obj)], ""
     else:
-        lines.append(f"{indent}{obj}")
+        return [f"{indent}{obj}"]
+    lines = []
+    for label, value in pairs:
+        if isinstance(value, (dict, list)):
+            lines.append(f"{indent}{label}{colon}")
+            lines.extend(_render_table(value, indent + "  "))
+        else:
+            lines.append(f"{indent}{label} = {value}")
     return lines
 
 
@@ -227,7 +223,7 @@ def _cmd_hessian(args, cfg):
     analytic = hes.hessian_analytic(pmfs, alphas, cfg)
     payload = {"alphas": alphas, "hessian": analytic.tolist()}
     if args.fd_check:
-        step = 1e-4 if args.fd_step is None else cfg.fd_step
+        step = hes._FD_STEP if args.fd_step is None else cfg.fd_step
         numeric = hes.hessian_fd(pmfs, alphas, cfg, step=step)
         payload["fd_hessian"] = numeric.tolist()
         payload["max_abs_gap"] = float(np.max(np.abs(analytic - numeric)))

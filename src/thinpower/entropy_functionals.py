@@ -133,8 +133,6 @@ def l_functional(p: FinitePmf) -> float:
         raise DomainError("L undefined (gapped support)")
     if start > 0:
         return -math.inf
-    if len(p) == 1:
-        return 0.0
     z1 = np.arange(1, len(p))
     return fsum(z1 * probs[1:] * (np.log(probs[:-1]) - np.log(probs[1:])))
 
@@ -151,8 +149,6 @@ def lambda_functional(p: FinitePmf) -> float:
 def u_functional(p: FinitePmf) -> float:
     """H(p) - sum_z p(z+1) log (z+1)! - mean + sum_z (z+1) p(z+1) log(z+1)."""
     h = entropy(p).nats
-    if len(p) == 1:
-        return h - 0.0 - mean(p)
     z1 = np.arange(1, len(p))
     log_fact = log_factorials(len(p) - 1)
     s_fact = fsum(p.probs[1:] * log_fact[1:])

@@ -21,6 +21,10 @@ from .transforms import _left_out, leave_one_out, thin, thinned_sum
 # positive_splitting
 SPLITTING_IDENTITY_TOL = 1e-10
 
+# hessian_fd's default step, and the CLI's without --fd-step: at
+# ToleranceConfig's fd_step (1e-5) rounding dominates phi's second differences
+_FD_STEP = 1e-4
+
 
 @dataclass(frozen=True)
 class SplittingWitness:
@@ -107,7 +111,7 @@ def hessian_analytic(xs, alphas,
 
 
 def hessian_fd(xs, alphas, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-               step: float = 1e-4) -> np.ndarray:
+               step: float = _FD_STEP) -> np.ndarray:
     """Central finite-difference Hessian of phi; the independent cross-check.
 
     Perturbs the alphas freely inside (0, 1) with no simplex constraint,
@@ -246,13 +250,10 @@ def check_quadratic_form(xs, alphas, leave_out: int, t_grid,
     for t in t_grid:
         beta, mu = interpolation_point(alphas, leave_out, float(t))
         hess = hessian_analytic(xs, beta, cfg)
-        quad = float(mu @ hess @ mu)
-        verdicts.append(make_verdict(
-            "suff-quadratic-form", lhs=quad, rhs=0.0, margin=-quad, cfg=cfg,
-            inputs={"t": float(t), "leave_out": leave_out,
-                    "alphas": alphas.tolist()},
-            units="nats"))
-    verdicts.append(make_verdict(
-        "lambda-monotonicity", lhs=lhs, rhs=rhs, margin=lhs - rhs, cfg=cfg,
-        inputs={"alphas": alphas.tolist()}, units="nats"))
+        quad = mu @ hess @ mu
+        verdicts.append(make_verdict("suff-quadratic-form", quad, 0.0, cfg,
+                                     margin=-quad, t=t, leave_out=leave_out,
+                                     alphas=alphas))
+    verdicts.append(make_verdict("lambda-monotonicity", lhs, rhs, cfg,
+                                 alphas=alphas))
     return verdicts

@@ -45,15 +45,6 @@ class SearchReport:
         return dict(vars(self))
 
 
-def _echo(p: FinitePmf) -> list:
-    return p.probs.tolist()
-
-
-def _simplex_inputs(alphas, pmfs, key: str = "xs") -> dict:
-    return {"alphas": np.asarray(alphas, dtype=float).tolist(),
-            key: [_echo(p) for p in pmfs]}
-
-
 def check_teci(x: FinitePmf, y: FinitePmf, alpha: float,
                cfg: ToleranceConfig = DEFAULT_TOLERANCES,
                allow_non_ulc: bool = False) -> InequalityVerdict:
@@ -62,9 +53,8 @@ def check_teci(x: FinitePmf, y: FinitePmf, alpha: float,
     note = ulc_note(cfg, allow_non_ulc, x, y)
     lhs = entropy(thinned_sum((x, y), (alpha, 1.0 - alpha), cfg)).nats
     rhs = alpha * entropy(x).nats + (1.0 - alpha) * entropy(y).nats
-    return make_verdict("teci", lhs, rhs, lhs - rhs, cfg,
-                        inputs={"alpha": alpha, "x": _echo(x), "y": _echo(y)},
-                        units="nats", note=note)
+    return make_verdict("teci", lhs, rhs, cfg, note=note,
+                        alpha=alpha, x=x, y=y)
 
 
 def check_rtepi(x: FinitePmf, alpha: float,
@@ -75,9 +65,8 @@ def check_rtepi(x: FinitePmf, alpha: float,
     note = ulc_note(cfg, allow_non_ulc, x)
     lhs = entropy_power(thin(x, alpha, cfg), cfg)
     rhs = alpha * entropy_power(x, cfg)
-    return make_verdict("rtepi", lhs, rhs, lhs - rhs, cfg,
-                        inputs={"alpha": alpha, "x": _echo(x)},
-                        units="poisson-rate", note=note)
+    return make_verdict("rtepi", lhs, rhs, cfg, units="poisson-rate",
+                        note=note, alpha=alpha, x=x)
 
 
 def _edge(preimage, good, bad, tol):
@@ -214,11 +203,9 @@ def check_epilike(x: FinitePmf, y: FinitePmf,
     h_xstar = entropy(inverse_thin(x, alpha, inner)).nats
     h_ystar = entropy(inverse_thin(y, 1.0 - alpha, inner)).nats
     lhs = entropy(convolve(x, y, cfg)).nats
-    return make_verdict("epilike", lhs, h_xstar, lhs - h_xstar, cfg,
-                        inputs={"alpha": alpha, "alpha_heuristic": heuristic,
-                                "h_xstar": h_xstar, "h_ystar": h_ystar,
-                                "x": _echo(x), "y": _echo(y)},
-                        units="nats", note=note)
+    return make_verdict("epilike", lhs, h_xstar, cfg, note=note,
+                        alpha=alpha, alpha_heuristic=heuristic,
+                        h_xstar=h_xstar, h_ystar=h_ystar, x=x, y=y)
 
 
 def check_hmon(xs, alphas, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
@@ -227,17 +214,16 @@ def check_hmon(xs, alphas, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
     _, _, lhs, rhs = leave_one_out(xs, alphas, lambda p: entropy(p).nats, cfg)
     # gated after leave_one_out, whose simplex errors take precedence
     note = ulc_note(cfg, allow_non_ulc, *xs)
-    return make_verdict("hmon", lhs, rhs, lhs - rhs, cfg,
-                        inputs=_simplex_inputs(alphas, xs),
-                        units="nats", note=note)
+    return make_verdict("hmon", lhs, rhs, cfg, note=note,
+                        alphas=np.asarray(alphas, dtype=float), xs=xs)
 
 
 def check_dsub(xs, alphas,
                cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> InequalityVerdict:
     """sum_l a^(l) D(leave-one-out sum) >= n D(full sum); no ULC needed."""
     _, _, rhs, lhs = leave_one_out(xs, alphas, rel_entropy_poisson, cfg)
-    return make_verdict("dsub", lhs, rhs, lhs - rhs, cfg,
-                        inputs=_simplex_inputs(alphas, xs), units="nats")
+    return make_verdict("dsub", lhs, rhs, cfg,
+                        alphas=np.asarray(alphas, dtype=float), xs=xs)
 
 
 def check_discepilike(ystars, alphas,
@@ -257,10 +243,9 @@ def check_discepilike(ystars, alphas,
         raise PreconditionError(
             f"leave-one-out entropies disagree: spread = {spread:.3e} nats")
     h_star = math.fsum(h_loo) / len(h_loo)
-    return make_verdict("discepilike", lhs, h_star, lhs - h_star, cfg,
-                        inputs={**_simplex_inputs(alphas, ystars, "ystars"),
-                                "h_leave_one_out": h_loo},
-                        units="nats", note=note)
+    return make_verdict("discepilike", lhs, h_star, cfg, note=note,
+                        alphas=np.asarray(alphas, dtype=float), ystars=ystars,
+                        h_leave_one_out=h_loo)
 
 
 def check_conjecture_v_superadd(x: FinitePmf, y: FinitePmf,
@@ -269,9 +254,8 @@ def check_conjecture_v_superadd(x: FinitePmf, y: FinitePmf,
     """V(X+Y) >= V(X) + V(Y); refuted in general, verdict reports either way."""
     lhs = entropy_power(convolve(x, y, cfg), cfg)
     rhs = entropy_power(x, cfg) + entropy_power(y, cfg)
-    return make_verdict("firstepi", lhs, rhs, lhs - rhs, cfg,
-                        inputs={"x": _echo(x), "y": _echo(y)},
-                        units="poisson-rate")
+    return make_verdict("firstepi", lhs, rhs, cfg, units="poisson-rate",
+                        x=x, y=y)
 
 
 def check_conjecture_tepi(x: FinitePmf, y: FinitePmf, alpha: float,
@@ -282,9 +266,8 @@ def check_conjecture_tepi(x: FinitePmf, y: FinitePmf, alpha: float,
     note = ulc_note(cfg, allow_non_ulc, x, y)
     lhs = entropy_power(thinned_sum((x, y), (alpha, 1.0 - alpha), cfg), cfg)
     rhs = alpha * entropy_power(x, cfg) + (1.0 - alpha) * entropy_power(y, cfg)
-    return make_verdict("tepi", lhs, rhs, lhs - rhs, cfg,
-                        inputs={"alpha": alpha, "x": _echo(x), "y": _echo(y)},
-                        units="poisson-rate", note=note)
+    return make_verdict("tepi", lhs, rhs, cfg, units="poisson-rate",
+                        note=note, alpha=alpha, x=x, y=y)
 
 
 def tepis_ratio_condition(v_x: float, v_y: float, beta: float, gamma: float,
@@ -323,12 +306,9 @@ def check_tepis(x: FinitePmf, y: FinitePmf, beta: float, gamma: float,
                  else "ratio" if cond_ratio else "poisson-leg")
     lhs = entropy_power(thinned_sum((x, y), (beta, gamma), cfg), cfg)
     rhs = beta * v_x + gamma * v_y
-    return make_verdict("tepis", lhs, rhs, lhs - rhs, cfg,
-                        inputs={"beta": beta, "gamma": gamma,
-                                "condition": condition,
-                                "v_x": v_x, "v_y": v_y,
-                                "x": _echo(x), "y": _echo(y)},
-                        units="poisson-rate", note=note)
+    return make_verdict("tepis", lhs, rhs, cfg, units="poisson-rate",
+                        note=note, beta=beta, gamma=gamma,
+                        condition=condition, v_x=v_x, v_y=v_y, x=x, y=y)
 
 
 @dataclass(frozen=True)

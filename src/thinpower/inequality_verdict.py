@@ -5,8 +5,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import PreconditionError
-from .pmf_core import ToleranceConfig, is_ulc
+from .pmf_core import FinitePmf, ToleranceConfig, is_ulc
 
 NON_ULC_NOTE = "outside theorem hypotheses"
 
@@ -34,13 +36,34 @@ class InequalityVerdict:
         return dict(vars(self))
 
 
-def make_verdict(name: str, lhs: float, rhs: float, margin: float,
-                 cfg: ToleranceConfig, inputs=None, units: str = "nats",
-                 note: str = "") -> InequalityVerdict:
-    return InequalityVerdict(name=name, lhs=float(lhs), rhs=float(rhs),
-                             margin=float(margin),
-                             holds=bool(margin >= -cfg.tol_ineq),
-                             inputs=dict(inputs or {}), units=units, note=note)
+def _native(value):
+    """value as JSON-native data: a pmf as its probabilities, a list or
+    tuple item by item, a numpy array or scalar by tolist."""
+    if isinstance(value, FinitePmf):
+        return value.probs.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_native(v) for v in value]
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    return value
+
+
+def make_verdict(name: str, lhs: float, rhs: float, cfg: ToleranceConfig, *,
+                 margin: float | None = None, units: str = "nats",
+                 note: str = "", **inputs) -> InequalityVerdict:
+    """The verdict on lhs against rhs, with the keyword inputs echoed as
+    JSON-native data (_native).
+
+    The margin defaults to lhs - rhs; a statement written lhs <= rhs
+    passes its own.
+    """
+    if margin is None:
+        margin = lhs - rhs
+    return InequalityVerdict(
+        name=name, lhs=float(lhs), rhs=float(rhs), margin=float(margin),
+        holds=bool(margin >= -cfg.tol_ineq),
+        inputs={key: _native(value) for key, value in inputs.items()},
+        units=units, note=note)
 
 
 def ulc_note(cfg: ToleranceConfig, allow_non_ulc: bool, *pmfs) -> str:

@@ -215,5 +215,5 @@ def isoperimetric_check(x: FinitePmf,
     lhs = l_functional(x)
     v = entropy_power(x, cfg)
     rhs = v * poisson_entropy_derivative(v, cfg) if v > 0.0 else 0.0
-    return make_verdict("isop", lhs=lhs, rhs=rhs, margin=rhs - lhs, cfg=cfg,
-                        inputs={"v": v}, units="nats", note=note)
+    return make_verdict("isop", lhs, rhs, cfg, margin=rhs - lhs, note=note,
+                        v=v)

@@ -71,6 +71,25 @@ def test_unthin_success_and_failure_exit_codes(capsys):
     assert json.loads(out)["error"] == "IllConditionedError"
 
 
+@pytest.mark.parametrize("rate, certified", [(4.87, True), (4.88, False)])
+def test_unthin_of_a_poisson_at_one_half_stops_near_rate_4_876(
+        capsys, rate, certified):
+    # kappa = e^(2 rate): the error bound passes tol_norm near rate 4.876
+    code, out = run(capsys, "unthin", "--pmf",
+                    json.dumps({"family": "poisson", "rate": rate}),
+                    "--alpha", "0.5")
+    doc = json.loads(out)
+    if certified:
+        assert code == 0
+        assert math.fsum(z * p for z, p in enumerate(doc["probs"])) == (
+            pytest.approx(2.0 * rate, abs=1e-8))
+    else:
+        assert code == 2
+        assert doc["error"] == "IllConditionedError"
+        assert doc["message"].startswith(
+            "inverse thinning at alpha = 0.5 is ill-conditioned")
+
+
 def test_vpower_matches_poisson_rate(capsys):
     code, out = run(capsys, "vpower", "--pmf", '{"family": "poisson", "rate": 3}')
     assert code == 0
@@ -352,6 +371,36 @@ def test_sums_past_the_largest_double_are_input_errors(capsys, argv, error,
     assert json.loads(out) == {"error": error, "message": message}
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["construct", "--spec", '{"family": "raw", "probs": []}'],
+     "raw pmf requires a nonempty vector"),
+    (["construct", "--spec", '{"family": "raw", "probs": [0.5, NaN]}'],
+     "raw pmf entries must be finite"),
+    (["construct", "--spec", '{"family": "raw", "probs": [1, -0.5]}'],
+     "raw pmf has a significantly negative entry"),
+    (["construct", "--spec", '{"family": "delta", "k": -1}'],
+     "delta offset must be >= 0"),
+    (["construct", "--spec", '{"family": "geometric", "mean": -1}'],
+     "geometric mean -1.0 must be >= 0"),
+    (["construct", "--spec", '{"p": 0.5}'],
+     "family spec document needs a 'family' key"),
+    (["search", "--name", "teci", "--trials", "0", "--seed", "1"],
+     "trials must be >= 1"),
+    (["conv", "--pmf", _COIN], "conv needs at least two --pmf inputs"),
+    (["functional", "--name", "L"], "functional L needs --pmf"),
+    (["hessian", "--specs", '{"family": "delta", "k": 0}', "--alphas",
+      "0.5,0.5"], "hessian --specs needs a JSON array"),
+    (["verify"], "verify needs --all or --criteria"),
+], ids=["raw-empty", "raw-nan", "raw-negative", "delta-negative",
+        "geometric-negative", "spec-without-family", "search-no-trials",
+        "conv-one-pmf", "functional-without-pmf", "hessian-specs-object",
+        "verify-without-criteria"])
+def test_typed_refusals_exit_2_with_their_message(capsys, argv, message):
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert json.loads(out) == {"error": "ParameterError", "message": message}
+
+
 def test_verify_subset(capsys):
     code, out = run(capsys, "verify", "--criteria", "2")
     assert code == 0
@@ -364,6 +413,51 @@ def test_table_format(capsys):
                     '{"probs": [0.5, 0.5]}')
     assert code == 0
     assert "0.69314718" in out
+
+
+_B2 = '{"family": "binomial", "n": 2, "p": 0.5}'
+
+# nested dicts (keys sorted, "key:" headers), lists of numbers and of
+# lists ("[i]" headers, no colon), an empty list, and an empty string
+TABLE_PINS = {
+    "teci": (["check", "--name", "teci", "--pmf", _B2, "--pmf", _COIN,
+              "--alpha", "0.5"],
+             ["holds = True", "inputs:", "  alpha = 0.5",
+              "  x:", "    [0] = 0.25", "    [1] = 0.5", "    [2] = 0.25",
+              "  y:", "    [0] = 0.5", "    [1] = 0.5",
+              "lhs = 1.0690360214806134", "margin = 0.20260204578068186",
+              "name = teci", "note = ", "rhs = 0.8664339756999315",
+              "units = nats"]),
+    "hmon": (["check", "--name", "hmon", "--pmf", _COIN, "--pmf", _COIN,
+              "--alphas", "0.5,0.5"],
+             ["holds = True", "inputs:",
+              "  alphas:", "    [0] = 0.5", "    [1] = 0.5",
+              "  xs:", "    [0]", "      [0] = 0.5", "      [1] = 0.5",
+              "    [1]", "      [0] = 0.5", "      [1] = 0.5",
+              "lhs = 0.8647400965276372", "margin = 0.17159291596769188",
+              "name = hmon", "note = ", "rhs = 0.6931471805599453",
+              "units = nats"]),
+    "search": (["search", "--name", "teci", "--trials", "2", "--seed", "3"],
+               ["conjecture = teci", "seed = 3",
+                "tightest_margin = 0.04737211964126198", "trials = 2",
+                "violations:"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TABLE_PINS))
+def test_table_format_of_nested_documents(capsys, case):
+    argv, lines = TABLE_PINS[case]
+    expected = "".join(line + "\n" for line in lines)
+    assert run(capsys, "--format", "table", *argv) == (0, expected)
+
+
+@pytest.mark.parametrize("flags", [[], ["--format", "table"]])
+def test_out_writes_the_bytes_stdout_prints(capsys, tmp_path, flags):
+    argv = [*flags, *TABLE_PINS["teci"][0]]
+    code, printed = run(capsys, *argv)
+    target = tmp_path / "verdict.txt"
+    assert run(capsys, *argv, "--out", str(target)) == (code, "")
+    assert target.read_bytes() == printed.encode("utf-8")
 
 
 def test_tolerance_override_flag(capsys):

@@ -380,6 +380,12 @@ def test_l_functional_shifted_support_is_minus_infinity():
     assert l_functional(construct(FamilySpec.delta(2))) == -math.inf
 
 
+@pytest.mark.parametrize("functional", [l_functional, u_functional])
+def test_functionals_of_the_point_mass_at_zero_are_plus_zero(functional):
+    value = functional(construct(FamilySpec.delta(0)))
+    assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
 def test_l_functional_is_the_thinning_derivative_of_entropy():
     step = 1e-5
     for x in (bern(0.3), poi(2.0), construct(FamilySpec.raw([0.25, 0.5, 0.25])),

@@ -129,6 +129,28 @@ def test_hessian_needs_alphas_strictly_inside_the_unit_interval(alphas):
         apb.hessian_analytic([bern(0.5), bern(0.5)], alphas)
 
 
+_PAIR = [bern(0.5), bern(0.5)]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: apb.hessian_analytic(_PAIR, [0.2, 0.3, 0.5]),
+     "need n+1 >= 2 pmfs with one alpha each"),
+    (lambda: apb.hessian_fd(_PAIR, [0.5, 0.5], step=0.0),
+     "fd step must be positive"),
+    (lambda: apb.hessian_fd(_PAIR, [1.5e-4, 0.5], step=1e-4),
+     "alphas too close to {0, 1} for the fd step"),
+    (lambda: apb.hessian_fd(_PAIR, [0.5, 1.0 - 1.5e-4], step=1e-4),
+     "alphas too close to {0, 1} for the fd step"),
+    (lambda: apb.check_quadratic_form(_PAIR, [0.5, 0.5], 0, [0.5, 1.0]),
+     "t grid must sit strictly inside (0, 1)"),
+], ids=["analytic-alphas-length", "fd-zero-step", "fd-near-0", "fd-near-1",
+        "quadratic-form-t-1"])
+def test_hessian_parameter_errors(call, message):
+    with pytest.raises(ParameterError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_poisson_quadratic_form_never_positive():
     rng = np.random.default_rng(31)
     xs = [poi(0.3), poi(0.5)]

@@ -1,5 +1,6 @@
 """Inequality checkers, counterexamples, and the randomized search harness."""
 
+import json
 import math
 import re
 
@@ -16,6 +17,7 @@ from thinpower import (DEFAULT_TOLERANCES, DomainError, FamilySpec,
                        construct, convolve, entropy, entropy_power, is_ulc,
                        random_ulc, search, thin)
 from thinpower import inequality_suite
+from thinpower.hessian import check_quadratic_form
 from thinpower.inequality_suite import tepis_ratio_condition
 from thinpower.jsonio import dumps_canonical
 
@@ -511,3 +513,68 @@ class TestSearch:
     def test_hmon_and_dsub_sweeps(self):
         assert search("hmon", 10, 13).violations == []
         assert search("dsub", 10, 13).violations == []
+
+
+@st.composite
+def _statement_inputs(draw):
+    """(name, pmfs, params) for each STATEMENTS entry on random ULC pmfs."""
+    seeds = st.integers(0, 2 ** 32 - 1)
+    name = draw(st.sampled_from(sorted(inequality_suite.STATEMENTS)))
+    x, y = (random_ulc(draw(seeds)) for _ in range(2))
+    if name == "epilike":
+        # equal inputs thinned at one half: their preimages meet there
+        x = y = thin(x, 0.5)
+        return name, [x, y], []
+    if name == "tepis":
+        # beta + gamma <= 1 puts equal inputs in the ratio window
+        beta = draw(st.floats(0.05, 0.9))
+        return name, [x, x], [beta, draw(st.floats(0.05, 1.0)) * (1.0 - beta)]
+    statement = inequality_suite.STATEMENTS[name]
+    if statement.pmfs is None:
+        size = draw(st.integers(2, 3))
+        weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=size,
+                                         max_size=size)))
+        alphas = weights / math.fsum(weights)
+        if name == "discepilike":
+            # equal Poisson terms give equal leave-one-out entropies
+            pmfs = [poi(draw(st.floats(0.1, 5.0)))] * size
+        else:
+            pmfs = [random_ulc(draw(seeds)) for _ in range(size)]
+        return name, draw(st.sampled_from([list, tuple]))(pmfs), [alphas]
+    params = [draw(st.floats(0.05, 0.95)) for _ in statement.params]
+    return name, [x, y][:statement.pmfs], params
+
+
+def _native_types(value):
+    """The set of types in a JSON document, containers included."""
+    if isinstance(value, dict):
+        return {dict}.union(*map(_native_types, value.values()))
+    if isinstance(value, list):
+        return {list}.union(*map(_native_types, value))
+    return {type(value)}
+
+
+def _round_trips(verdict):
+    doc = verdict.to_json()
+    assert json.loads(json.dumps(doc)) == doc
+    # np.float64 is a float and survives the round trip: ask for float
+    assert _native_types(doc) <= {dict, list, str, bool, int, float}
+
+
+@given(_statement_inputs())
+def test_every_statement_verdict_is_json_native(case):
+    name, pmfs, params = case
+    _round_trips(inequality_suite.STATEMENTS[name].run(pmfs, params))
+
+
+@given(st.integers(2, 3).flatmap(lambda m: st.tuples(
+    st.lists(st.integers(0, 2 ** 32 - 1), min_size=m, max_size=m),
+    st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m),
+    st.integers(0, m - 1),
+    st.lists(st.floats(0.05, 0.95), min_size=1, max_size=3))))
+def test_quadratic_form_verdicts_are_json_native(case):
+    seeds, weights, leave_out, t_grid = case
+    alphas = np.array(weights) / math.fsum(weights)
+    for verdict in check_quadratic_form([random_ulc(s) for s in seeds],
+                                        alphas, leave_out, t_grid):
+        _round_trips(verdict)

@@ -67,6 +67,9 @@ def test_pde_residual_step_validation():
         pde_residual(bern(0.5), 0.5, 0.0, 0.0, 0.0)
     with pytest.raises(ParameterError):
         pde_residual(bern(0.5), 1.0, 0.0, 0.0, 1e-5)
+    # f - h (f/t - r) = 0.1 - 0.1 * 10.2 < 0
+    with pytest.raises(ParameterError, match="perturbed rate went negative"):
+        pde_residual(bern(0.5), 0.5, -10.0, 0.1, 0.1)
 
 
 def test_path_for_poisson_is_linear_rate_exchange():
@@ -253,6 +256,8 @@ def test_path_grid_validation():
         entropy_preserving_path(poi(1.0), [0.5, 0.2, 1.0])
     with pytest.raises(ParameterError):
         entropy_preserving_path(poi(1.0), [0.2, 0.9])
+    with pytest.raises(ParameterError, match="t grid needs at least 2 points"):
+        default_t_grid(1)
 
 
 def test_isoperimetric_poisson_equality():
