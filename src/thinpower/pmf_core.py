@@ -290,16 +290,16 @@ def poisson_pmf(rate: float, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Finit
     try:
         return FinitePmf._normalised(probs, cfg)
     except ParameterError as err:
-        # each entry is exp of a log whose terms reach about N ln N, so
-        # from rates near 6.6e5 the entries' rounding alone can move the
-        # mass past the default tol_norm
+        # each entry is exp of a log pmf within a few ulps of -log(2 pi z)/2
+        # minus the deviance, so the entries' rounding moves the mass by an
+        # ulp or two of 1, and only a tol_norm near eps refuses a rate for it
         n = probs.size
         raise ParameterError(
             f"Poisson rate {rate!r} on {n} points: {err} = {cfg.tol_norm:g}; "
             f"the support cut leaves out less than tail_eps = "
             f"{cfg.tail_eps:g}, and each entry carries a relative rounding "
-            f"error of a few eps N ln N = "
-            f"{sys.float_info.epsilon * n * math.log(n):.1e}") from None
+            f"error of a few eps ln N = "
+            f"{sys.float_info.epsilon * math.log(n):.1e}") from None
 
 
 def construct(spec: FamilySpec, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> FinitePmf:
@@ -387,10 +387,12 @@ def is_ulc(p: FinitePmf, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
     The comparison carries a relative slack, lhs >= rhs * (1 - slack),
     so that families that sit exactly on the boundary (Poisson) are not
     rejected for rounding.  slack is tol_norm, but never below
-    16 eps N ln N on a support of N points: the library forms Poisson and
-    binomial entries as exp of a log whose terms grow to about N ln N, so
-    an entry carries a relative error of up to a few eps N ln N (measured:
-    at most 4.1 eps N ln N, on Poissons of rates up to 1e6).  With the
+    16 eps N ln N on a support of N points: the library forms binomial
+    entries, and Poisson entries below rate 10, as exp of a log whose terms
+    grow to about N ln N, so an entry carries a relative error of up to a
+    few eps N ln N (measured: at most 4.1 eps N ln N, on Poissons of rates
+    up to 1e6 in that form; from rate 10 on, Loader's form leaves a few
+    eps ln N).  With the
     default tol_norm of 1e-9 the floor takes over from about 28000 points
     on; it also keeps a tol_norm set below the entries' rounding from
     refusing a Poisson.  Triples with rhs below 2^-1000 are skipped, as

@@ -90,10 +90,11 @@ def _taylor_shift(probs: np.ndarray, pascal: np.ndarray) -> np.ndarray:
     the running products of the powers k - 1 and i - k - 1 times, two
     products), a block product min(N, m) times in any summation order, a
     Horner step 2m + 3 times (q's entry, one product, m + 1 additions).
-    thin reads K from _pascal's cache, and inverse thinning builds it
-    afresh (_pascal_stack), alone or stacked; either way K holds the same
-    products of the same running powers, in the same order, so D and the
-    bits do not depend on where K comes from.
+    thin reads K from _pascal's cache, and inverse thinning and
+    leave_one_out's thinned sums build it afresh (_pascal_stack), alone or
+    stacked; either way K holds the same products of the same running
+    powers, in the same order, so D and the bits do not depend on where K
+    comes from.
     """
     width = probs.size
     if width <= _M:
@@ -128,13 +129,22 @@ def thin(x: FinitePmf, alpha: float,
     exact thinning of x.probs normalised to mass 1.  Where intermediate
     values underflow, add at most 2 (N + m)^2 2^-1074, absolute.
     """
+    return _thin(x, alpha, None, cfg)
+
+
+def _thin(x: FinitePmf, alpha: float, block, cfg: ToleranceConfig) -> FinitePmf:
+    """thin(x, alpha, cfg), with its Pascal block read from block, one for
+    float(alpha) of at least min(len(x), _M + 1) rows, or from _pascal's
+    cache where block is None."""
     if not 0.0 <= alpha <= 1.0:
         raise ParameterError(f"thinning parameter {alpha!r} outside [0, 1]")
     if alpha == 1.0:
         return x
     if alpha == 0.0 or len(x) == 1:
         return FinitePmf([1.0], cfg)
-    pascal = _pascal(float(alpha), min(len(x), _M + 1))
+    size = min(len(x), _M + 1)
+    pascal = (_pascal(float(alpha), size) if block is None
+              else block[:size, :size])
     return FinitePmf._normalised(_taylor_shift(x.probs, pascal), cfg)
 
 
@@ -151,6 +161,24 @@ def thinned_sum(xs, alphas,
         raise ParameterError("need pmfs with one alpha each")
     return reduce(lambda a, b: convolve(a, b, cfg),
                   (thin(p, float(a), cfg) for p, a in zip(xs, alphas)))
+
+
+def _thinned_sum_once(xs, alphas: np.ndarray,
+                      cfg: ToleranceConfig) -> FinitePmf:
+    """thinned_sum(xs, alphas, cfg) bit for bit, for weights that are used
+    once: the factors' Pascal blocks come from one _pascal_stack of all the
+    alphas, built for this call and kept nowhere, as inverse_thin builds
+    its block.  A block of the stack holds the same products as _pascal's
+    for the same a, and a slice of it the entries of a smaller block, so
+    each factor is thinned to the same bits.  leave_one_out's simplex
+    weights are fresh on every call (hmon and dsub draw them at random):
+    through _pascal, each would evict a block that thin reuses."""
+    # a sum of one factor at weight 1 (a leave-one-out of two) thins nothing
+    blocks = (_pascal_stack(alphas[:, None], min(max(map(len, xs)), _M + 1))
+              if alphas.min() < 1.0 else [None] * alphas.size)
+    return reduce(lambda a, b: convolve(a, b, cfg),
+                  (_thin(p, a, block, cfg)
+                   for p, a, block in zip(xs, alphas.tolist(), blocks)))
 
 
 def _left_out(alphas: np.ndarray, l: int):
@@ -185,10 +213,11 @@ def leave_one_out(xs, alphas, functional,
         raise PreconditionError("every alpha_i must be finite and strictly positive")
     if not abs(fsum_nonneg(alphas) - 1.0) <= 1e-12:
         raise PreconditionError("alphas must sum to 1 within 1e-12")
-    full = functional(thinned_sum(xs, alphas, cfg))
+    full = functional(_thinned_sum_once(xs, alphas, cfg))
     parts = [_left_out(alphas, l) for l in range(len(xs))]
-    loo = [functional(thinned_sum([p for i, p in enumerate(xs) if i != l],
-                                  np.delete(weights, l), cfg))
+    loo = [functional(_thinned_sum_once(
+               [p for i, p in enumerate(xs) if i != l],
+               np.delete(weights, l), cfg))
            for l, (_, weights) in enumerate(parts)]
     return (full, loo, (len(xs) - 1) * full,
             math.fsum(c * v for (c, _), v in zip(parts, loo)))

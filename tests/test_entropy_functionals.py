@@ -163,8 +163,7 @@ def test_entropy_power_takes_few_e_evaluations(monkeypatch):
     for s in seeds:
         entropy_power(random_ulc(int(s), 3, 2.0))
     assert len(rates) <= 8 * len(seeds)
-    # rounding leaves E(mean) just below H(Poisson(1000)), so the bracket
-    # grows once, and Newton from its bottom is already at the root
+    # the mean of Poisson(1000) is the root, and V starts from it
     rates.clear()
     assert abs(entropy_power(poi(1000.0)) - 1000.0) < 1e-8
     assert len(rates) <= 3

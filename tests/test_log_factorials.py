@@ -4,7 +4,7 @@ math.lgamma's values, within 2 ulps of mpmath, and no caller can write into
 a table.  The Poisson terms read z and log(z + 1) from tables kept beside
 the log-factorials and give the bits of arrays built fresh on each call:
 below the shipped 4096 entries, at the last one and past it, where all
-three tables grow.  The support cut reads its tail term from the same
+four tables grow.  The support cut reads its tail term from the same
 Poisson terms it returns, and D reads its log pi from them too.
 And V(Poisson(t)) = t within its documented error.
 
@@ -42,12 +42,13 @@ def _bits(a) -> np.ndarray:
 
 @pytest.fixture
 def shipped_table(monkeypatch):
-    """The three tables as numerics builds them at import, before any
+    """The four tables as numerics builds them at import, before any
     growth; returns the log-factorials."""
     table = np.load(SHIPPED)
     z = np.arange(table.size, dtype=float)
     for name, values in (("_LOG_FACT", table), ("_Z", z),
-                         ("_LOG_Z1", np.log(z + 1.0))):
+                         ("_LOG_Z1", np.log(z + 1.0)),
+                         ("_SADDLE", numerics._saddle(z))):
         values.flags.writeable = False
         monkeypatch.setattr(numerics, name, values)
     return table
@@ -87,8 +88,13 @@ def test_views_are_read_only_before_and_after_growth(shipped_table):
 
 
 def fresh_log_terms(rate, top):
+    """The log pmf from fresh arrays: z log(rate) - rate - log(z!) below
+    numerics._SADDLE_FROM, Loader's form from there on."""
     z = np.arange(top + 1)
-    return z, z * math.log(rate) - rate - numerics.log_factorials(top)
+    if rate < numerics._SADDLE_FROM:
+        return z, z * math.log(rate) - rate - numerics.log_factorials(top)
+    fresh = np.arange(top + 1.0)
+    return z, numerics._saddle(fresh) - numerics._deviance(fresh, rate)
 
 
 def fresh_cut(rate, tail_eps=DEFAULT_TOLERANCES.tail_eps):
@@ -106,7 +112,9 @@ def fresh_entropy_pair(t):
     top = fresh_cut(t)
     z, logp = fresh_log_terms(t, top)
     pmf = np.exp(logp)
-    return -fsum(pmf * logp), fsum(pmf * (np.log(z + 1.0) - math.log(t)))
+    mass = fsum(pmf)
+    return (-fsum(pmf * logp) / mass + math.log(mass),
+            fsum(pmf * (np.log(z + 1.0) - math.log(t))))
 
 
 def test_the_log_table_is_np_log_at_every_length():
@@ -139,8 +147,9 @@ def test_poisson_terms_match_fresh_arrays(shipped_table, rate):
     assert np.array_equal(_bits(_poisson_entropy_pair(rate, DEFAULT_TOLERANCES)),
                           _bits(fresh_entropy_pair(rate)))
     # the cut's tail term reads log((top + 1)!): from top 4095 on, all
-    # three tables grew together
-    assert numerics._Z.size == numerics._LOG_Z1.size == numerics._LOG_FACT.size
+    # four tables grew together
+    assert (numerics._Z.size == numerics._LOG_Z1.size
+            == numerics._LOG_FACT.size == numerics._SADDLE.size)
     assert numerics._Z.size == (4096 if top < 4095 else 8192)
 
 
@@ -148,7 +157,7 @@ def test_poisson_terms_match_fresh_arrays(shipped_table, rate):
 def test_one_entropy_pair_slices_the_tables_once(monkeypatch, shipped_table, rate):
     # the support cut's tail term is the entry past the cut of the terms
     # it returns, so one slice of top + 1 serves both; growth past the
-    # shipped size still grows all three tables
+    # shipped size still grows all four tables
     calls = []
     tables = numerics.tables
 

@@ -129,16 +129,27 @@ def test_poisson_pmf_builds_a_rate_its_rounding_once_refused(recorded_platform):
     assert len(poisson_pmf(791364.6334701926)) == 800292
 
 
+def test_poisson_pmf_builds_a_rate_that_z_log_rate_refused(recorded_platform):
+    # z log(rate) - rate - log(z!) put this mass at 0.9999999989783277, off
+    # by more than tol_norm; Loader's form keeps it within an ulp of 1
+    rate = 655559.6116920724
+    kept = fsum(np.exp(poisson_terms(rate, ToleranceConfig().tail_eps)[1]))
+    assert abs(kept - 1.0) <= 2.3e-16
+    assert len(poisson_pmf(rate)) == 663688
+
+
 def test_a_refused_poisson_rate_names_the_entries_rounding(recorded_platform):
     # the cut leaves out less than tail_eps, so the entries' rounding is
-    # what moves the mass past tol_norm
-    rate, cfg = 879392.7565314277, ToleranceConfig()
+    # what moves the mass past a tol_norm below eps (at the default 1e-9
+    # Loader's form builds every rate measured up to 1.3e6)
+    rate = 879392.7565314277
+    cfg = ToleranceConfig(tol_norm=5e-17, tail_eps=1e-17)
     kept = fsum(np.exp(poisson_terms(rate, cfg.tail_eps)[1]))
     assert abs(kept - 1.0) > cfg.tol_norm + cfg.tail_eps
     with pytest.raises(ParameterError) as refused:
         poisson_pmf(rate, cfg)
     assert str(refused.value).startswith(
         f"Poisson rate {rate!r} on 888802 points: pmf mass {kept!r} differs "
-        "from 1 by more than tol_norm = 1e-09;")
-    assert "relative rounding error of a few eps N ln N = 2.7e-09" \
+        "from 1 by more than tol_norm = 5e-17;")
+    assert "relative rounding error of a few eps ln N = 3.0e-15" \
         in str(refused.value)

@@ -1,8 +1,9 @@
 """thin keeps its Pascal blocks in a small LRU keyed by a (transforms._pascal);
-inverse thinning builds a fresh block for each shift and keeps none.
+inverse thinning builds a fresh block for each shift and keeps none, and so
+do leave_one_out's thinned sums at their one-off simplex weights.
 Whatever the cache holds, _taylor_shift gives the bits of a cache-free
-build: cold, warm, sliced from a larger block, after the block grows and
-after eviction.
+build: cold, warm, sliced from a larger block or a stack, after the block
+grows and after eviction.
 
 Tier-1 draws up to a few dozen examples of each property; the thorough
 profile (--hypothesis-profile thorough) draws 2000.
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from thinpower import FinitePmf, transforms
+from thinpower import DEFAULT_TOLERANCES, FinitePmf, transforms
 
 _M = transforms._M
 _I_MINUS_K = np.maximum(np.subtract.outer(np.arange(_M + 1),
@@ -149,3 +150,36 @@ def test_a_single_precision_alpha_shifts_as_its_double():
         _bits(transforms.thin(FinitePmf(probs), a).probs),
         _bits(FinitePmf(reference_shift(probs, float(a))).probs))
     assert list(transforms._BLOCKS) == [float(a)]
+
+
+@given(st.lists(st.tuples(widths | st.integers(1, 3), seeds), min_size=1,
+                max_size=4),
+       st.floats(0.1, 10.0), st.booleans())
+def test_a_sum_at_one_off_weights_has_the_bits_of_thinned_sum(factors, spread,
+                                                              at_one):
+    xs = [FinitePmf(_pmf(width, seed)) for width, seed in factors]
+    weights = np.random.default_rng(factors[0][1]).dirichlet(
+        np.full(len(xs), spread))
+    alphas = np.array([1.0]) if at_one else weights / weights.sum()
+    xs = xs[:alphas.size]
+    transforms._BLOCKS.clear()
+    once = transforms._thinned_sum_once(xs, alphas, DEFAULT_TOLERANCES)
+    assert not transforms._BLOCKS
+    cached = transforms.thinned_sum(xs, alphas)
+    assert np.array_equal(_bits(once.probs), _bits(cached.probs))
+
+
+def test_leave_one_out_keeps_no_block(monkeypatch):
+    # hmon and dsub draw fresh simplex weights: each full and left-out sum
+    # builds one stack of its alphas and keeps it nowhere, so the blocks
+    # thin reuses stay in the cache
+    transforms._BLOCKS.clear()
+    xs = [FinitePmf(_pmf(width, width)) for width in (3, 40, 90)]
+    transforms.thin(xs[0], 0.5)
+    stacks = []
+    build = transforms._pascal_stack
+    monkeypatch.setattr(transforms, "_pascal_stack",
+                        lambda a, size: stacks.append(a.shape) or build(a, size))
+    transforms.leave_one_out(xs, [0.2, 0.3, 0.5], lambda p: len(p))
+    assert list(transforms._BLOCKS) == [0.5]
+    assert stacks == [(3, 1), (2, 1), (2, 1), (2, 1)]

@@ -244,22 +244,22 @@ LONG_COMMANDS = [
 # each command's stdout
 CLI = [
     (("verify", "--all"),
-     "39ce645511b4cb3f85f1c9fcc36bf2ddc2ae028ce1344aff81efa76bc496dbec"),
+     "2de187b5b9709d70f10ad9c9c5194e0c3a74bb46781efc4f5254c59aee00b8e7"),
 ] + [
     (("search", "--name", name, "--trials", "40", "--seed", "5"), digest)
     for name, digest in (
-        ("firstepi", "c9a3d089c2bd23d342e8a3f2de8c4cb75ece8a3b45b025672c739afa4bffb1cd"),
-        ("tepi", "4845a554d9e0204be9ada86df96a5e4fc347fbbbad89fd6794b1de663ddc052d"),
+        ("firstepi", "40aa15675c2d62ecebb05245db51d8dfc6525f5c3da567d2ea64fecaf3df5713"),
+        ("tepi", "a7057f5d839a1964ca78bfbf325366a1dcac712eb98bbf96b44c694f21fd5504"),
         ("teci", "29d94120d78faa82f36659f6237c766a839136f0fab402cf9aff79a8b7c67ab1"),
-        ("rtepi", "34d05cc6cda3cd27c8d2b75a33953f16464b9b85d0816595f12a2f295bb83305"),
+        ("rtepi", "2938c1c08a706a14b6f09c9ff7ad0294273342da3e0f815b358b2b177f118633"),
         ("hmon", "fc020bf275a27cf588e6410434f4a852b8ccbdb8b8cf0cbc9105e3f12f7f0a6e"),
         ("dsub", "ddef8b8476e82b83fbbbe930b18b292429a8f390db714a3003b7e30d231a1881"),
-        ("isop", "f7376ad50a173ec7963b6e96100833151a5db807c65c2d6929fe1df8cbb00f82"))
+        ("isop", "9e22b97a3203c66ec6f03fe6416f1e07a25b246659dc45f69417172a7e042558"))
 ] + [
     (("reproduce", "--example", example), digest)
     for example, digest in (
-        ("fail1", "b343517183f75ef8d8c8b479702241b4910890231313007fec17da8807b5322c"),
-        ("fail2", "9602fd8ced1b7066f1e6ce33722bf8012b1f3d1b283d2a6be3547a439d036f0d"),
+        ("fail1", "241d4c860b8c2901372d83f54231e3999d130b3e98e214aa35948499d33b88ba"),
+        ("fail2", "a7544ed5fc03f5bcedcc4a5cd40a3a867ae5836a73bea453df069114675bb661"),
         ("binoineq", "e9ff3f8fed91a09d34e4d51bf2d951dcb87543d6960f57a31b025b27c8d18133"))
 ] + [
     (("splitting", "--l", "1", "--t", "0.3", "--lambdas", "0.5,2,1.25",
@@ -284,7 +284,7 @@ CLI = [
       "--pmf", _BIN2, "--alphas", ",".join([_THIRD] * 3)),
      "79f6d6a198163acc83dedd6d6088e17b725ad01472c62277ce9d495270c4d3d0"),
 ] + list(zip(LONG_COMMANDS, [
-    "913c11c70d9e2cb6cdcc36547279937003d3c3c2972fc3ebbb4f3dd48ca1d396",
+    "1023f02bf361fa96caf372e44401db36c595b8d17eed8810aa8ab63e86e0049c",
     "b8974476874d76dae24988aacc2d839d92e88906c8ca0a773e5f46a3d3575e1a",
     "38b6841f7cee96f730446bf04103ec986bdb501dfa205bc4988bf21f8d10599a"]))
 
@@ -292,15 +292,15 @@ MANIFEST = {
     # the benchmark's seed-1 digests, as `bench/run.py --seed 1` prints them
     **{f"bench/{name}": Pin(digest, partial(_bench, name))
        for name, digest in (
-        ("ulc_sweep", "655983c3d98107102cb0f6a3dbdd4007b147e3ed02125136780ca24d8b41c217"),
-        ("wide_support", "126c2f99ba0053a665ec967b4055ffb62eb25416c544f01dc59147815fa22720"),
-        ("interp", "28ae5c2882973488320917f0c4b66ff7ede279302b2fa534da75e74fe0804798"))},
+        ("ulc_sweep", "7466c798aafd631c0fd94b02fee9ab3847b2a4aa986f5dcd8d42f0ca16ff736a"),
+        ("wide_support", "57830936a62c85f1d3b228157a3326a89c6509965e597754cd9988594f177645"),
+        ("interp", "c626f7662be4a6432ae151500294107be6b4fa5c766219148beaf5b11ad64757"))},
     # recorded once thin's blocked Taylor shift, and inverse_thin's shift
     # by 1/alpha, met the mpmath oracles of test_transforms.py
     **{f"thin/{family}": Pin(digest, partial(_thin, family))
        for family, digest in (
         ("binomial", "2f30636cf6ddffe03cf26b9cf98ffe6e65471c56bacfe1d4501ec6188e75a1a7"),
-        ("poisson", "e383f822658c912df86a4e44a5b60b31eefad49726483b60b89ea9f6b5cc9522"),
+        ("poisson", "da5f7cd16d63162a75e5a3b48006cf56f7f308413a2d4f50f5c4f331b1cb4abe"),
         ("uniform", "ff6241ae27d19d756a94654e67d8465618930695cb8896d29c14b6767d5145b4"))},
     "inverse_thin": Pin(
         "0fd1ee79829065ecd9fca5b29599bae0d48ff1c1eea448f6c0522ce86d9897b3",
@@ -308,34 +308,33 @@ MANIFEST = {
     # recorded when fsum was math.fsum over the whole list
     **{f"wide/{family}": Pin(digest, partial(_wide, family))
        for family, digest in (
-        ("bernoulli_sum", "5e0ded739bcea2c4713915f287aaed9a7e55c3cedf5c57c07858bf1de801785c"),
-        ("binomial", "331ee4e5bbfc3019c6ad9b7f3d8fcec43cd766800ace5de35d3c3bf2f4fb1fa9"),
-        ("poisson", "b5ecbc9b7e7ef346794035c7d67020b5bb6afff5b2217c8c84f39473df4b263d"))},
+        ("bernoulli_sum", "aa28cb2db36812a4a2830d36c07950ebc7c5d8d339756d6277f5168f4d3adb25"),
+        ("binomial", "d6d84343c2f6bde8aacb2b82737b2294201f63a75e23cca005901dfdde770682"),
+        ("poisson", "b3715cea6eb3c560f4df1b2c4fd14bb56438b63ce3b6960c73c3d3b5ab86e065"))},
     # recorded once epilike's sign changes were refined by Illinois steps
     # and the path's solves started from extrapolated rates
     "epilike": Pin(
-        "f56ffbd99b024a7253674a0a6b399b6b4aa309b8a8391c62e1d213cd680863f1",
+        "f03551f73a9250656dc0c38531109b70cff61e85c97d4c181a7bc42e2e70a215",
         _epilike),
     # recorded once golden section placed each point in the larger side
     # of its best one: alpha moved 1.8e-10 and 5.8e-8, both within 3e-8 of
     # the merged root 0.4, and the second margin 8 ulps
     "epilike_tangent": Pin(
-        "ff3060338364681795d5b3ce3e6f5c9c81d14224234b67a6dac8d226666b1beb",
+        "8cd28a0b4fbaaaeb64f3c2ac5d5afb6c37f08d12293d1441f0388593ab14ec53",
         _epilike_tangent),
     # V of the uniform pmfs on 300 and 2048 points: their solves read log k!
     # past the table, from math.lgamma.  mpmath puts the roots at
-    # 5269.6515170369 and 245575.9592287 (errors -4.6e-12 and -1.3e-9
-    # relative); the error comes from the cancellation in
-    # z log t - t - log z!, not from log k!.  Both rates lie beyond the
-    # envelope of rates up to 2000.  Recorded once the solver's Newton
-    # loop took the place of its bracket probe, which had left the first
-    # at -6.9e-11
+    # 5269.6515170369 and 245575.9592287, which V meets to the digits given
+    # (7e-16 and 1.1e-13 relative).  Recorded once the Poisson log pmf took
+    # Loader's form and V its final Newton step: the cancellation in
+    # z log t - t - log z! had left them at -4.6e-12 and -1.3e-9.  Both
+    # rates lie beyond the envelope of rates up to 2000
     "grown_v": Pin(
-        "c48b215565278d507e7bc9ccc8a3ed6a5571902f31fdc7f5be29186d07019b45",
+        "9d4adf8bddeb7de8c71d46b30e2224d1dda7aec3d39312febbebe73abab194e4",
         lambda: _canonical([entropy_power(THIN_INPUTS["uniform"](n))
                             for n in (300, 2048)])),
     "fast_path": Pin(
-        "0d6e647a882b286f5c0456e49ac6bbe1c3833c1dc207793689e30abacb0198dc",
+        "74ae6dbb59c2cb4876f307306157d6cdcd4bb8546abfa07b7fd326d98590021d",
         _fast_path),
     # recorded while the JSON kernel's tables were still built at import
     "long_lists": Pin(

@@ -8,10 +8,13 @@ supports up to about 200 points; the thorough profile
 pmfs of 1900-2500 points run in both.
 
 check_rtepi holds where the margin is at least -tol_ineq, an absolute
-1e-9, while V is solved to tol_root V with tol_root = 1e-10 and E is
-documented to 1e-11.  So near equality, from V of about 10 on, the
-verdict can read False within V's own error: the property asks that it
-hold, or miss by no more than that error.  One such pmf is pinned below.
+1e-9, while V is documented to within tol_root V with tol_root = 1e-10,
+and E to 1e-11 here.  So near equality, from V of about 10 on, the
+verdict could read False within V's documented error: the property asks
+that it hold, or miss by no more than that error.  A pmf that read False
+while V's solve stopped on its evaluated point is pinned below; V's final
+Newton step now leaves both of its V within 1.8e-13 of the mpmath root,
+relative.
 """
 
 import numpy as np
@@ -104,12 +107,11 @@ def test_wide_ulc_pmfs_hold(name, alpha):
         assert abs(verdict.margin) < 1e-12
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "near equality, V's error tol_root V exceeds the fixed tol_ineq"))
 def test_near_poisson_equality_holds_at_rate_641():
     # binomial(380, 0.001) is nearly Poisson(0.38), so X is nearly
-    # Poisson(641.5) and the true margin nearly 0; the computed one reads
-    # -2.5e-9, within V's error of 1.8e-7 but past tol_ineq
+    # Poisson(641.5) and the true margin nearly 0; it read -2.5e-9, within
+    # V's error of 1.8e-7 but past tol_ineq, while V's solve returned its
+    # last evaluated point, and reads +3.8e-10 since its final Newton step
     x = convolve(construct(FamilySpec.binomial(380, 0.001)),
                  construct(FamilySpec.poisson(641.125)))
     verdict = assert_holds_within_v_error(x, 0.999999)

@@ -204,8 +204,9 @@ def test_an_exact_start_is_returned_without_a_bracket_probe(monkeypatch):
     evals = []
     for module in (semigroup, entropy_functionals):
         monkeypatch.setattr(module, "solve_increasing",
-                            lambda pair, *args, f=module.solve_increasing:
-                            f(lambda s: evals.append(s) or pair(s), *args))
+                            lambda pair, *args, f=module.solve_increasing,
+                            **kw: f(lambda s: evals.append(s) or pair(s),
+                                    *args, **kw))
     report = entropy_preserving_path(poi(200.0))
     assert len(evals) <= 1.5 * report.t_grid.size
     evals.clear()
