@@ -5,6 +5,7 @@ functionals L, Lambda, U."""
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 
@@ -17,14 +18,9 @@ from .pmf_core import DEFAULT_TOLERANCES, FinitePmf, ToleranceConfig, mean
 
 LN2 = math.log(2.0)
 EPS = float(np.finfo(float).eps)
-# V's start: log E(t) and E(t)/(t E'(t)) at 16 log-spaced t a decade over
-# [1e-3, 1e3], built on first use in 4-7 ms.  A table to 1e4 would
-# grow the log k! tables past the shipped 4096 entries and take 10 ms; V
-# past E(1e3) starts from the mean, the root itself for a Poisson
-_START_T = np.geomspace(1e-3, 1e3, 97)
-_START = []
-# the table's start misses E^-1 by at most 6.3e-7, relative (measured at
-# 3000 log-spaced t in the table); a mean within this of it is taken instead
+# a start from _start_table misses E^-1 by at most 6.3e-7, relative
+# (measured at 3000 log-spaced t in the table); a mean within this of it
+# is taken instead
 _START_ERR = 2e-6
 
 
@@ -105,6 +101,19 @@ def poisson_entropy_derivative(t: float,
     return _poisson_entropy_pair(t, cfg)[1]
 
 
+@functools.cache
+def _start_table() -> tuple:
+    """V's start: (log E(t), log t, E(t)/(t E'(t))) at 16 log-spaced t a
+    decade over [1e-3, 1e3], built on first use in 4-7 ms.  A table to 1e4
+    would grow the log k! tables past the shipped 4096 entries and take 10
+    ms; V past E(1e3) starts from the mean, the root itself for a Poisson."""
+    rows = []
+    for t in np.geomspace(1e-3, 1e3, 97).tolist():
+        e, slope = _poisson_entropy_pair(t, DEFAULT_TOLERANCES)
+        rows.append((math.log(e), math.log(t), e / (t * slope)))
+    return tuple(rows)
+
+
 def _start(target: float, mu: float) -> float:
     """Where V's solve for an entropy target starts, for a pmf of mean mu.
 
@@ -113,15 +122,12 @@ def _start(target: float, mu: float) -> float:
     holds; but mu where it lies within _START_ERR of that: for a Poisson
     pmf the mean is the root itself.  Outside the table, max(mu, 1).
     """
-    if not _START:
-        for t in _START_T.tolist():
-            e, slope = _poisson_entropy_pair(t, DEFAULT_TOLERANCES)
-            _START.append((math.log(e), math.log(t), e / (t * slope)))
+    table = _start_table()
     y = math.log(target)
-    i = bisect.bisect_right(_START, (y,))
-    if not 0 < i < len(_START):
+    i = bisect.bisect_right(table, (y,))
+    if not 0 < i < len(table):
         return max(mu, 1.0)
-    (y0, u0, m0), (y1, u1, m1) = _START[i - 1], _START[i]
+    (y0, u0, m0), (y1, u1, m1) = table[i - 1], table[i]
     h = y1 - y0
     s = (y - y0) / h
     r = 1.0 - s

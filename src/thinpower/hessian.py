@@ -145,7 +145,8 @@ def interpolation_point(alphas, leave_out: int, t: float):
     """The path A_l(t) = (1-t)*alpha^(l) + t*e_l and its direction mu_l.
 
     alpha^(l) is the renormalised vector with component `leave_out` removed;
-    mu_l = e_l - alpha^(l) is the constant velocity of the path.
+    mu_l = e_l - alpha^(l) is the constant velocity of the path.  A t
+    outside [0, 1], nan included, would leave the simplex.
     """
     alphas = np.asarray(alphas, dtype=float)
     m = alphas.size
@@ -153,6 +154,8 @@ def interpolation_point(alphas, leave_out: int, t: float):
         raise ParameterError(f"leave_out index {leave_out} outside 0..{m - 1}")
     if not np.all(np.isfinite(alphas) & (alphas >= 0.0)):
         raise ParameterError("every alpha_i must be finite and nonnegative")
+    if not 0.0 <= t <= 1.0:
+        raise ParameterError(f"interpolation time {t!r} outside [0, 1]")
     _, loo = _left_out(alphas, leave_out)
     unit = np.zeros(m)
     unit[leave_out] = 1.0

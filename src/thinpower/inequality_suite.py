@@ -49,7 +49,7 @@ def check_teci(x: FinitePmf, y: FinitePmf, alpha: float,
                cfg: ToleranceConfig = DEFAULT_TOLERANCES,
                allow_non_ulc: bool = False) -> InequalityVerdict:
     """H(T_a X + T_(1-a) Y) >= a H(X) + (1-a) H(Y) for ULC X, Y."""
-    _check_prob(alpha, "alpha")
+    alpha = _check_prob(alpha, "alpha")
     note = ulc_note(cfg, allow_non_ulc, x, y)
     lhs = entropy(thinned_sum((x, y), (alpha, 1.0 - alpha), cfg)).nats
     rhs = alpha * entropy(x).nats + (1.0 - alpha) * entropy(y).nats
@@ -61,7 +61,7 @@ def check_rtepi(x: FinitePmf, alpha: float,
                 cfg: ToleranceConfig = DEFAULT_TOLERANCES,
                 allow_non_ulc: bool = False) -> InequalityVerdict:
     """V(T_a X) >= a V(X) for ULC X."""
-    _check_prob(alpha, "alpha")
+    alpha = _check_prob(alpha, "alpha")
     note = ulc_note(cfg, allow_non_ulc, x)
     lhs = entropy_power(thin(x, alpha, cfg), cfg)
     rhs = alpha * entropy_power(x, cfg)
@@ -262,7 +262,7 @@ def check_conjecture_tepi(x: FinitePmf, y: FinitePmf, alpha: float,
                           cfg: ToleranceConfig = DEFAULT_TOLERANCES,
                           allow_non_ulc: bool = False) -> InequalityVerdict:
     """V(T_a X + T_(1-a) Y) >= a V(X) + (1-a) V(Y); refuted in general."""
-    _check_prob(alpha, "alpha")
+    alpha = _check_prob(alpha, "alpha")
     note = ulc_note(cfg, allow_non_ulc, x, y)
     lhs = entropy_power(thinned_sum((x, y), (alpha, 1.0 - alpha), cfg), cfg)
     rhs = alpha * entropy_power(x, cfg) + (1.0 - alpha) * entropy_power(y, cfg)
@@ -287,8 +287,8 @@ def check_tepis(x: FinitePmf, y: FinitePmf, beta: float, gamma: float,
     `poisson-leg`: beta + gamma = 1 and Y is Poisson with rate <= V(X).
     At least one must hold; the verdict records which.
     """
-    _check_prob(beta, "beta")
-    _check_prob(gamma, "gamma")
+    beta = _check_prob(beta, "beta")
+    gamma = _check_prob(gamma, "gamma")
     note = ulc_note(cfg, allow_non_ulc, x, y)
     v_x, v_y = entropy_power(x, cfg), entropy_power(y, cfg)
     tol = cfg.tol_ineq * max(1.0, v_x, v_y)

@@ -6,10 +6,14 @@ few thousand points do not overflow.  Their log(k!) values for k < 4096
 are read from the table shipped beside this module (scipy's
 gammaln(k + 1), recorded once); past it they are the standard library's
 math.lgamma(k + 1), so the package needs numpy alone at run time.  Tables
-of k, log(k + 1) and log P(Poisson(k) = k) of the same size spare the
-Poisson terms an np.arange and an np.log on each call.
+of k, log(k + 1) and log P(Poisson(k) = k) in the same record spare the
+Poisson terms an np.arange and an np.log on each call.  Each record is
+built once, for the shipped size at import and for a larger power of two
+behind functools.cache, and never changes, so threads share them without
+a lock.
 """
 
+import functools
 import math
 from pathlib import Path
 
@@ -56,19 +60,20 @@ def _saddle(k: np.ndarray) -> np.ndarray:
     return out
 
 
-# read-only tables over k = 0, 1, ...: _Z[k] = k, _LOG_Z1[k] = log(k + 1),
-# _LOG_FACT[k] = log(k!) and _SADDLE[k] = log P(Poisson(k) = k).  The
-# shipped table holds scipy.special.gammaln(np.arange(4096) + 1.0), written
-# once with np.save; _grow() grows all four past it on demand, log(k!) by
-# math.lgamma
-_LOG_FACT = np.load(Path(__file__).with_name("log_factorials.npy"))
-_Z = np.arange(_LOG_FACT.size, dtype=float)
-_LOG_Z1 = np.log(_Z + 1.0)
-_SADDLE = _saddle(_Z)
-_LOG_FACT.flags.writeable = False
-_Z.flags.writeable = False
-_LOG_Z1.flags.writeable = False
-_SADDLE.flags.writeable = False
+def _rows(log_fact: np.ndarray) -> tuple:
+    """The four tables over k = 0..log_fact.size - 1, k, log(k + 1),
+    log(k!) and log P(Poisson(k) = k), as the rows of one read-only array."""
+    z = np.arange(log_fact.size, dtype=float)
+    record = np.stack([z, np.log(z + 1.0), log_fact, _saddle(z)])
+    record.flags.writeable = False
+    return tuple(record)
+
+
+# the shipped log(k!) is scipy.special.gammaln(np.arange(4096) + 1.0),
+# written once with np.save; tables() reads these rows directly below it
+_SHIPPED = _rows(np.load(Path(__file__).with_name("log_factorials.npy")))
+_SHIPPED_SIZE = _SHIPPED[0].size
+
 # fsum extracts from arrays of this many entries on.  Extraction takes
 # 13-25 us at any size; math.fsum grows with its partials, which a pmf's
 # tail piles up.  math.fsum against extraction, in us, on a shared 2-core
@@ -95,37 +100,25 @@ _FSUM_LEVELS = 3
 _PROBE_FROM = 2 ** 24
 
 
-def _grown(table: np.ndarray, size: int, values) -> np.ndarray:
-    """table extended to size entries by values(k) for its new k, read-only."""
-    k = np.arange(table.size, size, dtype=float)
-    grown = np.concatenate([table, values(k)])
-    grown.flags.writeable = False
-    return grown
-
-
-def _grow(n: int) -> None:
-    """Grow the four tables together past z = n, at least doubling; the
-    new log(z!) are math.lgamma(z + 1), and entries already handed out
-    never change."""
-    global _Z, _LOG_Z1, _LOG_FACT, _SADDLE
-    size = max(n + 1, 2 * _LOG_FACT.size)
-    _Z = _grown(_Z, size, lambda k: k)
-    _LOG_Z1 = _grown(_LOG_Z1, size, lambda k: np.log(k + 1.0))
-    _LOG_FACT = _grown(_LOG_FACT, size, lambda k: np.fromiter(
-        map(math.lgamma, (k + 1.0).tolist()), float, k.size))
-    _SADDLE = _grown(_SADDLE, size, _saddle)
+@functools.cache
+def _grown(size: int) -> tuple:
+    """The four rows over k < size, a power of two past the shipped table:
+    its log(k!), then math.lgamma(k + 1).  Built once per size; two
+    threads that race build equal rows."""
+    return _rows(np.concatenate([_SHIPPED[2], np.fromiter(map(
+        math.lgamma, range(_SHIPPED_SIZE + 1, size + 1)), float)]))
 
 
 def tables(n: int):
-    """Read-only views (z, log(z + 1), log(z!)) over z = 0..n, as floats.
+    """Read-only views (z, log(z + 1), log(z!), log P(Poisson(z) = z))
+    over z = 0..n, as floats, all four from one record.
 
     np.log is elementwise, so a slice of the log(z + 1) table holds the
     bits np.log(z + 1.0) gives for the same z.
     """
-    # the four grow together, so one size check serves all
-    if n >= _LOG_FACT.size:
-        _grow(n)
-    return _Z[:n + 1], _LOG_Z1[:n + 1], _LOG_FACT[:n + 1]
+    z, log_z1, log_fact, saddle = (_SHIPPED if n < _SHIPPED_SIZE
+                                   else _grown(1 << int(n).bit_length()))
+    return z[:n + 1], log_z1[:n + 1], log_fact[:n + 1], saddle[:n + 1]
 
 
 def log_factorials(n: int) -> np.ndarray:
@@ -276,10 +269,10 @@ def poisson_log_terms(rate: float, n_top: int):
     z and log(z + 1) are read-only views of the tables; E'(t) reads the
     latter.
     """
-    z, log_z1, log_fact = tables(n_top)
+    z, log_z1, log_fact, saddle = tables(n_top)
     if rate < _SADDLE_FROM:
         return z, z * math.log(rate) - rate - log_fact, log_z1
-    return z, _SADDLE[:n_top + 1] - _deviance(z, rate), log_z1
+    return z, saddle - _deviance(z, rate), log_z1
 
 
 def check_count(count: int, name: str, value, what: str) -> int:

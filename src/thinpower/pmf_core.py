@@ -275,9 +275,12 @@ class FamilySpec:
         return doc
 
 
-def _check_prob(value: float, name: str) -> None:
+def _check_prob(value: float, name: str) -> float:
+    """value as a Python float, if it lies in [0, 1]: a numpy float32
+    would round the products it enters to single precision."""
     if not 0.0 <= value <= 1.0:
         raise ParameterError(f"{name} = {value!r} outside [0, 1]")
+    return float(value)
 
 
 def poisson_pmf(rate: float, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> FinitePmf:

@@ -277,6 +277,7 @@ def inverse_thin(x: FinitePmf, alpha: float,
     """
     if not 0.0 < alpha <= 1.0:
         raise ParameterError(f"inverse thinning needs alpha in (0, 1], got {alpha!r}")
+    alpha = float(alpha)    # a numpy float32 would round 1/alpha and kappa
     width = len(x)
     if alpha == 1.0 or width == 1:
         return x
@@ -285,7 +286,7 @@ def inverse_thin(x: FinitePmf, alpha: float,
         raise IllConditionedError(alpha, kappa, bound)
     # (2/alpha)^i can overflow for tiny alpha where kappa is small
     with np.errstate(over="ignore", invalid="ignore"):
-        pascal = _pascal_stack(float(1.0 / alpha), min(width, _M + 1))
+        pascal = _pascal_stack(1.0 / alpha, min(width, _M + 1))
         solved = _taylor_shift(x.probs, pascal)
     try:
         return FinitePmf(solved, cfg)

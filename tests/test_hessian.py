@@ -248,6 +248,13 @@ def test_interpolation_point_uses_the_left_out_weights():
     assert mu.tolist() == (np.eye(3)[2] - weights).tolist()
 
 
+@pytest.mark.parametrize("t", [math.nan, -0.5, 1.5])
+def test_interpolation_point_refuses_a_time_off_the_simplex(t):
+    with pytest.raises(ParameterError,
+                       match=rf"interpolation time {t!r} outside \[0, 1\]"):
+        apb.interpolation_point([0.2, 0.3, 0.5], 2, t)
+
+
 def test_lambda_monotonicity_tight_on_poissons():
     _, _, lhs, rhs = leave_one_out([poi(1.0)] * 3, [1 / 3, 1 / 3, 1 / 3],
                                    lambda_functional)

@@ -578,3 +578,16 @@ def test_quadratic_form_verdicts_are_json_native(case):
     for verdict in check_quadratic_form([random_ulc(s) for s in seeds],
                                         alphas, leave_out, t_grid):
         _round_trips(verdict)
+
+
+@pytest.mark.parametrize("check, pmfs, params", [
+    (check_teci, (binom(4, 0.5), binom(4, 0.45)), (0.3,)),
+    (check_rtepi, (binom(4, 0.5),), (0.3,)),
+    (check_conjecture_tepi, (binom(4, 0.5), binom(4, 0.45)), (0.3,)),
+    (check_tepis, (binom(4, 0.5), binom(4, 0.45)), (0.3, 0.6))])
+def test_a_float32_parameter_gives_the_verdict_of_its_double(check, pmfs,
+                                                              params):
+    # numpy 2 rounds alpha V(X) and 1 - alpha to single precision for a
+    # float32 alpha; the verdict echoes the parameter as its double
+    single = [np.float32(value) for value in params]
+    assert check(*pmfs, *single) == check(*pmfs, *map(float, single))

@@ -119,6 +119,21 @@ def test_non_string_key_raises(key):
         dumps_canonical({"a": [1.0], key: 2.0})
 
 
+@pytest.mark.parametrize("obj, name", [(object(), "object"),
+                                       ({1.0, 2.0}, "set"),
+                                       ([1.0, 1j], "complex")])
+def test_an_object_without_a_json_form_raises(obj, name):
+    with pytest.raises(ParameterError,
+                       match=f"^cannot serialise {name} canonically$"):
+        dumps_canonical({"a": obj})
+
+
+@pytest.mark.parametrize("doc", [{"rate": 3.0}, {}, [0.5, 0.5]])
+def test_a_pmf_document_without_family_or_probs_raises(doc):
+    with pytest.raises(ParameterError, match='needs a "probs" array'):
+        jsonio.pmf_from_doc(doc)
+
+
 # ---------------------------------------------------------------- long lists
 
 def _per_element(values) -> str:

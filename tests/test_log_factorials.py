@@ -1,11 +1,12 @@
 """The shared tables of numerics: the shipped log-factorials are scipy's
 gammaln bit for bit, growth past them leaves them as they are and adds
 math.lgamma's values, within 2 ulps of mpmath, and no caller can write into
-a table.  The Poisson terms read z and log(z + 1) from tables kept beside
-the log-factorials and give the bits of arrays built fresh on each call:
-below the shipped 4096 entries, at the last one and past it, where all
-four tables grow.  The support cut reads its tail term from the same
-Poisson terms it returns, and D reads its log pi from them too.
+a table.  The Poisson terms read z and log(z + 1) from the record that
+holds the log-factorials and give the bits of arrays built fresh on each
+call: below the shipped 4096 entries, at the last one and past it, where
+one grown record holds all four tables.  The support cut reads its tail
+term from the same Poisson terms it returns, and D reads its log pi from
+them too.
 And V(Poisson(t)) = t within its documented error.
 
 Tier-1 draws rates up to 200; the thorough profile
@@ -41,17 +42,19 @@ def _bits(a) -> np.ndarray:
 
 
 @pytest.fixture
-def shipped_table(monkeypatch):
-    """The four tables as numerics builds them at import, before any
-    growth; returns the log-factorials."""
-    table = np.load(SHIPPED)
-    z = np.arange(table.size, dtype=float)
-    for name, values in (("_LOG_FACT", table), ("_Z", z),
-                         ("_LOG_Z1", np.log(z + 1.0)),
-                         ("_SADDLE", numerics._saddle(z))):
-        values.flags.writeable = False
-        monkeypatch.setattr(numerics, name, values)
-    return table
+def shipped_table():
+    """The tables with no record grown past the shipped one, before the
+    test and after it; returns the shipped log-factorials."""
+    numerics._grown.cache_clear()
+    yield np.load(SHIPPED)
+    numerics._grown.cache_clear()
+
+
+def record_size(n):
+    """The size of the one record that tables(n) slices its four views of."""
+    views = numerics.tables(n)
+    assert all(view.base is views[0].base for view in views)
+    return views[0].base.shape[1]
 
 
 def test_shipped_table_is_gammaln(recorded_platform):
@@ -62,7 +65,8 @@ def test_shipped_table_is_gammaln(recorded_platform):
 
 def test_growth_keeps_the_shipped_entries(shipped_table):
     grown = numerics.log_factorials(5000)
-    assert grown.size == 5001 and numerics._LOG_FACT.size == 8192
+    assert grown.size == 5001 and grown.base.shape == (4, 8192)
+    assert numerics._grown.cache_info().currsize == 1
     assert np.array_equal(_bits(grown[:4096]), _bits(shipped_table))
     lgamma = [math.lgamma(k + 1.0) for k in range(4096, 5001)]
     assert np.array_equal(_bits(grown[4096:]), _bits(lgamma))
@@ -119,7 +123,7 @@ def fresh_entropy_pair(t):
 
 def test_the_log_table_is_np_log_at_every_length():
     # np.log is elementwise: a prefix of the table is the whole array's log
-    z, log_z1, _ = numerics.tables(4095)
+    z, log_z1 = numerics.tables(4095)[:2]
     assert np.array_equal(_bits(z), _bits(np.arange(4096)))
     for n in range(1, 4097):
         assert np.array_equal(_bits(log_z1[:n]),
@@ -146,18 +150,17 @@ def test_poisson_terms_match_fresh_arrays(shipped_table, rate):
                           _bits(FinitePmf(np.exp(fresh_logp)).probs))
     assert np.array_equal(_bits(_poisson_entropy_pair(rate, DEFAULT_TOLERANCES)),
                           _bits(fresh_entropy_pair(rate)))
-    # the cut's tail term reads log((top + 1)!): from top 4095 on, all
-    # four tables grew together
-    assert (numerics._Z.size == numerics._LOG_Z1.size
-            == numerics._LOG_FACT.size == numerics._SADDLE.size)
-    assert numerics._Z.size == (4096 if top < 4095 else 8192)
+    # the cut's tail term reads log((top + 1)!): from top 4095 on, one
+    # record of all four tables was grown
+    assert record_size(top + 1) == (4096 if top < 4095 else 8192)
+    assert numerics._grown.cache_info().currsize == (top >= 4095)
 
 
 @pytest.mark.parametrize("rate", [3.0, 2000.0, 3500.0])
 def test_one_entropy_pair_slices_the_tables_once(monkeypatch, shipped_table, rate):
     # the support cut's tail term is the entry past the cut of the terms
     # it returns, so one slice of top + 1 serves both; growth past the
-    # shipped size still grows all four tables
+    # shipped size still builds one record of all four tables
     calls = []
     tables = numerics.tables
 
@@ -171,7 +174,7 @@ def test_one_entropy_pair_slices_the_tables_once(monkeypatch, shipped_table, rat
     top = fresh_cut(rate)
     assert sliced == [top + 1]
     assert np.array_equal(_bits(pair), _bits(fresh_entropy_pair(rate)))
-    assert numerics._Z.size == numerics._LOG_Z1.size == numerics._LOG_FACT.size
+    assert record_size(top + 1) == (8192 if rate > 3475.0 else 4096)
 
 
 @pytest.mark.parametrize("rate", [1e-6, 0.7, 3.0, 50.0, 2000.0])
@@ -231,13 +234,14 @@ def test_rel_entropy_poisson_reads_log_pi_from_poisson_log_terms(monkeypatch,
 def test_grown_tables_keep_their_entries_and_stay_read_only(shipped_table):
     before = [t.copy() for t in numerics.tables(4095)]
     grown = numerics.tables(5000)
-    assert [t.size for t in grown] == [5001] * 3
+    assert [t.size for t in grown] == [5001] * 4
     for old, new in zip(before, grown):
         assert np.array_equal(_bits(new[:4096]), _bits(old))
         with pytest.raises(ValueError, match="read-only"):
             new[0] = 1.0
     assert np.array_equal(_bits(grown[0]), _bits(np.arange(5001)))
     assert np.array_equal(_bits(grown[1]), _bits(np.log(np.arange(5001) + 1.0)))
+    assert np.array_equal(_bits(grown[3]), _bits(numerics._saddle(grown[0])))
 
 
 @pytest.mark.parametrize("width", [2, 64, 4096, 4097, 6000])

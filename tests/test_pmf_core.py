@@ -171,6 +171,22 @@ def test_non_numeric_entry_is_named_not_echoed():
     assert str(err.value) == "pmf entries must be numbers, got entry 5000 = 'x'"
 
 
+@pytest.mark.parametrize("probs, named", [("abc", "'abc'"),
+                                           ({"a": 1.0}, "{'a': 1.0}")])
+def test_a_non_list_of_non_numbers_is_named_whole(probs, named):
+    with pytest.raises(ParameterError) as err:
+        FinitePmf(probs)
+    assert str(err.value) == f"pmf entries must be numbers, got {named}"
+
+
+def test_repr_shows_the_entries_briefly():
+    assert repr(FinitePmf([0.25, 0.75])) == "FinitePmf([0.25 0.75])"
+    # past 8 entries numpy elides the middle
+    text = repr(FinitePmf(np.full(100, 0.01)))
+    assert text.startswith("FinitePmf([0.01 0.01 0.01 ...")
+    assert text.endswith("0.01 0.01])")
+
+
 def test_constructor_clamps_subtolerance_noise():
     p = FinitePmf([0.5, 0.5 + 1e-12, -1e-12])
     assert p.probs.min() >= 0.0

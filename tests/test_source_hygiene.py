@@ -1,6 +1,8 @@
 """Source hygiene of the package: every function parameter is read by its
-body, every import is used, and the package runs on numpy alone, also
-where log k! is needed past the shipped table.
+body, every import is used, no function rebinds a module name with a
+``global`` statement (a table built once sits behind functools.cache, so
+threads never see it half built), and the package runs on numpy alone,
+also where log k! is needed past the shipped table.
 
 The command handlers of the cli (``_cmd_*``) all take ``(args, cfg)``,
 the signature the dispatch calls them with, and are exempt.
@@ -67,6 +69,11 @@ def _unused_imports(tree) -> list:
     return unused
 
 
+def _global_statements(tree) -> list:
+    return [f"{name} at line {node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Global) for name in node.names]
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_every_parameter_is_read(path):
     assert _unread_parameters(ast.parse(path.read_text())) == []
@@ -86,6 +93,16 @@ def test_the_checks_see_an_unread_parameter_and_an_unused_import():
     assert _unused_imports(tree) == ["os at line 1"]
 
 
+def test_no_source_has_a_global_statement():
+    assert [f"{path.name}: {found}" for path in SOURCES
+            for found in _global_statements(ast.parse(path.read_text()))] == []
+
+
+def test_the_check_sees_a_global_statement():
+    tree = ast.parse("_T = None\ndef f():\n    global _T, _U\n    _T = 1\n")
+    assert _global_statements(tree) == ["_T at line 3", "_U at line 3"]
+
+
 def test_runs_past_the_shipped_table_without_scipy():
     # a fresh interpreter in which importing scipy fails; Lambda of
     # Poisson(5000) reads log k! up to k = 5717, past the shipped 4096
@@ -100,7 +117,8 @@ def test_runs_past_the_shipped_table_without_scipy():
                            '{"family": "poisson", "rate": 5000}']),
                      main(["vpower", "--pmf",
                            '{"family": "poisson", "rate": 2000}'])]
-        print(*codes, numerics._LOG_FACT.size)
+        print(*codes, numerics._grown.cache_info().currsize,
+              numerics.log_factorials(5717).base.shape[1])
     """)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -108,4 +126,4 @@ def test_runs_past_the_shipped_table_without_scipy():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "0", "8192"]
+    assert proc.stdout.split() == ["0", "0", "1", "8192"]

@@ -50,9 +50,16 @@ def test_thinning_preserves_poisson(lam, alpha):
 
 @pytest.fixture
 def cold_log_factorials(monkeypatch):
-    """Shrink the shared log-factorial table to 128 entries, so that a
-    Poisson(3000) grows it through log_factorials."""
-    monkeypatch.setattr(numerics, "_LOG_FACT", numerics._LOG_FACT[:128])
+    """Cut the shipped tables to 128 entries with no grown record kept, so
+    that a Poisson(3000) builds records past them, log k! from
+    math.lgamma; the records grown from the cut tables are dropped
+    afterwards."""
+    monkeypatch.setattr(numerics, "_SHIPPED",
+                        tuple(row[:128] for row in numerics._SHIPPED))
+    monkeypatch.setattr(numerics, "_SHIPPED_SIZE", 128)
+    numerics._grown.cache_clear()
+    yield
+    numerics._grown.cache_clear()
 
 
 @pytest.mark.parametrize("width", [2829, 4096])
@@ -66,6 +73,9 @@ def test_thin_wide_support_in_blocks(width):
 
 def test_thin_wide_poisson_stays_poisson(cold_log_factorials):
     assert total_variation(thin(poi(3000.0), 0.5), poi(1500.0)) <= 1e-10
+    # records of 4096 and 2048 entries, for the two supports of about
+    # 3600 and 1900 points
+    assert numerics._grown.cache_info().currsize == 2
 
 
 def thin_bound(n):
@@ -218,6 +228,15 @@ def test_inverse_thin_poisson():
 def test_inverse_thin_alpha_validation():
     with pytest.raises(ParameterError):
         inverse_thin(bern(0.3), 0.0)
+
+
+def test_inverse_thin_reads_a_float32_alpha_as_its_double():
+    # numpy 2 would round 1/alpha and the bound's 2/alpha - 1 to single
+    # precision
+    alpha = np.float32(0.3)
+    x = thin(poi(1.0), float(alpha))
+    assert np.array_equal(inverse_thin(x, alpha).probs.view(np.uint64),
+                          inverse_thin(x, float(alpha)).probs.view(np.uint64))
 
 
 @pytest.mark.parametrize("x,alpha", [
