@@ -147,10 +147,14 @@ def _cmd_vpower(args, cfg):
 def _cmd_functional(args, cfg):
     name = args.name
     if name in ("E", "J"):
+        if args.pmf:
+            raise ParameterError(f"functional {name} takes no --pmf")
         if args.t is None:
             raise ParameterError(f"functional {name} needs --t")
         fn = poisson_entropy if name == "E" else poisson_entropy_derivative
         return fn(args.t, cfg), 0
+    if args.t is not None:
+        raise ParameterError(f"functional {name} takes no --t")
     if not args.pmf:
         raise ParameterError(f"functional {name} needs --pmf")
     table = {"L": l_functional, "Lambda": lambda_functional,
@@ -170,6 +174,13 @@ def _cmd_check(args, cfg):
     statement = STATEMENTS.get(name)
     if statement is None:
         raise ParameterError(f"unknown check name {name!r}")
+    unused = [f"--{flag}" for flag in ("alpha", "alphas", "beta", "gamma")
+              if getattr(args, flag) is not None
+              and flag not in statement.params]
+    if args.allow_non_ulc and not statement.ulc_gated:
+        unused.append("--allow-non-ulc")
+    if unused:
+        raise ParameterError(f"check {name} takes no {' or '.join(unused)}")
     if statement.pmfs is not None and len(pmfs) != statement.pmfs:
         raise ParameterError(
             f"check {name} needs exactly {statement.pmfs} --pmf inputs")

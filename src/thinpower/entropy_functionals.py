@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .numerics import (fsum, log_factorials, poisson_log_terms,
+from .numerics import (_SADDLE_FROM, fsum, log_factorials, poisson_log_terms,
                        poisson_terms, solve_increasing)
 from .pmf_core import DEFAULT_TOLERANCES, FinitePmf, ToleranceConfig, mean
 
@@ -173,10 +173,12 @@ def rel_entropy_poisson(p: FinitePmf) -> float:
     probs, log_p = p.probs[keep], np.log(p.probs[keep])
     value = fsum(probs * (log_p - log_pi[keep]))
     # D >= 0, so swallow a negative value within the rounding bound of the
-    # sum.  parts bounds the three terms of log_pi = z log(lam) - lam -
-    # log(z!), each far larger than log_pi itself on wide supports
-    parts = z * abs(math.log(lam)) + lam + log_factorials(len(p) - 1)
-    slack = 4.0 * EPS * fsum(probs * (parts[keep] + np.abs(log_p)))
+    # sum, 4 eps sum p (|log pi| + |log p|).  Below _SADDLE_FROM, log_pi =
+    # z log(lam) - lam - log(z!) rounds with its terms, each far larger
+    # than log_pi itself on wide supports, so their sizes stand for it
+    size = (np.abs(log_pi) if lam >= _SADDLE_FROM
+            else z * abs(math.log(lam)) + lam + log_factorials(len(p) - 1))
+    slack = 4.0 * EPS * fsum(probs * (size[keep] + np.abs(log_p)))
     return 0.0 if -slack < value < 0.0 else value
 
 

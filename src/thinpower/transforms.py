@@ -59,20 +59,20 @@ def _pascal(a: float, size: int) -> np.ndarray:
     thin's cache: K's entries do not depend on size, so a block kept in
     _BLOCKS serves every size up to its own as a slice; a miss, or a larger
     size, builds the block at this size and keeps it, evicting the least
-    recently used one past _BLOCKS_MAX.  Every block is kept on its first
+    recently used ones past _BLOCKS_MAX.  Every block is kept on its first
     request: hessian's alphas recur exactly once, so admitting a block only
-    on its second request would build each of them twice.
+    on its second request would build each of them twice.  Threads share
+    the cache unlocked: each call evicts after it puts its block back, so
+    that calls racing in other threads leave at most _BLOCKS_MAX blocks.
     """
     block = _BLOCKS.pop(a, None)
-    if block is not None and block.shape[0] >= size:
-        _BLOCKS[a] = block
-        return block[:size, :size]
-    block = _pascal_stack(a, size)
-    block.flags.writeable = False
-    if len(_BLOCKS) >= _BLOCKS_MAX:
-        _BLOCKS.popitem(last=False)
+    if block is None or block.shape[0] < size:
+        block = _pascal_stack(a, size)
+        block.flags.writeable = False
     _BLOCKS[a] = block
-    return block
+    while len(_BLOCKS) > _BLOCKS_MAX:
+        _BLOCKS.popitem(last=False)
+    return block[:size, :size]
 
 
 def _taylor_shift(probs: np.ndarray, pascal: np.ndarray) -> np.ndarray:
@@ -90,11 +90,10 @@ def _taylor_shift(probs: np.ndarray, pascal: np.ndarray) -> np.ndarray:
     the running products of the powers k - 1 and i - k - 1 times, two
     products), a block product min(N, m) times in any summation order, a
     Horner step 2m + 3 times (q's entry, one product, m + 1 additions).
-    thin reads K from _pascal's cache, and inverse thinning and
-    leave_one_out's thinned sums build it afresh (_pascal_stack), alone or
-    stacked; either way K holds the same products of the same running
-    powers, in the same order, so D and the bits do not depend on where K
-    comes from.
+    thin, and so every thinned sum, reads K from _pascal's cache, and
+    inverse thinning builds it afresh (_pascal_stack), alone or stacked;
+    either way K holds the same products of the same running powers, in
+    the same order, so D and the bits do not depend on where K comes from.
     """
     width = probs.size
     if width <= _M:
@@ -116,6 +115,8 @@ def thin(x: FinitePmf, alpha: float,
     Thinning is a Taylor shift of the pgf, G_(T_a X)(s) = G_X(b + a s) with
     b = 1 - a, computed by _taylor_shift with _pascal's block for a read
     as a double, so that the key and b = fl(1 - a) come from one double.
+    Every thinned sum, thinned_sum's and so leave_one_out's, thins its
+    factors here and reads the same cache.
 
     Error bound, 0 < a < 1, u = 2^-53: every operation adds or multiplies
     non-negative numbers, so each entry is a sum of terms that each carry a
@@ -129,22 +130,13 @@ def thin(x: FinitePmf, alpha: float,
     exact thinning of x.probs normalised to mass 1.  Where intermediate
     values underflow, add at most 2 (N + m)^2 2^-1074, absolute.
     """
-    return _thin(x, alpha, None, cfg)
-
-
-def _thin(x: FinitePmf, alpha: float, block, cfg: ToleranceConfig) -> FinitePmf:
-    """thin(x, alpha, cfg), with its Pascal block read from block, one for
-    float(alpha) of at least min(len(x), _M + 1) rows, or from _pascal's
-    cache where block is None."""
     if not 0.0 <= alpha <= 1.0:
         raise ParameterError(f"thinning parameter {alpha!r} outside [0, 1]")
     if alpha == 1.0:
         return x
     if alpha == 0.0 or len(x) == 1:
         return FinitePmf([1.0], cfg)
-    size = min(len(x), _M + 1)
-    pascal = (_pascal(float(alpha), size) if block is None
-              else block[:size, :size])
+    pascal = _pascal(float(alpha), min(len(x), _M + 1))
     return FinitePmf._normalised(_taylor_shift(x.probs, pascal), cfg)
 
 
@@ -161,24 +153,6 @@ def thinned_sum(xs, alphas,
         raise ParameterError("need pmfs with one alpha each")
     return reduce(lambda a, b: convolve(a, b, cfg),
                   (thin(p, float(a), cfg) for p, a in zip(xs, alphas)))
-
-
-def _thinned_sum_once(xs, alphas: np.ndarray,
-                      cfg: ToleranceConfig) -> FinitePmf:
-    """thinned_sum(xs, alphas, cfg) bit for bit, for weights that are used
-    once: the factors' Pascal blocks come from one _pascal_stack of all the
-    alphas, built for this call and kept nowhere, as inverse_thin builds
-    its block.  A block of the stack holds the same products as _pascal's
-    for the same a, and a slice of it the entries of a smaller block, so
-    each factor is thinned to the same bits.  leave_one_out's simplex
-    weights are fresh on every call (hmon and dsub draw them at random):
-    through _pascal, each would evict a block that thin reuses."""
-    # a sum of one factor at weight 1 (a leave-one-out of two) thins nothing
-    blocks = (_pascal_stack(alphas[:, None], min(max(map(len, xs)), _M + 1))
-              if alphas.min() < 1.0 else [None] * alphas.size)
-    return reduce(lambda a, b: convolve(a, b, cfg),
-                  (_thin(p, a, block, cfg)
-                   for p, a, block in zip(xs, alphas.tolist(), blocks)))
 
 
 def _left_out(alphas: np.ndarray, l: int):
@@ -200,11 +174,14 @@ def leave_one_out(xs, alphas, functional,
     """(f(full), [f(loo_l)], n f(full), sum_l a^(l) f(loo_l)) for a
     functional f of a thinned sum of n + 1 terms.
 
-    The full sum is thinned_sum(xs, alphas); loo_l drops term l and
-    renormalises the other weights by a^(l) = sum_(i != l) alphas[i].  The
-    last two entries are the sides the monotonicity statements for H,
-    Lambda and D compare.  The alphas must be a finite, strictly positive
-    simplex vector, one per pmf, else PreconditionError.
+    The full sum is thinned_sum(xs, alphas); loo_l, also a thinned_sum,
+    drops term l and renormalises the other weights by a^(l) = sum_(i !=
+    l) alphas[i].  Each factor's block comes from thin's cache, which the
+    fresh simplex weights of hmon and dsub fill and turn over, never past
+    _BLOCKS_MAX blocks.  The last two entries are the sides the
+    monotonicity statements for H, Lambda and D compare.  The alphas must
+    be a finite, strictly positive simplex vector, one per pmf, else
+    PreconditionError.
     """
     alphas = np.asarray(alphas, dtype=float)
     if len(xs) != alphas.size or len(xs) < 2:
@@ -213,11 +190,10 @@ def leave_one_out(xs, alphas, functional,
         raise PreconditionError("every alpha_i must be finite and strictly positive")
     if not abs(fsum_nonneg(alphas) - 1.0) <= 1e-12:
         raise PreconditionError("alphas must sum to 1 within 1e-12")
-    full = functional(_thinned_sum_once(xs, alphas, cfg))
+    full = functional(thinned_sum(xs, alphas, cfg))
     parts = [_left_out(alphas, l) for l in range(len(xs))]
-    loo = [functional(_thinned_sum_once(
-               [p for i, p in enumerate(xs) if i != l],
-               np.delete(weights, l), cfg))
+    loo = [functional(thinned_sum([p for i, p in enumerate(xs) if i != l],
+                                  np.delete(weights, l), cfg))
            for l, (_, weights) in enumerate(parts)]
     return (full, loo, (len(xs) - 1) * full,
             math.fsum(c * v for (c, _), v in zip(parts, loo)))

@@ -556,6 +556,41 @@ def test_check_unknown_name(capsys):
     assert json.loads(out)["message"] == "unknown check name 'nope'"
 
 
+@pytest.mark.parametrize("name", list(STATEMENTS))
+def test_check_refuses_flags_its_statement_does_not_take(capsys, name):
+    statement = STATEMENTS[name]
+    pmfs, flags = CHECK_INPUTS[name]
+    extra = {flag: value for flag, value in (
+        ("alpha", "0.3"), ("alphas", "0.5,0.5"), ("beta", "7"), ("gamma", "1"))
+        if flag not in statement.params}
+    for flag, value in extra.items():
+        code, out = run(capsys, *check_argv(name, pmfs, flags),
+                        f"--{flag}", value)
+        assert code == 2
+        assert json.loads(out) == {"error": "ParameterError",
+                                   "message": f"check {name} takes no --{flag}"}
+    code, out = run(capsys, *check_argv(name, pmfs, flags), "--allow-non-ulc")
+    assert code == (0 if statement.ulc_gated else 2)
+    if name == "isop":
+        code, out = run(capsys, *check_argv(name, pmfs, {"alpha": "0.3",
+                                                         "beta": "7"}))
+        assert code == 2
+        assert (json.loads(out)["message"]
+                == "check isop takes no --alpha or --beta")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["functional", "--name", "L", "--pmf", P2, "--t", "5"], "--t"),
+    (["functional", "--name", "E", "--t", "5", "--pmf", P2], "--pmf"),
+], ids=["L-t", "E-pmf"])
+def test_functional_refuses_flags_its_name_does_not_take(capsys, argv, flag):
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "ParameterError",
+        "message": f"functional {argv[2]} takes no {flag}"}
+
+
 @pytest.mark.parametrize(
     "name", [name for name, s in STATEMENTS.items() if not s.searchable])
 def test_search_refuses_statements_it_cannot_sweep(capsys, name):

@@ -339,6 +339,20 @@ def test_rel_entropy_rounding_clamp_keeps_small_rates():
                                                            rel=1e-6)
 
 
+def test_rel_entropy_clamp_lets_a_1e_12_sign_error_through(monkeypatch):
+    # Loader's log pi rounds with its own size: 4 eps sum p (|log pi| +
+    # |log p|) is 9.1e-15 at Poisson(1590), where a slack sized by the
+    # terms of z log(lam) - lam - log(z!) read 2.1e-11 and hid a D of -1e-12
+    x = poi(1590.0)
+    terms = entropy_functionals.poisson_log_terms
+
+    def raised(rate, n_top):
+        z, log_pi, log_z1 = terms(rate, n_top)
+        return z, log_pi + 1e-12, log_z1
+    monkeypatch.setattr(entropy_functionals, "poisson_log_terms", raised)
+    assert rel_entropy_poisson(x) == pytest.approx(-1e-12, abs=1e-14)
+
+
 def test_rel_entropy_direct_sum_oracle():
     # two-term sum evaluated at 40 digits: 0.5 log(.5/e^-.5) + 0.5 log(.5/(.5 e^-.5))
     assert rel_entropy_poisson(bern(0.5)) == pytest.approx(

@@ -1,9 +1,10 @@
-"""thin keeps its Pascal blocks in a small LRU keyed by a (transforms._pascal);
-inverse thinning builds a fresh block for each shift and keeps none, and so
-do leave_one_out's thinned sums at their one-off simplex weights.
-Whatever the cache holds, _taylor_shift gives the bits of a cache-free
-build: cold, warm, sliced from a larger block or a stack, after the block
-grows and after eviction.
+"""thin keeps its Pascal blocks in a small LRU keyed by a (transforms._pascal),
+and every thinned sum reads them through thin, leave_one_out's sums at
+one-off simplex weights too; inverse thinning builds a fresh block for each
+shift and keeps none.  Whatever the cache holds, _taylor_shift gives the
+bits of a cache-free build: cold, warm, sliced from a larger block or a
+stack, after the block grows and after eviction, also when the fresh
+weights of hmon and dsub push out the blocks other checks reuse.
 
 Tier-1 draws up to a few dozen examples of each property; the thorough
 profile (--hypothesis-profile thorough) draws 2000.
@@ -13,7 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from thinpower import DEFAULT_TOLERANCES, FinitePmf, transforms
+from thinpower import (FinitePmf, check_dsub, check_hmon, inequality_suite,
+                       random_ulc, transforms)
+from thinpower.inequality_suite import ALPHA_GRID
 
 _M = transforms._M
 _I_MINUS_K = np.maximum(np.subtract.outer(np.arange(_M + 1),
@@ -152,34 +155,22 @@ def test_a_single_precision_alpha_shifts_as_its_double():
     assert list(transforms._BLOCKS) == [float(a)]
 
 
-@given(st.lists(st.tuples(widths | st.integers(1, 3), seeds), min_size=1,
-                max_size=4),
-       st.floats(0.1, 10.0), st.booleans())
-def test_a_sum_at_one_off_weights_has_the_bits_of_thinned_sum(factors, spread,
-                                                              at_one):
-    xs = [FinitePmf(_pmf(width, seed)) for width, seed in factors]
-    weights = np.random.default_rng(factors[0][1]).dirichlet(
-        np.full(len(xs), spread))
-    alphas = np.array([1.0]) if at_one else weights / weights.sum()
-    xs = xs[:alphas.size]
+def test_fresh_simplex_sums_push_out_grid_blocks_that_rebuild_the_same():
+    # teci, rtepi and tepi thin at the ALPHA_GRID alphas over and over; hmon
+    # and dsub thin at fresh weights, 9 alphas a check of three pmfs
     transforms._BLOCKS.clear()
-    once = transforms._thinned_sum_once(xs, alphas, DEFAULT_TOLERANCES)
-    assert not transforms._BLOCKS
-    cached = transforms.thinned_sum(xs, alphas)
-    assert np.array_equal(_bits(once.probs), _bits(cached.probs))
-
-
-def test_leave_one_out_keeps_no_block(monkeypatch):
-    # hmon and dsub draw fresh simplex weights: each full and left-out sum
-    # builds one stack of its alphas and keeps it nowhere, so the blocks
-    # thin reuses stay in the cache
-    transforms._BLOCKS.clear()
-    xs = [FinitePmf(_pmf(width, width)) for width in (3, 40, 90)]
-    transforms.thin(xs[0], 0.5)
-    stacks = []
-    build = transforms._pascal_stack
-    monkeypatch.setattr(transforms, "_pascal_stack",
-                        lambda a, size: stacks.append(a.shape) or build(a, size))
-    transforms.leave_one_out(xs, [0.2, 0.3, 0.5], lambda p: len(p))
-    assert list(transforms._BLOCKS) == [0.5]
-    assert stacks == [(3, 1), (2, 1), (2, 1), (2, 1)]
+    x = FinitePmf(_pmf(90, 5))
+    grid = [float(a) for a in ALPHA_GRID]
+    before = [transforms.thin(x, a).probs for a in grid]
+    blocks = [transforms._BLOCKS[a] for a in grid]
+    xs = [random_ulc(seed) for seed in range(3)]
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        alphas = inequality_suite._simplex(rng, len(xs))
+        for check in (check_hmon, check_dsub):
+            check(xs, alphas)
+            assert len(transforms._BLOCKS) <= transforms._BLOCKS_MAX
+    assert not set(grid) & set(transforms._BLOCKS)
+    for a, probs, block in zip(grid, before, blocks):
+        assert np.array_equal(_bits(transforms.thin(x, a).probs), _bits(probs))
+        assert np.array_equal(_bits(transforms._BLOCKS[a]), _bits(block))

@@ -1,7 +1,10 @@
 """Threads share the tables the package builds once: numerics' records of
 k, log(k + 1), log(k!) and log P(Poisson(k) = k), and V's start table.
 Each sits behind functools.cache, so a thread sees a whole table or
-builds its own, with the same bits.
+builds its own, with the same bits.  thin's LRU of Pascal blocks, which
+every thinned sum reads, has no lock: a race may build a block twice or
+evict one early, but every block for the same a holds the same bits, and
+the cache never keeps more than _BLOCKS_MAX of them.
 
 Threads switch every microsecond here, so that a table read while another
 thread builds it would show: each test starts its threads together from
@@ -15,8 +18,8 @@ import threading
 import numpy as np
 import pytest
 
-from thinpower import (FinitePmf, entropy_functionals, entropy_power, numerics,
-                       random_ulc)
+from thinpower import (FinitePmf, check_dsub, check_hmon, entropy_functionals,
+                       entropy_power, numerics, random_ulc, thin, transforms)
 
 PROBS = [random_ulc(seed).probs for seed in range(64)]
 
@@ -79,3 +82,33 @@ def test_6_threads_growing_the_tables_raise_nothing(fine_switching):
             for mine, theirs in zip(terms, fresh):
                 assert np.array_equal(mine.view(np.uint64),
                                       theirs.view(np.uint64))
+
+
+def test_thins_and_simplex_checks_in_8_threads_give_the_serial_bits(
+        fine_switching):
+    # 100 alphas and the fresh simplex weights of hmon and dsub, more than
+    # the cache holds, over pmfs of 2 to 90 points: blocks are built, read,
+    # grown, sliced and evicted while other threads read them
+    pmfs = [FinitePmf(p) for p in PROBS[:8]] + [FinitePmf(np.ones(90) / 90)]
+    thins = [(pmfs[k % len(pmfs)], (k % 100 + 1) / 101.0) for k in range(400)]
+    triples = [[FinitePmf(p) for p in PROBS[k:k + 3]] for k in range(0, 48, 3)]
+    weights = np.random.default_rng(11).dirichlet(np.full(3, 2.0), size=16)
+
+    def work(i):
+        out = [thin(x, a).probs.view(np.uint64).tolist()
+               for x, a in thins[i::8]]
+        for xs, alphas in zip(triples[i::8], weights[i::8]):
+            for check in (check_hmon, check_dsub):
+                verdict = check(xs, alphas)
+                out.append((verdict.lhs, verdict.rhs))
+        return out
+
+    transforms._BLOCKS.clear()
+    serial = [work(i) for i in range(8)]
+    # a cache that checked its size before keeping a block ended 3 to 30
+    # of 30 trials one block past _BLOCKS_MAX
+    for _ in range(30):
+        transforms._BLOCKS.clear()
+        found = _in_threads(8, work)
+        assert found == serial
+        assert len(transforms._BLOCKS) <= transforms._BLOCKS_MAX
